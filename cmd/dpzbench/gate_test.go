@@ -86,6 +86,39 @@ func TestGateIgnoresNoiseStagesAndNewRecords(t *testing.T) {
 	}
 }
 
+// TestGateTreatsStagesMissingFromBaselineAsNew: a BENCH file written
+// before the pca stage was split carries no vif/project entries, and the
+// gate must not read their absence as a zero-time baseline.
+func TestGateTreatsStagesMissingFromBaselineAsNew(t *testing.T) {
+	dir := t.TempDir()
+	old := `{"records":[{"name":"compress","workers":1,"ns_per_op":1000000000,` +
+		`"stage_ns":{"pca":600000000,"total":1000000000}}]}`
+	path := filepath.Join(dir, "BENCH_old.json")
+	if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cur := perfReport{Records: []perfRecord{
+		benchRecord("compress", 1, 1_000_000_000,
+			&stageNs{PCA: 600_000_000, VIF: 200_000_000, Project: 100_000_000, Total: 1_000_000_000}),
+	}}
+	var out strings.Builder
+	if err := compareBaseline(path, cur, 10, &out); err != nil {
+		t.Fatalf("stages new in this revision must not gate: %v", err)
+	}
+	if strings.Contains(out.String(), "stage vif") || strings.Contains(out.String(), "stage project") {
+		t.Fatalf("new stages were compared against an absent baseline:\n%s", out.String())
+	}
+	// Once the baseline has them, they are gated like any other stage.
+	base := perfReport{Records: []perfRecord{
+		benchRecord("compress", 1, 1_000_000_000,
+			&stageNs{PCA: 600_000_000, VIF: 100_000_000, Project: 100_000_000, Total: 1_000_000_000}),
+	}}
+	err := compareBaseline(writeReport(t, dir, base), cur, 10, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "stage vif") {
+		t.Fatalf("a doubled vif stage must fail the gate, got %v", err)
+	}
+}
+
 func TestGateWorstOffenderSortsFirst(t *testing.T) {
 	base := &perfReport{Records: []perfRecord{
 		benchRecord("a", 1, 1_000, nil),

@@ -53,12 +53,16 @@ type perfRecord struct {
 }
 
 // stageNs is a per-stage nanosecond breakdown. Compress records fill the
-// Figure 9 categories (decompose..zlib); decompress records fill the
-// decode stages (inflate..recompose). Total covers whichever pipeline ran.
+// Figure 9 categories (decompose..zlib) plus VIF and Project, which are
+// parts of PCA rather than stages of their own; decompress records fill
+// the decode stages (inflate..recompose). Total covers whichever
+// pipeline ran.
 type stageNs struct {
 	Decompose int64 `json:"decompose,omitempty"`
 	DCT       int64 `json:"dct,omitempty"`
 	PCA       int64 `json:"pca,omitempty"`
+	VIF       int64 `json:"vif,omitempty"`
+	Project   int64 `json:"project,omitempty"`
 	Quant     int64 `json:"quant,omitempty"`
 	Zlib      int64 `json:"zlib,omitempty"`
 	Inflate   int64 `json:"inflate,omitempty"`
@@ -86,6 +90,8 @@ func stagesOf(sts ...dpz.Stats) *stageNs {
 		out.Decompose += st.TimeDecompose.Nanoseconds()
 		out.DCT += st.TimeDCT.Nanoseconds()
 		out.PCA += st.TimePCA.Nanoseconds()
+		out.VIF += st.TimeVIF.Nanoseconds()
+		out.Project += st.TimeProject.Nanoseconds()
 		out.Quant += st.TimeQuant.Nanoseconds()
 		out.Zlib += st.TimeZlib.Nanoseconds()
 		out.Total += st.TimeTotal.Nanoseconds()

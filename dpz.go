@@ -269,9 +269,14 @@ type Stats struct {
 	TimeDecompose time.Duration
 	TimeDCT       time.Duration
 	TimePCA       time.Duration
-	TimeQuant     time.Duration
-	TimeZlib      time.Duration
-	TimeTotal     time.Duration
+	// TimeVIF and TimeProject are parts of TimePCA: the auto-standardize
+	// VIF probe (zero when none ran) and the projection onto the k
+	// retained components.
+	TimeVIF     time.Duration
+	TimeProject time.Duration
+	TimeQuant   time.Duration
+	TimeZlib    time.Duration
+	TimeTotal   time.Duration
 
 	// BasisDecision reports which path the basis-reuse layer took:
 	// "cold" (no usable candidate), "accept" (candidate adopted after
@@ -331,6 +336,8 @@ func fromCoreStats(s core.Stats) Stats {
 		TimeDecompose:   s.TimeDecompose,
 		TimeDCT:         s.TimeDCT,
 		TimePCA:         s.TimePCA,
+		TimeVIF:         s.TimeVIF,
+		TimeProject:     s.TimeProject,
 		TimeQuant:       s.TimeQuant,
 		TimeZlib:        s.TimeZlib,
 		TimeTotal:       s.TimeTotal,

@@ -56,9 +56,15 @@ type Stats struct {
 	TimeDecompose time.Duration
 	TimeDCT       time.Duration
 	TimePCA       time.Duration
-	TimeQuant     time.Duration
-	TimeZlib      time.Duration
-	TimeTotal     time.Duration
+	// TimeVIF and TimeProject are sub-spans of TimePCA: the
+	// auto-standardize VIF probe (zero when no probe ran; Algorithm 2's
+	// own probe is inside sampling.Run and not split out) and the
+	// projection onto the k retained components.
+	TimeVIF     time.Duration
+	TimeProject time.Duration
+	TimeQuant   time.Duration
+	TimeZlib    time.Duration
+	TimeTotal   time.Duration
 
 	Sampling *sampling.Report
 }
@@ -242,7 +248,10 @@ func CompressContext(ctx context.Context, data []float64, dims []int, p Params) 
 			if p.SketchPCA {
 				vifFeatures = sketchVIFFeatures
 			}
-			if vif, err := sampling.VIF(x, 0.01, vifFeatures, seed); err == nil {
+			tv := metrics.Now()
+			vif, err := sampling.VIF(x, 0.01, vifFeatures, seed)
+			st.TimeVIF = metrics.Since(tv)
+			if err == nil {
 				var mean float64
 				for _, v := range vif {
 					mean += v
@@ -305,12 +314,14 @@ func CompressContext(ctx context.Context, data []float64, dims []int, p Params) 
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	tp := metrics.Now()
 	var scores *mat.Dense
 	if p.SketchPCA {
 		scores = model.TransformFast(x, k, p.Workers)
 	} else {
 		scores = model.Transform(x, k)
 	}
+	st.TimeProject = metrics.Since(tp)
 	var kept float64
 	for i := 0; i < k && i < len(model.Eigenvalues); i++ {
 		kept += model.Eigenvalues[i]

@@ -323,6 +323,27 @@ func TestStageTimingsPopulated(t *testing.T) {
 	}
 }
 
+// TestPCASubStageTimings checks that the VIF probe and the projection
+// are timed as parts of the pca stage, and that no VIF span is reported
+// when no probe runs.
+func TestPCASubStageTimings(t *testing.T) {
+	f := smoothField()
+	c, _ := roundTrip(t, f, DPZL())
+	s := c.Stats
+	if s.TimeVIF <= 0 || s.TimeProject <= 0 {
+		t.Fatalf("sub-stages not recorded: vif %v, project %v", s.TimeVIF, s.TimeProject)
+	}
+	if s.TimeVIF+s.TimeProject > s.TimePCA {
+		t.Fatalf("vif %v + project %v exceed pca %v", s.TimeVIF, s.TimeProject, s.TimePCA)
+	}
+	p := DPZL()
+	p.Standardize = StandardizeOff
+	c, _ = roundTrip(t, f, p)
+	if c.Stats.TimeVIF != 0 {
+		t.Fatalf("no probe runs with standardization off, yet vif = %v", c.Stats.TimeVIF)
+	}
+}
+
 func TestConstantDataRoundTrip(t *testing.T) {
 	data := make([]float64, 4096)
 	for i := range data {

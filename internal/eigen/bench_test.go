@@ -22,6 +22,19 @@ func BenchmarkSymEig128(b *testing.B) {
 	}
 }
 
+// BenchmarkSymEig256 is the eigensolve of the flat-spectrum benchmark
+// workload: the covariance of a CLDHGH-like 256×512 field's DCT blocks.
+func BenchmarkSymEig256(b *testing.B) {
+	a := dctBlockCovariance(b, "CLDHGH", 2001)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := SymEig(a); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkSymEig512(b *testing.B) {
 	a := benchMatrix(512)
 	for i := 0; i < b.N; i++ {
@@ -66,6 +79,16 @@ func BenchmarkOneSidedJacobi256x128(b *testing.B) {
 		}
 		b.StartTimer()
 		if _, err := OneSidedJacobi(x, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkSymEigValues256(b *testing.B) {
+	a := dctBlockCovariance(b, "CLDHGH", 2001)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := SymEigValues(a); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -7,6 +7,14 @@
 // Loan; Numerical Recipes). For the covariance matrices DPZ produces
 // (symmetric positive semi-definite, typically a few hundred to a few
 // thousand features) it converges in a handful of sweeps per eigenvalue.
+//
+// Both kernels are laid out so that every O(n³) inner loop walks
+// contiguous memory of the row-major workspace: tred2's mat-vec and its
+// accumulation phase sweep rows rather than columns, and tqli rotates
+// rows of the transposed accumulator (eigenvectors are its rows until
+// the final sort copies them into columns). Each floating-point
+// operation and its order are those of the textbook column-walking
+// loops, so the results are bit-identical to them.
 package eigen
 
 import (
@@ -45,120 +53,200 @@ func SymEig(a *mat.Dense) (*System, error) {
 	}
 	n := r
 	// z starts as a copy of a and is overwritten with the accumulated
-	// orthogonal transform; after tqli its columns are the eigenvectors.
-	// The workspace is pooled: sortDescending copies the eigenpairs into
-	// fresh storage, so nothing pooled escapes to the caller.
-	zbuf := scratch.Floats(n * n)
-	defer scratch.PutFloats(zbuf)
-	copy(zbuf, a.Data())
-	z := mat.NewDenseData(n, n, zbuf)
+	// orthogonal transform, transposed in place before tqli so that each
+	// rotation updates two contiguous rows; afterwards row j of z is the
+	// eigenvector of d[j]. The workspace is pooled: sortedSystem copies
+	// the eigenpairs into fresh storage, so nothing pooled escapes to the
+	// caller.
+	z := scratch.Floats(n * n)
+	defer scratch.PutFloats(z)
+	copy(z, a.Data())
 	d := scratch.Floats(n) // diagonal
 	defer scratch.PutFloats(d)
 	e := scratch.Floats(n) // off-diagonal
 	defer scratch.PutFloats(e)
-	tred2(z, d, e)
+	tred2(z, d, e, true)
+	transposeSquare(z, n)
 	if err := tqli(d, e, z); err != nil {
 		return nil, err
 	}
-	sys := &System{Values: d, Vectors: z}
-	sys.sortDescending()
-	return sys, nil
+	return sortedSystem(d, z), nil
 }
 
-// sortDescending reorders eigenpairs so Values is non-increasing.
-func (s *System) sortDescending() {
-	n := len(s.Values)
+// SymEigValues computes only the eigenvalues of the symmetric matrix a,
+// sorted descending. Skipping the eigenvector accumulation makes this
+// several times cheaper than SymEig — it is what DPZ's sampling strategy
+// uses to read a subset's TVE curve without paying for a basis it will
+// never project onto. It runs the same kernels as SymEig, minus the
+// accumulation, so the eigenvalues are the same.
+func SymEigValues(a *mat.Dense) ([]float64, error) {
+	r, c := a.Dims()
+	if r != c {
+		return nil, fmt.Errorf("eigen: non-square input %dx%d", r, c)
+	}
+	if r == 0 {
+		return nil, nil
+	}
+	n := r
+	// The tridiagonalization workspace is pooled; only d (the returned
+	// eigenvalues) is freshly allocated.
+	work := scratch.Floats(n * n)
+	defer scratch.PutFloats(work)
+	copy(work, a.Data())
+	d := make([]float64, n)
+	e := scratch.Floats(n)
+	defer scratch.PutFloats(e)
+	tred2(work, d, e, false)
+	if err := tqli(d, e, nil); err != nil {
+		return nil, err
+	}
+	sort.Sort(sort.Reverse(sort.Float64Slice(d)))
+	return d, nil
+}
+
+// sortedSystem returns the eigenpairs (d[j], row j of the n×n row-major
+// zt) in fresh storage, sorted by descending eigenvalue, with the
+// eigenvectors as columns.
+func sortedSystem(d, zt []float64) *System {
+	n := len(d)
 	idx := make([]int, n)
 	for i := range idx {
 		idx[i] = i
 	}
-	sort.SliceStable(idx, func(a, b int) bool { return s.Values[idx[a]] > s.Values[idx[b]] })
+	sort.SliceStable(idx, func(a, b int) bool { return d[idx[a]] > d[idx[b]] })
 	vals := make([]float64, n)
 	vecs := mat.NewDense(n, n)
+	vd := vecs.Data()
 	for newJ, oldJ := range idx {
-		vals[newJ] = s.Values[oldJ]
-		for i := 0; i < n; i++ {
-			vecs.Set(i, newJ, s.Vectors.At(i, oldJ))
+		vals[newJ] = d[oldJ]
+		for i, v := range zt[oldJ*n : (oldJ+1)*n] {
+			vd[i*n+newJ] = v
 		}
 	}
-	s.Values = vals
-	s.Vectors = vecs
+	return &System{Values: vals, Vectors: vecs}
 }
 
-// tred2 reduces the symmetric matrix stored in z to tridiagonal form using
-// Householder reflections, accumulating the transform in z. On return d
-// holds the diagonal and e the sub-diagonal (e[0] is unused/zero).
-func tred2(z *mat.Dense, d, e []float64) {
+// transposeSquare transposes the n×n row-major matrix a in place.
+func transposeSquare(a []float64, n int) {
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			a[i*n+j], a[j*n+i] = a[j*n+i], a[i*n+j]
+		}
+	}
+}
+
+// tred2 reduces the symmetric n×n row-major matrix a (lower triangle
+// read) to tridiagonal form using Householder reflections. On return d
+// holds the diagonal and e the sub-diagonal (e[0] is zero). With vectors
+// set, the orthogonal transform is accumulated into a; otherwise a is
+// left as scratch.
+func tred2(a, d, e []float64, vectors bool) {
 	n := len(d)
-	a := z.Data()
 	for i := n - 1; i >= 1; i-- {
 		l := i - 1
+		ai := a[i*n : i*n+i] // row i left of the diagonal: the Householder vector u
 		var h, scale float64
 		if l > 0 {
-			for k := 0; k <= l; k++ {
-				scale += math.Abs(a[i*n+k])
+			for _, v := range ai {
+				scale += math.Abs(v)
 			}
 			if scale == 0 {
-				e[i] = a[i*n+l]
+				e[i] = ai[l]
 			} else {
-				for k := 0; k <= l; k++ {
-					a[i*n+k] /= scale
-					h += a[i*n+k] * a[i*n+k]
+				for k := range ai {
+					ai[k] /= scale
+					h += ai[k] * ai[k]
 				}
-				f := a[i*n+l]
+				f := ai[l]
 				g := math.Sqrt(h)
 				if f > 0 {
 					g = -g
 				}
 				e[i] = scale * g
 				h -= f * g
-				a[i*n+l] = f - g
-				f = 0
-				for j := 0; j <= l; j++ {
-					a[j*n+i] = a[i*n+j] / h
+				ai[l] = f - g
+				// p = A·u/h from the lower triangle, in row sweeps: each
+				// e[j] first sums its own row (k <= j), then gains the
+				// column terms (k > j) in ascending k, the summation order
+				// of the column-walking formulation.
+				for j := range ai {
+					a[j*n+i] = ai[j] / h
+					row := a[j*n : j*n+j+1]
+					u := ai[:len(row)]
 					g = 0
-					for k := 0; k <= j; k++ {
-						g += a[j*n+k] * a[i*n+k]
+					for k, v := range row {
+						g += v * u[k]
 					}
-					for k := j + 1; k <= l; k++ {
-						g += a[k*n+j] * a[i*n+k]
+					e[j] = g
+				}
+				for k := 1; k <= l; k++ {
+					uk := ai[k]
+					row := a[k*n : k*n+k]
+					p := e[:len(row)]
+					for j, v := range row {
+						p[j] += v * uk
 					}
-					e[j] = g / h
-					f += e[j] * a[i*n+j]
+				}
+				f = 0
+				for j := range ai {
+					e[j] /= h
+					f += e[j] * ai[j]
 				}
 				hh := f / (h + h)
-				for j := 0; j <= l; j++ {
-					f = a[i*n+j]
+				for j := range ai {
+					f = ai[j]
 					g = e[j] - hh*f
 					e[j] = g
-					for k := 0; k <= j; k++ {
-						a[j*n+k] -= f*e[k] + g*a[i*n+k]
+					row := a[j*n : j*n+j+1]
+					q, u := e[:len(row)], ai[:len(row)]
+					for k := range row {
+						row[k] -= f*q[k] + g*u[k]
 					}
 				}
 			}
 		} else {
-			e[i] = a[i*n+l]
+			e[i] = ai[l]
 		}
 		d[i] = h
 	}
 	d[0] = 0
 	e[0] = 0
+	if !vectors {
+		for i := 0; i < n; i++ {
+			d[i] = a[i*n+i]
+		}
+		return
+	}
+	// Accumulate Q = P_1···P_{n-2}. Step i applies its reflector to the
+	// leading i×i block: g = (row i)·block gathered over whole rows,
+	// then the rank-1 update row by row. Every g[j] keeps its
+	// ascending-k sum, and the update reads no column it writes.
+	g := scratch.Floats(n)
+	defer scratch.PutFloats(g)
 	for i := 0; i < n; i++ {
-		l := i - 1
 		if d[i] != 0 {
-			for j := 0; j <= l; j++ {
-				var g float64
-				for k := 0; k <= l; k++ {
-					g += a[i*n+k] * a[k*n+j]
+			ai := a[i*n : i*n+i]
+			gi := g[:i]
+			clear(gi)
+			for k, aik := range ai {
+				row := a[k*n : k*n+i]
+				gi = gi[:len(row)]
+				for j, v := range row {
+					gi[j] += aik * v
 				}
-				for k := 0; k <= l; k++ {
-					a[k*n+j] -= g * a[k*n+i]
+			}
+			for k := 0; k < i; k++ {
+				aki := a[k*n+i]
+				row := a[k*n : k*n+i]
+				gi = gi[:len(row)]
+				for j := range row {
+					row[j] -= gi[j] * aki
 				}
 			}
 		}
 		d[i] = a[i*n+i]
 		a[i*n+i] = 1
-		for j := 0; j <= l; j++ {
+		for j := 0; j < i; j++ {
 			a[j*n+i] = 0
 			a[i*n+j] = 0
 		}
@@ -166,11 +254,11 @@ func tred2(z *mat.Dense, d, e []float64) {
 }
 
 // tqli diagonalizes a symmetric tridiagonal matrix (diagonal d,
-// sub-diagonal e) with implicit-shift QL, accumulating rotations into z's
-// columns. On return d holds the eigenvalues.
-func tqli(d, e []float64, z *mat.Dense) error {
+// sub-diagonal e) with implicit-shift QL. On return d holds the
+// eigenvalues. Unless zt is nil, each rotation is also applied to rows of
+// the n×n row-major zt, the transposed accumulator.
+func tqli(d, e, zt []float64) error {
 	n := len(d)
-	a := z.Data()
 	for i := 1; i < n; i++ {
 		e[i-1] = e[i]
 	}
@@ -215,10 +303,13 @@ func tqli(d, e []float64, z *mat.Dense) error {
 				p = s * r
 				d[i+1] = g + p
 				g = c*r - b
-				for k := 0; k < n; k++ {
-					f = a[k*n+i+1]
-					a[k*n+i+1] = s*a[k*n+i] + c*f
-					a[k*n+i] = c*a[k*n+i] - s*f
+				if zt != nil {
+					zi := zt[i*n : (i+1)*n]
+					zi1 := zt[(i+1)*n : (i+2)*n][:len(zi)]
+					for k, v := range zi1 {
+						zi1[k] = s*zi[k] + c*v
+						zi[k] = c*zi[k] - s*v
+					}
 				}
 			}
 			if r == 0 && m-1 >= l {

@@ -295,9 +295,10 @@ func Cholesky(a *Dense) (*Dense, error) {
 	n := a.rows
 	l := NewDense(n, n)
 	for j := 0; j < n; j++ {
+		lj := l.data[j*n : j*n+j]
 		var d float64
-		for k := 0; k < j; k++ {
-			d += l.data[j*n+k] * l.data[j*n+k]
+		for _, v := range lj {
+			d += v * v
 		}
 		d = a.data[j*n+j] - d
 		if d <= 0 {
@@ -306,12 +307,19 @@ func Cholesky(a *Dense) (*Dense, error) {
 		ljj := math.Sqrt(d)
 		l.data[j*n+j] = ljj
 		inv := 1 / ljj
-		for i := j + 1; i < n; i++ {
-			var s float64
-			for k := 0; k < j; k++ {
-				s += l.data[i*n+k] * l.data[j*n+k]
+		// Rows below the pivot in pairs: two independent dot products,
+		// each summed in ascending k, keep the FPU busy without changing
+		// a single rounding. An odd last row pairs with itself.
+		for i := j + 1; i < n; i += 2 {
+			i1 := min(i+1, n-1)
+			li0, li1 := l.data[i*n:][:len(lj)], l.data[i1*n:][:len(lj)]
+			var s0, s1 float64
+			for k, v := range lj {
+				s0 += li0[k] * v
+				s1 += li1[k] * v
 			}
-			l.data[i*n+j] = (a.data[i*n+j] - s) * inv
+			l.data[i*n+j] = (a.data[i*n+j] - s0) * inv
+			l.data[i1*n+j] = (a.data[i1*n+j] - s1) * inv
 		}
 	}
 	return l, nil
@@ -345,24 +353,64 @@ func CholeskySolve(l *Dense, b []float64) []float64 {
 	return x
 }
 
-// SPDInverse inverts a symmetric positive-definite matrix via Cholesky.
-func SPDInverse(a *Dense) (*Dense, error) {
+// SPDInverseDiag returns the diagonal of the inverse of the symmetric
+// positive-definite matrix a, via one Cholesky factorization. Entry j is
+// eⱼᵀ·A⁻¹·eⱼ from a forward solve L y = eⱼ over rows ≥ j only (the
+// leading entries of y are zero) and a back-substitution Lᵀ x = y that
+// stops at row j, reading a transposed copy of L so both solves walk
+// rows. The operations and their order are those of CholeskySolve on eⱼ,
+// so each entry carries the bits of the full inverse's diagonal.
+func SPDInverseDiag(a *Dense) ([]float64, error) {
 	l, err := Cholesky(a)
 	if err != nil {
 		return nil, err
 	}
 	n := a.rows
-	inv := NewDense(n, n)
-	e := make([]float64, n)
-	for j := 0; j < n; j++ {
-		for i := range e {
-			e[i] = 0
+	lt := l.T()
+	diag := make([]float64, n)
+	y0, y1 := make([]float64, n), make([]float64, n)
+	// Columns are solved in pairs j0 < j1 so two independent recurrences
+	// share each row of L; an odd last column pairs with itself (j0 == j1).
+	for j0 := 0; j0 < n; j0 += 2 {
+		j1 := min(j0+1, n-1)
+		// Forward: row j0 and the k = j0 terms belong to column j0 alone.
+		y0[j0] = 1 / l.data[j0*n+j0]
+		for i := j1; i < n; i++ {
+			row := l.data[i*n : i*n+i]
+			var s0, s1 float64
+			if i == j1 {
+				s1 = 1
+			}
+			if j0 < j1 {
+				s0 -= row[j0] * y0[j0]
+			} else {
+				s0 = s1
+			}
+			tail := row[j1:]
+			p0, p1 := y0[j1:][:len(tail)], y1[j1:][:len(tail)]
+			for k, v := range tail {
+				s0 -= v * p0[k]
+				s1 -= v * p1[k]
+			}
+			y0[i] = s0 / l.data[i*n+i]
+			y1[i] = s1 / l.data[i*n+i]
 		}
-		e[j] = 1
-		col := CholeskySolve(l, e)
-		inv.SetCol(j, col)
+		// Back, in place, from row n-1 down to row j0. Column j1's value
+		// at row j0 < j1 is computed from stale entries and never read.
+		for i := n - 1; i >= j0; i-- {
+			row := lt.data[i*n+i+1 : i*n+n]
+			p0, p1 := y0[i+1:][:len(row)], y1[i+1:][:len(row)]
+			s0, s1 := y0[i], y1[i]
+			for k, v := range row {
+				s0 -= v * p0[k]
+				s1 -= v * p1[k]
+			}
+			y0[i] = s0 / l.data[i*n+i]
+			y1[i] = s1 / l.data[i*n+i]
+		}
+		diag[j0], diag[j1] = y0[j0], y1[j1]
 	}
-	return inv, nil
+	return diag, nil
 }
 
 // Equal reports whether a and b have the same shape and all elements within

@@ -291,28 +291,48 @@ func TestCholeskySolve(t *testing.T) {
 	}
 }
 
-func TestSPDInverse(t *testing.T) {
+func TestSPDInverseDiag(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
-	n := 9
-	b := NewDense(n, n)
-	for i := range b.Data() {
-		b.Data()[i] = rng.NormFloat64()
+	for _, n := range []int{1, 2, 9, 40} {
+		b := NewDense(n, n)
+		for i := range b.Data() {
+			b.Data()[i] = rng.NormFloat64()
+		}
+		a := Mul(b.T(), b)
+		for i := 0; i < n; i++ {
+			a.Set(i, i, a.At(i, i)+2)
+		}
+		diag, err := SPDInverseDiag(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The full inverse, one CholeskySolve per column: its diagonal
+		// is what SPDInverseDiag must reproduce bit for bit.
+		l, err := Cholesky(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inv := NewDense(n, n)
+		for j := 0; j < n; j++ {
+			e := make([]float64, n)
+			e[j] = 1
+			inv.SetCol(j, CholeskySolve(l, e))
+		}
+		id := NewDense(n, n)
+		for i := 0; i < n; i++ {
+			id.Set(i, i, 1)
+		}
+		if !Equal(Mul(a, inv), id, 1e-8) {
+			t.Fatalf("n=%d: A·A⁻¹ != I", n)
+		}
+		for j, v := range diag {
+			if math.Float64bits(v) != math.Float64bits(inv.At(j, j)) {
+				t.Fatalf("n=%d: diag[%d] = %v, full inverse has %v", n, j, v, inv.At(j, j))
+			}
+		}
 	}
-	a := Mul(b.T(), b)
-	for i := 0; i < n; i++ {
-		a.Set(i, i, a.At(i, i)+2)
-	}
-	inv, err := SPDInverse(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prod := Mul(a, inv)
-	id := NewDense(n, n)
-	for i := 0; i < n; i++ {
-		id.Set(i, i, 1)
-	}
-	if !Equal(prod, id, 1e-8) {
-		t.Fatal("A·A⁻¹ != I")
+	if _, err := SPDInverseDiag(NewDenseData(2, 2, []float64{1, 2, 2, 1})); err == nil {
+		t.Fatal("indefinite matrix must be rejected")
 	}
 }
 

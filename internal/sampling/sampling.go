@@ -261,13 +261,13 @@ func VIF(x *mat.Dense, sr float64, maxFeatures int, seed int64) ([]float64, erro
 	for i := 0; i < cols; i++ {
 		corr.Set(i, i, corr.At(i, i)+ridge)
 	}
-	inv, err := mat.SPDInverse(corr)
+	diag, err := mat.SPDInverseDiag(corr)
 	if err != nil {
 		return nil, fmt.Errorf("sampling: VIF inversion: %w", err)
 	}
 	vif := make([]float64, cols)
 	for j := 0; j < cols; j++ {
-		v := inv.At(j, j)
+		v := diag[j]
 		if v < 1 {
 			v = 1
 		}
