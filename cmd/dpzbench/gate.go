@@ -120,7 +120,6 @@ func gateDeltas(base, cur *perfReport) []gateDelta {
 			{"zlib", b.StageNs.Zlib, r.StageNs.Zlib},
 			{"inflate", b.StageNs.Inflate, r.StageNs.Inflate},
 			{"dequant", b.StageNs.Dequant, r.StageNs.Dequant},
-			{"transform", b.StageNs.Transform, r.StageNs.Transform},
 			{"recompose", b.StageNs.Recompose, r.StageNs.Recompose},
 			{"total", b.StageNs.Total, r.StageNs.Total},
 		}

@@ -67,7 +67,6 @@ type stageNs struct {
 	Zlib      int64 `json:"zlib,omitempty"`
 	Inflate   int64 `json:"inflate,omitempty"`
 	Dequant   int64 `json:"dequant,omitempty"`
-	Transform int64 `json:"transform,omitempty"`
 	Recompose int64 `json:"recompose,omitempty"`
 	Total     int64 `json:"total"`
 }
@@ -77,7 +76,6 @@ func decodeStagesOf(st core.DecodeStats) *stageNs {
 	return &stageNs{
 		Inflate:   st.TimeInflate.Nanoseconds(),
 		Dequant:   st.TimeDequant.Nanoseconds(),
-		Transform: st.TimeTransform.Nanoseconds(),
 		Recompose: st.TimeRecompose.Nanoseconds(),
 		Total:     st.TimeTotal.Nanoseconds(),
 	}
@@ -285,41 +283,52 @@ func runPerfSuite(scale float64, workers []int, notes []string, baseline string,
 	if err != nil {
 		return err
 	}
-	for _, w := range workers {
-		w := w
-		rec := add("decompress", w, bench(func(b *testing.B) {
-			b.SetBytes(rawBytes)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := core.Decompress(res.Data, w); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}))
-		_, _, dst, err := core.DecompressStats(res.Data, w, 0)
-		if err != nil {
-			return err
-		}
-		rec.StageNs = decodeStagesOf(dst)
-	}
-
-	// Progressive-preview records: decode only the leading 1/4/16/all
-	// components of one stream, against the same stream's full decode
-	// (preview-fulldecode, the oracle the ladder converges to). PHIS keeps
-	// k high at bench scale, so the rank split is meaningful; the preview
-	// win is skipping the dequantize + rank-recompose work for every
-	// component above the cut.
-	pw := workers[len(workers)-1]
-	po := dpz.LooseOptions()
-	po.Workers = pw
-	pres, err := dpz.CompressFloat64(lf.Data, lf.Dims, po)
+	// decompress is the flat-spectrum CLDHGH stream (k≈M), whose full
+	// decode costs about M row transforms and an M×N×M GEMM;
+	// decompress-lowrank is the PHIS stream (k ≪ M), where the rank-space
+	// decode pays for k+1 row transforms and an M×N×(k+1) GEMM.
+	lres, err := dpz.CompressFloat64(lf.Data, lf.Dims, dpz.LooseOptions())
 	if err != nil {
 		return err
 	}
+	for _, cfg := range []struct {
+		name   string
+		stream []byte
+	}{
+		{"decompress", res.Data},
+		{"decompress-lowrank", lres.Data},
+	} {
+		for _, w := range workers {
+			w, stream := w, cfg.stream
+			rec := add(cfg.name, w, bench(func(b *testing.B) {
+				b.SetBytes(rawBytes)
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, _, err := core.Decompress(stream, w); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}))
+			_, _, dst, err := core.DecompressStats(stream, w, 0)
+			if err != nil {
+				return err
+			}
+			rec.StageNs = decodeStagesOf(dst)
+		}
+	}
+
+	// Progressive-preview records: decode only the leading 1/4/16
+	// components of the PHIS stream, against its full decode
+	// (preview-fulldecode, the fidelity the ladder converges to). PHIS
+	// keeps k high at bench scale, so the rank split is meaningful; the
+	// preview win is skipping the dequantize, row-transform and recompose
+	// work for every component above the cut. Stream bytes do not depend
+	// on the worker count, so lres serves every worker setting.
+	pw := workers[len(workers)-1]
 	prevNs := map[string]int64{}
 	prevRanks := []int{1, 4, 16}
 	for _, rk := range prevRanks {
-		if rk >= pres.Stats.K {
+		if rk >= lres.Stats.K {
 			continue // the full record below covers it
 		}
 		rk := rk
@@ -328,40 +337,30 @@ func runPerfSuite(scale float64, workers []int, notes []string, baseline string,
 			b.SetBytes(rawBytes)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, _, _, err := core.DecompressRanks(pres.Data, rk, pw); err != nil {
+				if _, _, _, err := core.DecompressRanks(lres.Data, rk, pw); err != nil {
 					b.Fatal(err)
 				}
 			}
 		}))
 		prevNs[name] = rec.NsPerOp
-		_, _, dst, err := core.DecompressStats(pres.Data, pw, rk)
+		_, _, dst, err := core.DecompressStats(lres.Data, pw, rk)
 		if err != nil {
 			return err
 		}
 		rec.StageNs = decodeStagesOf(dst)
 	}
-	rec := add("preview-full", pw, bench(func(b *testing.B) {
+	rec := add("preview-fulldecode", pw, bench(func(b *testing.B) {
 		b.SetBytes(rawBytes)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, _, _, err := core.DecompressRanks(pres.Data, pres.Stats.K, pw); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}))
-	prevNs["preview-full"] = rec.NsPerOp
-	rec = add("preview-fulldecode", pw, bench(func(b *testing.B) {
-		b.SetBytes(rawBytes)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := core.Decompress(pres.Data, pw); err != nil {
+			if _, _, err := core.Decompress(lres.Data, pw); err != nil {
 				b.Fatal(err)
 			}
 		}
 	}))
 	if full, r1 := rec.NsPerOp, prevNs["preview-r1"]; full > 0 && r1 > 0 {
 		notes = append(notes, fmt.Sprintf(
-			"rank-1 preview is %.1fx faster than the full decode (k=%d)", float64(full)/float64(r1), pres.Stats.K))
+			"rank-1 preview is %.1fx faster than the full decode (k=%d)", float64(full)/float64(r1), lres.Stats.K))
 	}
 
 	raw := make([]byte, rawBytes)

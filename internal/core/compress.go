@@ -406,7 +406,6 @@ func CompressContext(ctx context.Context, data []float64, dims []int, p Params) 
 	paCol := pa / math.Sqrt(float64(k))
 	scoreSecs := make([][]byte, k)
 	projSecs := make([][]byte, k)
-	pcol := make([]float64, shape.M)
 	if err := parallel.ForCtx(ctx, k, p.Workers, func(j int) {
 		if p.HuffmanIndices {
 			scoreSecs[j] = encs[j].MarshalHuffman()
@@ -498,22 +497,15 @@ func CompressContext(ctx context.Context, data []float64, dims []int, p Params) 
 		if st.Standardized {
 			scalesF32, _ = float32FromBytes(float32Bytes(model.Scales))
 		}
-		projR := mat.NewDense(shape.M, k)
+		projT := mat.NewDense(k, shape.M)
 		for j := 0; j < k; j++ {
-			if p.RawProjection {
-				pcolR, _ := float32FromBytes(projSecs[j])
-				projR.SetCol(j, pcolR)
-			} else {
-				pm, err := decodeProjection(projSecs[j], shape.M, 1)
-				if err != nil {
-					return nil, err
-				}
-				pm.Col(0, pcol)
-				projR.SetCol(j, pcol)
+			if err := decodeProjSection(projSecs[j], p.RawProjection, projT.Row(j)); err != nil {
+				return nil, err
 			}
 		}
+		mode := transformMode(p.SkipDCT, p.DCT2D, p.UseWavelet)
 
-		stage12, err := reconstruct(scores, projR, meansF32, scalesF32, shape, len(data), p.Workers, transformMode(p.SkipDCT, p.DCT2D, p.UseWavelet), nil)
+		stage12, err := reconstructRankSpace(scores, projT, meansF32, scalesF32, shape, len(data), mode, p.Workers)
 		if err != nil {
 			return nil, err
 		}
@@ -527,7 +519,7 @@ func CompressContext(ctx context.Context, data []float64, dims []int, p Params) 
 			}
 			deqMat.SetCol(j, deq)
 		}
-		final, err := reconstruct(deqMat, projR, meansF32, scalesF32, shape, len(data), p.Workers, transformMode(p.SkipDCT, p.DCT2D, p.UseWavelet), nil)
+		final, err := reconstructRankSpace(deqMat, projT, meansF32, scalesF32, shape, len(data), mode, p.Workers)
 		if err != nil {
 			return nil, err
 		}

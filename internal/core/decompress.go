@@ -10,7 +10,6 @@ import (
 	"dpz/internal/metrics"
 	"dpz/internal/parallel"
 	"dpz/internal/quant"
-	"dpz/internal/scratch"
 	"dpz/internal/transform"
 )
 
@@ -21,25 +20,24 @@ type DecodeStats struct {
 	// TimeInflate covers parsing the container, checksumming the needed
 	// sections and inflating them (including shard fan-out).
 	TimeInflate time.Duration
-	// TimeDequant covers score and projection decode. On the fused
-	// rank-space path the per-rank inverse DCT runs inside the same pass,
-	// so its cost lands here and TimeTransform stays ~0.
+	// TimeDequant covers score and projection decode together with the
+	// per-rank inverse transform, which runs in the same pass over each
+	// rank-space row.
 	TimeDequant time.Duration
-	// TimeTransform covers the inverse block transform over the composed
-	// plane (full decodes) or the rank-space rows (v1 partial decodes).
-	TimeTransform time.Duration
-	// TimeRecompose covers the recompose GEMM, de-standardization and the
-	// block-to-signal reassembly.
+	// TimeRecompose covers building the scaled coefficient matrix (with
+	// its M-point inverse DCT on 2-D DCT streams), the recompose GEMM and
+	// the block-to-signal reassembly.
 	TimeRecompose time.Duration
 	TimeTotal     time.Duration
 	// RanksUsed is the component count actually reconstructed.
 	RanksUsed int
 }
 
-// Decompress reverses Compress: it parses the container, dequantizes the
-// scores, inverts the PCA projection, applies the inverse DCT per block
-// and restores the original order and length. It returns the reconstructed
-// values and the logical dimensions recorded at compression time.
+// Decompress reverses Compress: it parses the container, dequantizes and
+// inverse-transforms each component's scores, recomposes the blocks from
+// them and the projection, and restores the original order and length.
+// It returns the reconstructed values and the logical dimensions recorded
+// at compression time.
 func Decompress(buf []byte, workers int) ([]float64, []int, error) {
 	return DecompressRank(buf, workers, 0)
 }
@@ -140,7 +138,11 @@ func DecompressRanksContext(ctx context.Context, buf []byte, ranks, workers int)
 // decompressParsed reconstructs from an already-parsed container. It is
 // shared by DecompressRank and DecompressBestEffort (which hands in a
 // container whose damaged trailing rank sections were dropped). st may be
-// nil; when set, the dequant/transform/recompose stages are timed into it.
+// nil; when set, the dequant and recompose stages are timed into it.
+//
+// Every decode — any rank, transform mode or format version — takes the
+// one rank-space path: the decoded components become inverse-transformed
+// rank rows, and recomposeRankSpace maps them to value space.
 func decompressParsed(ctx context.Context, c container, workers, rank int, st *DecodeStats) ([]float64, []int, error) {
 	h := c.h
 	if rank < 0 || rank > h.k {
@@ -155,53 +157,16 @@ func decompressParsed(ctx context.Context, c container, workers, rank int, st *D
 	}
 
 	t0 := metrics.Now()
-	means, err := float32FromBytes(c.means)
+	means, scales, err := decodeSideData(h, c.means, c.scales)
 	if err != nil {
 		return nil, nil, err
 	}
-	if len(means) != h.m {
-		return nil, nil, fmt.Errorf("core: means size %d != M = %d", len(means), h.m)
-	}
-	var scales []float64
-	if h.flags&flagStandardized != 0 {
-		scales, err = float32FromBytes(c.scales)
-		if err != nil {
-			return nil, nil, err
-		}
-		if len(scales) != h.m {
-			return nil, nil, fmt.Errorf("core: scales size %d != M = %d", len(scales), h.m)
-		}
-	}
-
-	shape := blockio.Shape{M: h.m, N: h.n, Padded: h.m * h.n}
-	mode := transformMode(h.flags&flagNoDCT != 0, h.flags&flag2DDCT != 0, h.flags&flagWavelet != 0)
-
-	if c.version != formatV1 && mode == xform1D && useK < h.k {
-		// Fused partial-decode fast path: dequantize each rank straight
-		// into its rank-space row and inverse-transform it in the same
-		// pass — the N×r score matrix never materializes.
-		zt, proj, err := assembleRankSpaceV2(ctx, c, useK, workers)
-		if err != nil {
-			return nil, nil, err
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, nil, err
-		}
-		if st != nil {
-			st.TimeDequant = metrics.Since(t0)
-		}
-		data, err := recomposeRankSpace(zt, proj, means, scales, shape, h.origLen, workers, st)
-		if err != nil {
-			return nil, nil, err
-		}
-		return data, h.dims, nil
-	}
-
-	var y, proj *mat.Dense
+	mode := h.mode()
+	var zt, projT *mat.Dense
 	if c.version == formatV1 {
-		y, proj, err = assembleV1(c, useK)
+		zt, projT, err = assembleRankSpaceV1(c, useK, mode, workers)
 	} else {
-		y, proj, err = assembleV2(ctx, c, useK, workers)
+		zt, projT, err = assembleRankSpaceV2(ctx, c, useK, mode, workers)
 	}
 	if err != nil {
 		return nil, nil, err
@@ -213,21 +178,38 @@ func decompressParsed(ctx context.Context, c container, workers, rank int, st *D
 		st.TimeDequant = metrics.Since(t0)
 	}
 
-	var data []float64
-	if mode == xform1D && useK < h.k {
-		data, err = reconstructRankSpace(y, proj, means, scales, shape, h.origLen, workers, st)
-	} else {
-		data, err = reconstruct(y, proj, means, scales, shape, h.origLen, workers, mode, st)
-	}
+	shape := blockio.Shape{M: h.m, N: h.n, Padded: h.m * h.n}
+	data, err := recomposeRankSpace(zt, projT, means, scales, shape, h.origLen, mode, workers, st)
 	if err != nil {
 		return nil, nil, err
 	}
 	return data, h.dims, nil
 }
 
-// assembleV1 decodes the joint v1 score stream and projection matrix,
-// truncating both to the leading useK components.
-func assembleV1(c container, useK int) (*mat.Dense, *mat.Dense, error) {
+// decodeSideData decodes the feature means and, for a standardized
+// stream, the feature scales (nil otherwise).
+func decodeSideData(h header, meansSec, scalesSec []byte) (means, scales []float64, err error) {
+	if means, err = float32FromBytes(meansSec); err != nil {
+		return nil, nil, err
+	}
+	if len(means) != h.m {
+		return nil, nil, fmt.Errorf("core: means size %d != M = %d", len(means), h.m)
+	}
+	if h.flags&flagStandardized == 0 {
+		return means, nil, nil
+	}
+	if scales, err = float32FromBytes(scalesSec); err != nil {
+		return nil, nil, err
+	}
+	if len(scales) != h.m {
+		return nil, nil, fmt.Errorf("core: scales size %d != M = %d", len(scales), h.m)
+	}
+	return means, scales, nil
+}
+
+// assembleRankSpaceV1 decodes the joint v1 score stream and projection
+// matrix and moves their leading useK components into rank space.
+func assembleRankSpaceV1(c container, useK int, mode xformMode, workers int) (*mat.Dense, *mat.Dense, error) {
 	h := c.h
 	enc, err := quant.Unmarshal(c.scores[0])
 	if err != nil {
@@ -258,137 +240,26 @@ func assembleV1(c container, useK int) (*mat.Dense, *mat.Dense, error) {
 		}
 	}
 	y := mat.NewDenseData(h.n, h.k, scores)
-	if useK < h.k {
-		// Keep only the leading components of scores and projection.
-		yr := mat.NewDense(h.n, useK)
-		for i := 0; i < h.n; i++ {
-			copy(yr.Row(i), y.Row(i)[:useK])
-		}
-		pr := mat.NewDense(h.m, useK)
-		for i := 0; i < h.m; i++ {
-			copy(pr.Row(i), proj.Row(i)[:useK])
-		}
-		y, proj = yr, pr
-	}
-	return y, proj, nil
+	return rankRows(y, useK, mode, workers), projRows(proj, useK), nil
 }
 
-// decodeProjRow decodes component j's projection column of a v2 container
-// into dst, a contiguous slice of length M.
-func decodeProjRow(c container, j int, dst []float64) error {
-	h := c.h
-	if h.flags&flagRawProj != 0 {
-		if err := float32IntoFloats(dst, c.proj[j]); err != nil {
-			return fmt.Errorf("core: rank %d projection: %w", j, err)
-		}
-		return nil
-	}
-	pm, err := decodeProjection(c.proj[j], h.m, 1)
-	if err != nil {
-		return fmt.Errorf("core: rank %d projection: %w", j, err)
-	}
-	pm.Col(0, dst)
-	return nil
-}
-
-// decodeProjCol decodes component j's projection column into column j of
-// proj (used by the fused rank-space assembly, where the decoded rank
-// count is small and the column scatter is cheap).
-func decodeProjCol(c container, j int, proj *mat.Dense) error {
-	pcol := scratch.Floats(c.h.m)
-	defer scratch.PutFloats(pcol)
-	if err := decodeProjRow(c, j, pcol); err != nil {
-		return err
-	}
-	proj.SetCol(j, pcol)
-	return nil
-}
-
-// assembleV2 decodes the leading useK per-component score streams and
-// projection columns of a v2 container, in parallel across components.
-// Each component decodes into a contiguous row of the transposed score
-// and projection matrices — no per-rank column scatter (a SetCol touches
-// one cache line per element at these strides) — and the layout flip
-// collapses into two blocked transposes at the end. The produced values
-// are element-for-element the ones the historical SetCol assembly wrote.
-func assembleV2(ctx context.Context, c container, useK, workers int) (*mat.Dense, *mat.Dense, error) {
-	h := c.h
-	yt := mat.NewDense(useK, h.n)
-	projT := mat.NewDense(useK, h.m)
-	errs := make([]error, useK)
-	err := parallel.ForCtx(ctx, useK, workers, func(j int) {
-		enc, err := quant.Unmarshal(c.scores[j])
-		if err != nil {
-			errs[j] = fmt.Errorf("core: rank %d scores: %w", j, err)
-			return
-		}
-		if enc.Count != h.n {
-			errs[j] = fmt.Errorf("core: rank %d score count %d != N = %d", j, enc.Count, h.n)
-			return
-		}
-		if err := enc.DecodeInto(yt.Row(j)); err != nil {
-			errs[j] = fmt.Errorf("core: rank %d scores: %w", j, err)
-			return
-		}
-		errs[j] = decodeProjRow(c, j, projT.Row(j))
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	y := mat.NewDense(h.n, useK)
-	mat.TransposeInto(y, yt)
-	proj := mat.NewDense(h.m, useK)
-	mat.TransposeInto(proj, projT)
-	return y, proj, nil
-}
-
-// assembleRankSpaceV2 is the fused dequant+inverse-DCT assembly for a
-// rank-limited decode of a v2/v3 stream. Each component's quantized
-// scores decode straight into row j of the returned (useK+1)×N rank-space
-// matrix and are inverse-transformed by the same worker while the row is
-// cache-hot; row useK is IDCT(1_N), the means carrier. The intermediate
-// N×useK score matrix of assembleV2 — and the column-to-row shuffle
-// reconstructRankSpace would then undo — never materializes. The result
-// bits match the unfused assembleV2 + column copy + InverseRows sequence
-// exactly: DecodeInto reproduces Decode's element order, and per-row
-// Plan.Inverse is the very kernel InverseRows applies to each row.
-func assembleRankSpaceV2(ctx context.Context, c container, useK, workers int) (*mat.Dense, *mat.Dense, error) {
+// assembleRankSpaceV2 decodes the leading useK components of a v2/v3
+// container into rank space, in parallel across components: row j of the
+// (useK+1)×N result is component j's inverse-transformed scores and row
+// useK the means carrier; row j of the useK×M projection result is
+// component j's projection column. The N×useK score matrix never
+// materializes.
+func assembleRankSpaceV2(ctx context.Context, c container, useK int, mode xformMode, workers int) (*mat.Dense, *mat.Dense, error) {
 	h := c.h
 	zt := mat.NewDense(useK+1, h.n)
-	proj := mat.NewDense(h.m, useK)
-	errs := make([]error, useK+1)
+	projT := mat.NewDense(useK, h.m)
+	errs := make([]error, useK)
 	err := parallel.ForCtx(ctx, useK+1, workers, func(j int) {
-		row := zt.Row(j)
-		if j < useK {
-			enc, err := quant.Unmarshal(c.scores[j])
-			if err != nil {
-				errs[j] = fmt.Errorf("core: rank %d scores: %w", j, err)
-				return
-			}
-			if enc.Count != h.n {
-				errs[j] = fmt.Errorf("core: rank %d score count %d != N = %d", j, enc.Count, h.n)
-				return
-			}
-			if err := enc.DecodeInto(row); err != nil {
-				errs[j] = fmt.Errorf("core: rank %d scores: %w", j, err)
-				return
-			}
-			if errs[j] = decodeProjCol(c, j, proj); errs[j] != nil {
-				return
-			}
-		} else {
-			for i := range row {
-				row[i] = 1
-			}
+		if j == useK {
+			meansCarrier(mode, zt.Row(j))
+			return
 		}
-		p := transform.GetPlan(h.n)
-		p.Inverse(row)
-		transform.PutPlan(p)
+		errs[j] = decodeRank(h, mode, j, c.scores[j], c.proj[j], zt.Row(j), projT.Row(j))
 	})
 	if err != nil {
 		return nil, nil, err
@@ -398,7 +269,44 @@ func assembleRankSpaceV2(ctx context.Context, c container, useK, workers int) (*
 			return nil, nil, err
 		}
 	}
-	return zt, proj, nil
+	return zt, projT, nil
+}
+
+// decodeRank is the per-rank decoder of every v2/v3 decode (the fused
+// assembly above and Progressive): component j's quantized scores
+// dequantize straight into its rank-space row, which is inverse-
+// transformed in place while cache-hot, and its projection column decodes
+// into pcol (length M).
+func decodeRank(h header, mode xformMode, j int, scoreSec, projSec []byte, row, pcol []float64) error {
+	enc, err := quant.Unmarshal(scoreSec)
+	if err != nil {
+		return fmt.Errorf("core: rank %d scores: %w", j, err)
+	}
+	if enc.Count != h.n {
+		return fmt.Errorf("core: rank %d score count %d != N = %d", j, enc.Count, h.n)
+	}
+	if err := enc.DecodeInto(row); err != nil {
+		return fmt.Errorf("core: rank %d scores: %w", j, err)
+	}
+	inverseRow(mode, row)
+	if err := decodeProjSection(projSec, h.flags&flagRawProj != 0, pcol); err != nil {
+		return fmt.Errorf("core: rank %d projection: %w", j, err)
+	}
+	return nil
+}
+
+// decodeProjSection decodes one per-component projection section — raw
+// float32 or the budgeted bit-packed column — into dst (length M).
+func decodeProjSection(sec []byte, raw bool, dst []float64) error {
+	if raw {
+		return float32IntoFloats(dst, sec)
+	}
+	pm, err := decodeProjection(sec, len(dst), 1)
+	if err != nil {
+		return err
+	}
+	copy(dst, pm.Data())
+	return nil
 }
 
 // xformMode names the Stage 1 transform applied at compression time.
@@ -424,130 +332,112 @@ func transformMode(skip, twoD, wavelet bool) xformMode {
 	}
 }
 
-// reconstruct inverts Stages 2 and 1 given scores (N×k), the projection
-// matrix (M×k), feature means/scales, the block shape and the original
-// length. mode selects the inverse Stage 1 transform. It is shared by
-// Decompress and the in-compression diagnostics. st may be nil.
-//
-// The recompose X̂ᵀ = D·Yᵀ runs through the tiled GemmNTInto directly into
-// feature-major block rows — no N×M value-major intermediate, no
-// transpose copy. Output bits are pinned: GemmNTInto's per-element dot
-// product reproduces the historical Mul(y, proj.T()) summation exactly
-// (see its contract), and the de-standardization applies the same
-// multiply-then-add per element the transpose-copy loop did.
-func reconstruct(y, proj *mat.Dense, means, scales []float64, shape blockio.Shape, origLen, workers int, mode xformMode, st *DecodeStats) ([]float64, error) {
-	n, k := y.Dims()
-	pm, pk := proj.Dims()
-	if n != shape.N || pm != shape.M || k != pk {
-		return nil, fmt.Errorf("core: reconstruct shape mismatch (%dx%d scores, %dx%d proj, %dx%d blocks)",
-			n, k, pm, pk, shape.M, shape.N)
+// mode returns the Stage 1 transform recorded in the stream's flags.
+func (h header) mode() xformMode {
+	return transformMode(h.flags&flagNoDCT != 0, h.flags&flag2DDCT != 0, h.flags&flagWavelet != 0)
+}
+
+// inverseRow applies the inverse Stage 1 transform along one rank-space
+// row: the N-point inverse DCT for both DCT modes (the 2-D mode's M-point
+// half runs on the recompose coefficients instead), the inverse Haar
+// transform, or nothing.
+func inverseRow(mode xformMode, row []float64) {
+	switch mode {
+	case xform1D, xform2D:
+		p := transform.GetPlan(len(row))
+		p.Inverse(row)
+		transform.PutPlan(p)
+	case xformHaar:
+		transform.HaarInverse(row)
 	}
-	t0 := metrics.Now()
-	// blocks[j][i] = Σ_k proj[j][k]·y[i][k] (·scale_j) + μ_j.
-	blocks := mat.NewDense(shape.M, shape.N)
-	mat.GemmNTInto(blocks, proj, y, workers)
-	parallel.ForChunks(shape.M, workers, func(lo, hi int) {
+}
+
+// meansCarrier fills row with the inverse transform of the all-ones row,
+// which carries the feature means through the recompose.
+func meansCarrier(mode xformMode, row []float64) {
+	for i := range row {
+		row[i] = 1
+	}
+	inverseRow(mode, row)
+}
+
+// rankRows moves the leading r score columns of y (N×k) into rank space:
+// row j of the (r+1)×N result is column j, inverse-transformed, and row r
+// is the means carrier. Each row passes through the same inverseRow
+// kernel as in the fused v2 assembly.
+func rankRows(y *mat.Dense, r int, mode xformMode, workers int) *mat.Dense {
+	zt := mat.NewDense(r+1, y.Rows())
+	parallel.ForChunks(r+1, workers, func(lo, hi int) {
 		for j := lo; j < hi; j++ {
-			row := blocks.Row(j)
-			mj := means[j]
-			if scales != nil {
-				sj := scales[j]
-				for i := range row {
-					v := row[i] * sj
-					row[i] = v + mj
-				}
-			} else {
-				for i := range row {
-					row[i] += mj
-				}
+			if j == r {
+				meansCarrier(mode, zt.Row(j))
+				continue
 			}
+			y.Col(j, zt.Row(j))
+			inverseRow(mode, zt.Row(j))
 		}
 	})
-	gemm := metrics.Since(t0)
-	t0 = metrics.Now()
-	switch mode {
-	case xform1D:
-		transform.InverseRows(blocks.Data(), shape.M, shape.N, workers)
-	case xform2D:
-		transform.IDCT2D(blocks.Data(), shape.M, shape.N, workers)
-	case xformHaar:
-		transform.HaarInverseRows(blocks.Data(), shape.M, shape.N, workers)
-	}
-	if st != nil {
-		st.TimeTransform = metrics.Since(t0)
-	}
-	t0 = metrics.Now()
-	out, err := blockio.Recompose(blocks, origLen)
-	if st != nil {
-		st.TimeRecompose = gemm + metrics.Since(t0)
-	}
-	return out, err
+	return zt
 }
 
-// reconstructRankSpace is reconstruct for a partial (rank-limited) decode
-// of a 1-D DCT stream. reconstruct composes all M block rows in the DCT
-// domain and inverse-transforms each of them — a cost independent of the
-// decoded rank, which puts a floor under preview latency. The inverse DCT
-// is linear, so the same result follows from transforming the r score
-// columns and one constant row (which carries the feature means), then
-// recomposing in value space:
+// projRows returns the leading r columns of proj (M×k) as the rows of an
+// r×M matrix, the projection layout recomposeRankSpace takes.
+func projRows(proj *mat.Dense, r int) *mat.Dense {
+	projT := mat.NewDense(r, proj.Rows())
+	for j := 0; j < r; j++ {
+		proj.Col(j, projT.Row(j))
+	}
+	return projT
+}
+
+// reconstructRankSpace inverts Stages 2 and 1 from an N×k score matrix y
+// and the k×M projection rows projT: it moves y's columns into rank space
+// and recomposes. v1 streams and the compress-time diagnostics hold their
+// scores in this layout.
+func reconstructRankSpace(y, projT *mat.Dense, means, scales []float64, shape blockio.Shape, origLen int, mode xformMode, workers int) ([]float64, error) {
+	zt := rankRows(y, y.Cols(), mode, workers)
+	return recomposeRankSpace(zt, projT, means, scales, shape, origLen, mode, workers, nil)
+}
+
+// recomposeRankSpace is the one map from rank space to value space. The
+// decode is linear in the decoded components (the paper's Section IV-C
+// "consistent at any reconstruction level"):
 //
-//	block_i = scale_i · Σ_j proj[i,j]·IDCT(y_j)  +  mean_i·IDCT(1_N)
+//	block_i = scale_i · Σ_j proj[i,j]·T⁻¹(y_j)  +  mean_i·T⁻¹(1_N)
 //
-// r+1 transforms instead of M, so a rank-1 preview pays for one component,
-// not the whole block count. The value-space recomposition uses the
-// worker-deterministic jammed GEMM, keeping decode bits independent of the
-// worker count. Summation order differs from reconstruct's, so outputs are
-// equal only to rounding; the full decode therefore keeps the historical
-// path (its bits are pinned by the v1 golden test), while every
-// partial-decode entry point — DecompressRank, DecompressRanks,
-// DecompressBestEffort, Progressive — routes through this one (v2 streams
-// via the fused assembleRankSpaceV2, v1 and Progressive via the column
-// copy below — bit-identical by construction), so preview bytes stay
-// identical across all of them at equal rank.
-func reconstructRankSpace(y, proj *mat.Dense, means, scales []float64, shape blockio.Shape, origLen, workers int, st *DecodeStats) ([]float64, error) {
-	n, k := y.Dims()
-	pm, pk := proj.Dims()
-	if n != shape.N || pm != shape.M || k != pk {
-		return nil, fmt.Errorf("core: reconstruct shape mismatch (%dx%d scores, %dx%d proj, %dx%d blocks)",
-			n, k, pm, pk, shape.M, shape.N)
+// with T⁻¹ the inverse Stage 1 transform along a row (inverseRow), so it
+// costs r+1 row transforms (done by the caller: zt holds the r
+// inverse-transformed rank rows plus the means carrier) and one GEMM,
+// blocks = C·zt with C[i] = [scale_i·proj_i | mean_i]; projT holds the
+// projection columns as rows. For 2-D DCT streams the M-point inverse DCT
+// runs down the r+1 columns of C, since IDCT2D(C·Z) = IDCT_M(C)·IDCT_N(Z).
+// GemmInto gives each output row to one worker, so the bits do not depend
+// on the worker count, and every entry point — full or partial,
+// DecompressRank, DecompressRanks, DecompressBestEffort, Progressive —
+// produces identical bytes at equal rank.
+func recomposeRankSpace(zt, projT *mat.Dense, means, scales []float64, shape blockio.Shape, origLen int, mode xformMode, workers int, st *DecodeStats) ([]float64, error) {
+	k := projT.Rows()
+	if zt.Rows() != k+1 || zt.Cols() != shape.N || projT.Cols() != shape.M {
+		return nil, fmt.Errorf("core: recompose shape mismatch (%dx%d rank rows, %dx%d projection rows, %d blocks of %d)",
+			zt.Rows(), zt.Cols(), k, projT.Cols(), shape.M, shape.N)
 	}
 	t0 := metrics.Now()
-	// Rows 0..k-1: the score columns; row k: all ones, the means carrier.
-	zt := mat.NewDense(k+1, shape.N)
+	coefT := mat.NewDense(k+1, shape.M)
 	for j := 0; j < k; j++ {
-		y.Col(j, zt.Row(j))
-	}
-	ones := zt.Row(k)
-	for i := range ones {
-		ones[i] = 1
-	}
-	transform.InverseRows(zt.Data(), k+1, shape.N, workers)
-	if st != nil {
-		st.TimeTransform = metrics.Since(t0)
-	}
-	return recomposeRankSpace(zt, proj, means, scales, shape, origLen, workers, st)
-}
-
-// recomposeRankSpace finishes a rank-space decode: blocks = C·zt with
-// C[i] = [scale_i·proj_i | mean_i], then block reassembly. zt holds the
-// already-inverse-transformed rank rows plus the means-carrier row.
-func recomposeRankSpace(zt, proj *mat.Dense, means, scales []float64, shape blockio.Shape, origLen, workers int, st *DecodeStats) ([]float64, error) {
-	k := zt.Rows() - 1
-	t0 := metrics.Now()
-	coef := mat.NewDense(shape.M, k+1)
-	for i := 0; i < shape.M; i++ {
-		crow := coef.Row(i)
-		prow := proj.Row(i)
-		s := 1.0
+		crow := coefT.Row(j)
+		copy(crow, projT.Row(j))
 		if scales != nil {
-			s = scales[i]
+			for i, s := range scales {
+				crow[i] *= s
+			}
 		}
-		for j := 0; j < k; j++ {
-			crow[j] = s * prow[j]
-		}
-		crow[k] = means[i]
 	}
+	copy(coefT.Row(k), means)
+	if mode == xform2D {
+		transform.InverseRows(coefT.Data(), k+1, shape.M, workers)
+	}
+	coef := mat.NewDense(shape.M, k+1)
+	mat.TransposeInto(coef, coefT)
 	blocks := mat.NewDense(shape.M, shape.N)
 	mat.GemmInto(blocks, coef, zt, workers)
 	out, err := blockio.Recompose(blocks, origLen)

@@ -8,17 +8,16 @@ import (
 	"dpz/internal/integrity"
 	"dpz/internal/mat"
 	"dpz/internal/parallel"
-	"dpz/internal/quant"
 )
 
 // Progressive decodes one stream at increasing fidelity, caching work
-// across refinements: each Decode(r) inflates and dequantizes only the
-// rank columns not already decoded, then reruns the reconstruction from
-// the cached columns. Every Decode(r) is byte-identical to
-// DecompressRank(buf, workers, r) — the reconstruction GEMM always runs
-// over the full requested rank, so no incremental-accumulation rounding
-// can creep in; what refinement saves is the parse, inflate and
-// dequantize work for ranks already seen.
+// across refinements: each Decode(r) inflates, dequantizes and inverse-
+// transforms only the ranks not already decoded, then reruns the
+// recompose from the cached rank rows and projection columns. Every
+// Decode(r) is byte-identical to DecompressRank(buf, workers, r): each
+// rank row comes from the same per-rank decoder, and the recompose GEMM
+// always runs over the full requested rank, so no incremental-
+// accumulation rounding can creep in.
 //
 // A Progressive is not safe for concurrent use; each Decode call may use
 // `workers` goroutines internally.
@@ -30,7 +29,7 @@ type Progressive struct {
 	v1 *container // v1 fallback: monolithic sections, decoded once
 
 	means, scales []float64
-	ycols         [][]float64 // dequantized score columns, filled to done
+	rows          [][]float64 // inverse-transformed rank rows, filled to done
 	pcols         [][]float64 // projection columns, filled to done
 	done          int
 }
@@ -44,7 +43,7 @@ func NewProgressive(buf []byte, workers int) (*Progressive, error) {
 	}
 	p := &Progressive{buf: buf, ps: ps, workers: workers}
 	k := ps.h.k
-	p.ycols = make([][]float64, k)
+	p.rows = make([][]float64, k)
 	p.pcols = make([][]float64, k)
 	return p, nil
 }
@@ -56,7 +55,7 @@ func (p *Progressive) StoredRank() int { return p.ps.h.k }
 func (p *Progressive) Dims() []int { return append([]int(nil), p.ps.h.dims...) }
 
 // Decode reconstructs from the leading `ranks` components (clamped to
-// [1, k]; ranks <= 0 means all), reusing every column decoded by earlier
+// [1, k]; ranks <= 0 means all), reusing every rank decoded by earlier
 // calls. It returns the data, dims and the rank actually used.
 func (p *Progressive) Decode(ranks int) ([]float64, []int, int, error) {
 	return p.DecodeContext(context.Background(), ranks)
@@ -92,53 +91,40 @@ func (p *Progressive) DecodeContext(ctx context.Context, ranks int) ([]float64, 
 		return nil, nil, 0, err
 	}
 
-	y := mat.NewDense(h.n, used)
-	proj := mat.NewDense(h.m, used)
+	zt := mat.NewDense(used+1, h.n)
+	projT := mat.NewDense(used, h.m)
 	for j := 0; j < used; j++ {
-		y.SetCol(j, p.ycols[j])
-		proj.SetCol(j, p.pcols[j])
+		copy(zt.Row(j), p.rows[j])
+		copy(projT.Row(j), p.pcols[j])
 	}
+	mode := h.mode()
+	meansCarrier(mode, zt.Row(used))
 	shape := blockio.Shape{M: h.m, N: h.n, Padded: h.m * h.n}
-	mode := transformMode(h.flags&flagNoDCT != 0, h.flags&flag2DDCT != 0, h.flags&flagWavelet != 0)
-	var data []float64
-	var err error
-	if mode == xform1D && used < h.k {
-		data, err = reconstructRankSpace(y, proj, p.means, p.scales, shape, h.origLen, p.workers, nil)
-	} else {
-		data, err = reconstruct(y, proj, p.means, p.scales, shape, h.origLen, p.workers, mode, nil)
-	}
+	data, err := recomposeRankSpace(zt, projT, p.means, p.scales, shape, h.origLen, mode, p.workers, nil)
 	if err != nil {
 		return nil, nil, 0, err
 	}
 	return data, append([]int(nil), h.dims...), used, nil
 }
 
-// extend decodes the side data (first call) and the rank columns in
-// [done, used), checksumming and inflating only those sections.
+// extend decodes the side data (first call) and the ranks in [done,
+// used), checksumming and inflating only those sections.
 func (p *Progressive) extend(ctx context.Context, used int) error {
 	h := p.ps.h
+	mode := h.mode()
 	if p.means == nil {
-		sec, err := p.section(ctx, 0)
+		meansSec, err := p.section(ctx, 0)
 		if err != nil {
 			return err
 		}
-		if p.means, err = float32FromBytes(sec); err != nil {
-			return err
-		}
-		if len(p.means) != h.m {
-			return fmt.Errorf("core: means size %d != M = %d", len(p.means), h.m)
-		}
+		var scalesSec []byte
 		if h.flags&flagStandardized != 0 {
-			sec, err := p.section(ctx, 1)
-			if err != nil {
+			if scalesSec, err = p.section(ctx, 1); err != nil {
 				return err
 			}
-			if p.scales, err = float32FromBytes(sec); err != nil {
-				return err
-			}
-			if len(p.scales) != h.m {
-				return fmt.Errorf("core: scales size %d != M = %d", len(p.scales), h.m)
-			}
+		}
+		if p.means, p.scales, err = decodeSideData(h, meansSec, scalesSec); err != nil {
+			return err
 		}
 	}
 	if used <= p.done {
@@ -157,47 +143,14 @@ func (p *Progressive) extend(ctx context.Context, used int) error {
 			errs[i] = err
 			return
 		}
-		enc, err := quant.Unmarshal(scoreSec)
-		if err != nil {
-			errs[i] = fmt.Errorf("core: rank %d scores: %w", j, err)
-			return
-		}
-		if enc.Count != h.n {
-			errs[i] = fmt.Errorf("core: rank %d score count %d != N = %d", j, enc.Count, h.n)
-			return
-		}
-		col, err := enc.Decode()
-		if err != nil {
-			errs[i] = fmt.Errorf("core: rank %d scores: %w", j, err)
-			return
-		}
-		p.ycols[j] = col
-
 		projSec, err := p.section(ctx, base+2*j+1)
 		if err != nil {
 			errs[i] = err
 			return
 		}
-		if h.flags&flagRawProj != 0 {
-			pcol, err := float32FromBytes(projSec)
-			if err != nil {
-				errs[i] = fmt.Errorf("core: rank %d projection: %w", j, err)
-				return
-			}
-			if len(pcol) != h.m {
-				errs[i] = fmt.Errorf("core: rank %d projection size %d != M = %d", j, len(pcol), h.m)
-				return
-			}
-			p.pcols[j] = pcol
-		} else {
-			pm, err := decodeProjection(projSec, h.m, 1)
-			if err != nil {
-				errs[i] = fmt.Errorf("core: rank %d projection: %w", j, err)
-				return
-			}
-			pcol := make([]float64, h.m)
-			pm.Col(0, pcol)
-			p.pcols[j] = pcol
+		row, pcol := make([]float64, h.n), make([]float64, h.m)
+		if errs[i] = decodeRank(h, mode, j, scoreSec, projSec, row, pcol); errs[i] == nil {
+			p.rows[j], p.pcols[j] = row, pcol
 		}
 	}); err != nil {
 		return err

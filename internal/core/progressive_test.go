@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -416,10 +417,13 @@ func TestPreviewSpeedup(t *testing.T) {
 	}
 }
 
-// TestReconstructRankSpaceMatchesDCTDomain proves the rank-space partial
-// reconstruction computes the same linear map as the historical DCT-domain
-// path: the two differ only in floating-point summation order, so their
-// outputs must agree to rounding on both the standardized and plain paths.
+// TestReconstructRankSpaceMatchesDCTDomain proves the rank-space
+// reconstruction computes the same linear map as the full-plane oracle
+// (reference_test.go), which composes every block row in the transform
+// domain before inverse-transforming the plane: the two differ only in
+// floating-point summation order, so their outputs must agree to rounding
+// in every transform mode, on the standardized and plain paths, at every
+// rank.
 func TestReconstructRankSpaceMatchesDCTDomain(t *testing.T) {
 	const m, n, k = 17, 96, 5
 	y := mat.NewDense(n, k)
@@ -440,22 +444,41 @@ func TestReconstructRankSpaceMatchesDCTDomain(t *testing.T) {
 	}
 	shape := blockio.Shape{M: m, N: n, Padded: m * n}
 	origLen := m*n - 3
-	for name, sc := range map[string][]float64{"plain": nil, "standardized": scales} {
-		want, err := reconstruct(y, proj, means, sc, shape, origLen, 2, xform1D, nil)
-		if err != nil {
-			t.Fatalf("%s: reconstruct: %v", name, err)
-		}
-		got, err := reconstructRankSpace(y, proj, means, sc, shape, origLen, 2, nil)
-		if err != nil {
-			t.Fatalf("%s: reconstructRankSpace: %v", name, err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("%s: %d values, want %d", name, len(got), len(want))
-		}
-		for i := range got {
-			if d := math.Abs(got[i] - want[i]); d > 1e-9*(1+math.Abs(want[i])) {
-				t.Fatalf("%s: value %d: rank-space %v vs DCT-domain %v (diff %g)",
-					name, i, got[i], want[i], d)
+	modes := []struct {
+		name string
+		mode xformMode
+	}{{"dct1d", xform1D}, {"dct2d", xform2D}, {"haar", xformHaar}, {"none", xformNone}}
+	for _, md := range modes {
+		for _, std := range []struct {
+			name string
+			sc   []float64
+		}{{"plain", nil}, {"standardized", scales}} {
+			for _, r := range []int{1, k / 2, k} {
+				name := fmt.Sprintf("%s/%s/r=%d", md.name, std.name, r)
+				yr, pr := mat.NewDense(n, r), mat.NewDense(m, r)
+				for i := 0; i < n; i++ {
+					copy(yr.Row(i), y.Row(i)[:r])
+				}
+				for i := 0; i < m; i++ {
+					copy(pr.Row(i), proj.Row(i)[:r])
+				}
+				want, err := reconstruct(yr, pr, means, std.sc, shape, origLen, 2, md.mode)
+				if err != nil {
+					t.Fatalf("%s: reconstruct: %v", name, err)
+				}
+				got, err := reconstructRankSpace(yr, projRows(pr, r), means, std.sc, shape, origLen, md.mode, 2)
+				if err != nil {
+					t.Fatalf("%s: reconstructRankSpace: %v", name, err)
+				}
+				if len(got) != len(want) {
+					t.Fatalf("%s: %d values, want %d", name, len(got), len(want))
+				}
+				for i := range got {
+					if d := math.Abs(got[i] - want[i]); d > 1e-12*(1+math.Abs(want[i])) {
+						t.Fatalf("%s: value %d: rank-space %v vs full-plane %v (diff %g)",
+							name, i, got[i], want[i], d)
+					}
+				}
 			}
 		}
 	}

@@ -46,6 +46,27 @@ func damage(t *testing.T, buf []byte, name string) []byte {
 	return nil
 }
 
+// readGoldenOut reads a golden decode: little-endian float64 values.
+func readGoldenOut(t *testing.T, name string) []float64 {
+	t.Helper()
+	raw, err := os.ReadFile(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]float64, len(raw)/8)
+	for i := range out {
+		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
+	}
+	return out
+}
+
+// TestGoldenV1StreamDecodesByteIdentically pins the v1 decode bitwise to
+// golden_v1_rankspace.out, written once by the rank-space decoder.
+// golden_v1.out is the decode of the retired full-plane path, kept
+// unchanged as the pre-change reference: the two differ only in
+// floating-point summation order, so every value must stay within
+// 1e-12 of the value range of it (the re-pin moved values by at most
+// 1.4e-15 of the range).
 func TestGoldenV1StreamDecodesByteIdentically(t *testing.T) {
 	stream, err := os.ReadFile("testdata/golden_v1.dpz")
 	if err != nil {
@@ -54,10 +75,8 @@ func TestGoldenV1StreamDecodesByteIdentically(t *testing.T) {
 	if stream[4] != formatV1 {
 		t.Fatalf("golden stream version = %d, want 1", stream[4])
 	}
-	want, err := os.ReadFile("testdata/golden_v1.out")
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := readGoldenOut(t, "testdata/golden_v1_rankspace.out")
+	old := readGoldenOut(t, "testdata/golden_v1.out")
 	out, dims, err := Decompress(stream, 0)
 	if err != nil {
 		t.Fatalf("v1 stream no longer decodes: %v", err)
@@ -65,12 +84,22 @@ func TestGoldenV1StreamDecodesByteIdentically(t *testing.T) {
 	if len(dims) != 2 || dims[0] != 90 || dims[1] != 180 {
 		t.Fatalf("dims = %v", dims)
 	}
-	if len(want) != 8*len(out) {
-		t.Fatalf("golden output holds %d values, decoded %d", len(want)/8, len(out))
+	if len(want) != len(out) || len(old) != len(out) {
+		t.Fatalf("golden outputs hold %d and %d values, decoded %d", len(want), len(old), len(out))
 	}
 	for i, v := range out {
-		if g := math.Float64frombits(binary.LittleEndian.Uint64(want[8*i:])); g != v {
+		if g := want[i]; g != v {
 			t.Fatalf("value %d: decoded %v, golden %v — v1 decode is no longer byte-identical", i, v, g)
+		}
+	}
+	lo, hi := old[0], old[0]
+	for _, g := range old {
+		lo, hi = math.Min(lo, g), math.Max(hi, g)
+	}
+	tol := 1e-12 * (hi - lo)
+	for i, v := range out {
+		if d := math.Abs(v - old[i]); d > tol {
+			t.Fatalf("value %d: decoded %v, full-plane golden %v (diff %g > %g)", i, v, old[i], d, tol)
 		}
 	}
 	// The golden stream must also pass Verify and best-effort decode.

@@ -54,8 +54,9 @@ func Dot(x, y []float64) float64 {
 // four sequential Axpy sweeps and exposes four independent multiply
 // chains to the scheduler. The jam changes the per-element summation
 // ORDER versus sequential axpys, so it must only back kernels whose
-// rounding is not pinned to the naive loop (the sketch kernels below; the
-// exact-path MulInto/SyrKInto keep the order-preserving Axpy).
+// rounding is not pinned to the naive loop (the sketch and decode
+// kernels below; the exact-path MulInto/SyrKInto keep the
+// order-preserving Axpy).
 func axpy4(dst, x0, x1, x2, x3 []float64, a0, a1, a2, a3 float64) {
 	n := len(dst)
 	x0 = x0[:n]
@@ -67,6 +68,24 @@ func axpy4(dst, x0, x1, x2, x3 []float64, a0, a1, a2, a3 float64) {
 	}
 }
 
+// axpy4x2 is axpy4 for two destination rows over the same four x rows:
+// d0 takes coefficients a0..a3 and d1 takes c0..c3. Each destination
+// element gets exactly the expression axpy4 computes, so the bits match
+// two axpy4 calls, while every x element is loaded once for both rows.
+func axpy4x2(d0, d1, x0, x1, x2, x3 []float64, a0, a1, a2, a3, c0, c1, c2, c3 float64) {
+	n := len(d0)
+	d1 = d1[:n]
+	x0 = x0[:n]
+	x1 = x1[:n]
+	x2 = x2[:n]
+	x3 = x3[:n]
+	for i := 0; i < n; i++ {
+		v0, v1, v2, v3 := x0[i], x1[i], x2[i], x3[i]
+		d0[i] += a0*v0 + a1*v1 + a2*v2 + a3*v3
+		d1[i] += c0*v0 + c1*v1 + c2*v2 + c3*v3
+	}
+}
+
 // GemmInto computes out = a·b with an explicit worker bound (0 =
 // GOMAXPROCS), row-parallel with the reduction dimension jammed four wide
 // (axpy4) and an order-preserving Axpy tail. The worker count never
@@ -74,10 +93,16 @@ func axpy4(dst, x0, x1, x2, x3 []float64, a0, a1, a2, a3 float64) {
 // and accumulates over k in the same jammed ascending order. out must be
 // a.rows × b.cols and must not alias a or b.
 //
-// This is the sketch multiply: Y = A·Ω with tall-skinny Ω streams b's few
-// columns through cache while walking a once. Its summation order is fixed
-// but intentionally NOT the naive loop's — only sketch-path code may use
-// it (see axpy4).
+// Output rows go in pairs (axpy4x2), so each sweep over b serves two rows:
+// once b outgrows the cache, streaming it is the kernel's cost, and the
+// pairing halves it. A pair computes each row exactly as a lone row would,
+// so how a worker's chunk splits into pairs cannot change a bit.
+//
+// This is the sketch multiply (Y = A·Ω with tall-skinny Ω streams b's few
+// columns through cache while walking a once) and the decode recompose
+// (blocks = C·Z over the rank-space rows). Its summation order is fixed
+// but intentionally NOT the naive loop's — only code whose rounding is not
+// pinned to the naive loop may use it (see axpy4).
 func GemmInto(out, a, b *Dense, workers int) {
 	if a.cols != b.rows || out.rows != a.rows || out.cols != b.cols {
 		panic(fmt.Sprintf("mat: GemmInto shape mismatch %dx%d · %dx%d -> %dx%d",
@@ -89,7 +114,31 @@ func GemmInto(out, a, b *Dense, workers int) {
 	kj := a.cols &^ 3
 	bc := b.cols
 	parallel.ForChunks(a.rows, workers, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
+		i := lo
+		for ; i+1 < hi; i += 2 {
+			o0 := out.data[i*out.cols : (i+1)*out.cols]
+			o1 := out.data[(i+1)*out.cols : (i+2)*out.cols]
+			for x := range o0 {
+				o0[x] = 0
+				o1[x] = 0
+			}
+			r0 := a.data[i*a.cols : (i+1)*a.cols]
+			r1 := a.data[(i+1)*a.cols : (i+2)*a.cols]
+			for k := 0; k < kj; k += 4 {
+				axpy4x2(o0, o1,
+					b.data[k*bc:(k+1)*bc],
+					b.data[(k+1)*bc:(k+2)*bc],
+					b.data[(k+2)*bc:(k+3)*bc],
+					b.data[(k+3)*bc:(k+4)*bc],
+					r0[k], r0[k+1], r0[k+2], r0[k+3],
+					r1[k], r1[k+1], r1[k+2], r1[k+3])
+			}
+			for k := kj; k < a.cols; k++ {
+				Axpy(o0, b.data[k*bc:(k+1)*bc], r0[k])
+				Axpy(o1, b.data[k*bc:(k+1)*bc], r1[k])
+			}
+		}
+		if i < hi {
 			orow := out.data[i*out.cols : (i+1)*out.cols]
 			for x := range orow {
 				orow[x] = 0
