@@ -115,6 +115,8 @@ func gateDeltas(base, cur *perfReport) []gateDelta {
 			{"dct", b.StageNs.DCT, r.StageNs.DCT},
 			{"pca", b.StageNs.PCA, r.StageNs.PCA},
 			{"vif", b.StageNs.VIF, r.StageNs.VIF},
+			{"gram", b.StageNs.Gram, r.StageNs.Gram},
+			{"eig", b.StageNs.Eig, r.StageNs.Eig},
 			{"project", b.StageNs.Project, r.StageNs.Project},
 			{"quant", b.StageNs.Quant, r.StageNs.Quant},
 			{"zlib", b.StageNs.Zlib, r.StageNs.Zlib},

@@ -87,8 +87,9 @@ func TestGateIgnoresNoiseStagesAndNewRecords(t *testing.T) {
 }
 
 // TestGateTreatsStagesMissingFromBaselineAsNew: a BENCH file written
-// before the pca stage was split carries no vif/project entries, and the
-// gate must not read their absence as a zero-time baseline.
+// before the pca stage was split carries no vif/gram/eig/project
+// entries, and the gate must not read their absence as a zero-time
+// baseline.
 func TestGateTreatsStagesMissingFromBaselineAsNew(t *testing.T) {
 	dir := t.TempDir()
 	old := `{"records":[{"name":"compress","workers":1,"ns_per_op":1000000000,` +
@@ -99,14 +100,17 @@ func TestGateTreatsStagesMissingFromBaselineAsNew(t *testing.T) {
 	}
 	cur := perfReport{Records: []perfRecord{
 		benchRecord("compress", 1, 1_000_000_000,
-			&stageNs{PCA: 600_000_000, VIF: 200_000_000, Project: 100_000_000, Total: 1_000_000_000}),
+			&stageNs{PCA: 600_000_000, VIF: 200_000_000, Gram: 150_000_000, Eig: 250_000_000,
+				Project: 100_000_000, Total: 1_000_000_000}),
 	}}
 	var out strings.Builder
 	if err := compareBaseline(path, cur, 10, &out); err != nil {
 		t.Fatalf("stages new in this revision must not gate: %v", err)
 	}
-	if strings.Contains(out.String(), "stage vif") || strings.Contains(out.String(), "stage project") {
-		t.Fatalf("new stages were compared against an absent baseline:\n%s", out.String())
+	for _, stage := range []string{"vif", "gram", "eig", "project"} {
+		if strings.Contains(out.String(), "stage "+stage) {
+			t.Fatalf("new stage %s was compared against an absent baseline:\n%s", stage, out.String())
+		}
 	}
 	// Once the baseline has them, they are gated like any other stage.
 	base := perfReport{Records: []perfRecord{
@@ -116,6 +120,12 @@ func TestGateTreatsStagesMissingFromBaselineAsNew(t *testing.T) {
 	err := compareBaseline(writeReport(t, dir, base), cur, 10, io.Discard)
 	if err == nil || !strings.Contains(err.Error(), "stage vif") {
 		t.Fatalf("a doubled vif stage must fail the gate, got %v", err)
+	}
+	base.Records[0].StageNs.VIF = 200_000_000
+	base.Records[0].StageNs.Eig = 100_000_000
+	err = compareBaseline(writeReport(t, dir, base), cur, 10, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "stage eig") {
+		t.Fatalf("a 2.5x eig stage must fail the gate, got %v", err)
 	}
 }
 

@@ -53,8 +53,8 @@ type perfRecord struct {
 }
 
 // stageNs is a per-stage nanosecond breakdown. Compress records fill the
-// Figure 9 categories (decompose..zlib) plus VIF and Project, which are
-// parts of PCA rather than stages of their own; decompress records fill
+// Figure 9 categories (decompose..zlib) plus VIF, Gram, Eig and Project,
+// which are parts of PCA rather than stages of their own; decompress records fill
 // the decode stages (inflate..recompose). Total covers whichever
 // pipeline ran.
 type stageNs struct {
@@ -62,6 +62,8 @@ type stageNs struct {
 	DCT       int64 `json:"dct,omitempty"`
 	PCA       int64 `json:"pca,omitempty"`
 	VIF       int64 `json:"vif,omitempty"`
+	Gram      int64 `json:"gram,omitempty"`
+	Eig       int64 `json:"eig,omitempty"`
 	Project   int64 `json:"project,omitempty"`
 	Quant     int64 `json:"quant,omitempty"`
 	Zlib      int64 `json:"zlib,omitempty"`
@@ -89,6 +91,8 @@ func stagesOf(sts ...dpz.Stats) *stageNs {
 		out.DCT += st.TimeDCT.Nanoseconds()
 		out.PCA += st.TimePCA.Nanoseconds()
 		out.VIF += st.TimeVIF.Nanoseconds()
+		out.Gram += st.TimeGram.Nanoseconds()
+		out.Eig += st.TimeEig.Nanoseconds()
 		out.Project += st.TimeProject.Nanoseconds()
 		out.Quant += st.TimeQuant.Nanoseconds()
 		out.Zlib += st.TimeZlib.Nanoseconds()

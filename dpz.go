@@ -269,10 +269,15 @@ type Stats struct {
 	TimeDecompose time.Duration
 	TimeDCT       time.Duration
 	TimePCA       time.Duration
-	// TimeVIF and TimeProject are parts of TimePCA: the auto-standardize
-	// VIF probe (zero when none ran) and the projection onto the k
-	// retained components.
+	// TimeVIF, TimeGram, TimeEig and TimeProject are parts of TimePCA:
+	// the auto-standardize VIF probe (zero when none ran; on the default
+	// exact fit only the probe's correlation scaling and Cholesky, since
+	// it reads the fit's own covariance), the exact fit's covariance
+	// build and eigensolve (zero on the sampling, reuse, sketch and
+	// Jacobi fits), and the projection onto the k retained components.
 	TimeVIF     time.Duration
+	TimeGram    time.Duration
+	TimeEig     time.Duration
 	TimeProject time.Duration
 	TimeQuant   time.Duration
 	TimeZlib    time.Duration
@@ -337,6 +342,8 @@ func fromCoreStats(s core.Stats) Stats {
 		TimeDCT:         s.TimeDCT,
 		TimePCA:         s.TimePCA,
 		TimeVIF:         s.TimeVIF,
+		TimeGram:        s.TimeGram,
+		TimeEig:         s.TimeEig,
 		TimeProject:     s.TimeProject,
 		TimeQuant:       s.TimeQuant,
 		TimeZlib:        s.TimeZlib,

@@ -56,11 +56,19 @@ type Stats struct {
 	TimeDecompose time.Duration
 	TimeDCT       time.Duration
 	TimePCA       time.Duration
-	// TimeVIF and TimeProject are sub-spans of TimePCA: the
-	// auto-standardize VIF probe (zero when no probe ran; Algorithm 2's
-	// own probe is inside sampling.Run and not split out) and the
-	// projection onto the k retained components.
+	// TimeVIF, TimeGram, TimeEig and TimeProject are sub-spans of
+	// TimePCA. TimeVIF is the auto-standardize probe: on the exact fit,
+	// only scaling its covariance to a correlation matrix and the
+	// Cholesky inverse diagonal, since the covariance itself is
+	// TimeGram's (zero when no probe ran; Algorithm 2's own probe is
+	// inside sampling.Run and not split out). TimeGram is the exact
+	// fit's covariance build and TimeEig its eigensolve, k selection
+	// included; both are zero on the sampling, reuse, sketch and Jacobi
+	// fits, which are not split. TimeProject is the projection onto the
+	// k retained components.
 	TimeVIF     time.Duration
+	TimeGram    time.Duration
+	TimeEig     time.Duration
 	TimeProject time.Duration
 	TimeQuant   time.Duration
 	TimeZlib    time.Duration
@@ -237,13 +245,14 @@ func CompressContext(ctx context.Context, data []float64, dims []int, p Params) 
 		}
 	default:
 		standardize := p.Standardize == StandardizeOn
-		if p.Standardize == StandardizeAuto {
-			// The full-feature VIF probe inverts an M×M correlation matrix —
-			// the same O(M³) wall the sketch engine exists to avoid — so
-			// sketch mode routes the auto-standardize decision through the
-			// sampled estimate (the cap Algorithm 2's sampling path already
-			// uses). The exact engine keeps the full probe: its output must
-			// stay byte-identical across kernel revisions.
+		auto := p.Standardize == StandardizeAuto
+		// Only the exact fit builds a covariance to read the VIFs from;
+		// the Jacobi, reuse and sketch fits probe with sampling.VIF. Its
+		// full-feature form inverts an M×M correlation matrix — the O(M³)
+		// wall the sketch engine exists to avoid — so sketch mode samples
+		// the features (the cap Algorithm 2 uses).
+		exact := !p.ParallelPCA && (p.Selection != TVEThreshold || p.Basis == nil && !p.SketchPCA)
+		if auto && !exact {
 			vifFeatures := 0
 			if p.SketchPCA {
 				vifFeatures = sketchVIFFeatures
@@ -259,7 +268,6 @@ func CompressContext(ctx context.Context, data []float64, dims []int, p Params) 
 				standardize = mean/float64(len(vif)) < sampling.VIFCutoff
 			}
 		}
-		st.Standardized = standardize
 		popts := pca.Options{Standardize: standardize, Workers: p.Workers, Sketch: p.SketchPCA}
 		switch {
 		case p.ParallelPCA:
@@ -278,9 +286,11 @@ func CompressContext(ctx context.Context, data []float64, dims []int, p Params) 
 			// that replaces the cold Fit's O(M³) eigensolve at scale.
 			model, st.SketchDecision, err = pca.FitTVESketch(x, p.TVE, popts, seed)
 		default:
-			// Knee selection needs the full spectrum, so neither a truncated
-			// candidate nor a sketch can help it; the Jacobi path has its
-			// own solver. All fit cold even when reuse/sketch is active.
+			// The exact spectrum-first fit: one covariance feeds the
+			// standardize probe and the eigensolve, k is chosen from the
+			// eigenvalues, and only the vectors kept (plus a published
+			// basis's margin) are computed. Knee selection needs the full
+			// spectrum, so it lands here even when reuse or sketch is on.
 			if p.Basis != nil {
 				p.Basis.Decision = pca.ReuseCold
 				st.BasisDecision = pca.ReuseCold
@@ -288,17 +298,30 @@ func CompressContext(ctx context.Context, data []float64, dims []int, p Params) 
 			if p.SketchPCA {
 				st.SketchDecision = pca.SketchFallback
 			}
-			model, err = pca.Fit(x, pca.Options{Standardize: standardize, Workers: p.Workers})
+			sel := pca.Selection{TVE: p.TVE, AutoStandardize: auto}
+			if p.Selection == KneePoint {
+				fit := p.Fit
+				sel.Knee = func(curve []float64) int { return knee.Detect(curve, fit) }
+			}
+			if p.Basis != nil {
+				sel.Extra = pca.BasisMargin
+			}
+			var tr pca.FitTrace
+			model, tr, err = pca.FitExact(x, sel, pca.Options{Standardize: standardize, Workers: p.Workers})
+			standardize, k = tr.Standardized, tr.K
+			st.TimeVIF, st.TimeGram, st.TimeEig = tr.TimeVIF, tr.TimeGram, tr.TimeEig
 		}
 		if err != nil {
 			return nil, fmt.Errorf("core: k-PCA: %w", err)
 		}
-		curve := model.TVECurve()
-		switch p.Selection {
-		case KneePoint:
-			k = knee.Detect(curve, p.Fit)
-		default:
-			k = model.KForTVE(p.TVE)
+		st.Standardized = standardize
+		if k == 0 {
+			switch p.Selection {
+			case KneePoint:
+				k = knee.Detect(model.TVECurve(), p.Fit)
+			default:
+				k = model.KForTVE(p.TVE)
+			}
 		}
 	}
 	if k < 1 {
@@ -530,19 +553,13 @@ func CompressContext(ctx context.Context, data []float64, dims []int, p Params) 
 	return &Compressed{Bytes: out, Stats: st}, nil
 }
 
-// basisMargin is how many components beyond the selected k a published
-// basis keeps. The margin lets a follower tile whose spectrum is slightly
-// flatter still find its target inside the candidate, at a per-entry
-// memory cost of M·8 bytes per extra column.
-const basisMargin = 8
-
 // sketchVIFFeatures caps the auto-standardize VIF probe's feature sample
 // when the sketch engine is active (matches the Algorithm 2 sampling
 // default), keeping the probe O(cap³) instead of O(M³).
 const sketchVIFFeatures = 192
 
 // publishBasis extracts the reusable part of a fitted model: the leading
-// min(k+basisMargin, fitted) components. The columns are shared with the
+// min(k+pca.BasisMargin, fitted) components. The columns are shared with the
 // model when the widths already match and copied otherwise; models are
 // never mutated after fitting, so sharing is safe.
 func publishBasis(model *pca.Model, k int, standardized bool) *pca.Basis {
@@ -550,7 +567,7 @@ func publishBasis(model *pca.Model, k int, standardized bool) *pca.Basis {
 		return nil
 	}
 	rows, cols := model.Components.Dims()
-	kpub := k + basisMargin
+	kpub := k + pca.BasisMargin
 	if kpub > cols {
 		kpub = cols
 	}

@@ -323,18 +323,20 @@ func TestStageTimingsPopulated(t *testing.T) {
 	}
 }
 
-// TestPCASubStageTimings checks that the VIF probe and the projection
-// are timed as parts of the pca stage, and that no VIF span is reported
-// when no probe runs.
+// TestPCASubStageTimings checks that the VIF probe, the covariance, the
+// eigensolve and the projection are timed as parts of the pca stage, and
+// that no VIF span is reported when no probe runs.
 func TestPCASubStageTimings(t *testing.T) {
 	f := smoothField()
 	c, _ := roundTrip(t, f, DPZL())
 	s := c.Stats
-	if s.TimeVIF <= 0 || s.TimeProject <= 0 {
-		t.Fatalf("sub-stages not recorded: vif %v, project %v", s.TimeVIF, s.TimeProject)
+	if s.TimeVIF <= 0 || s.TimeGram <= 0 || s.TimeEig <= 0 || s.TimeProject <= 0 {
+		t.Fatalf("sub-stages not recorded: vif %v, gram %v, eig %v, project %v",
+			s.TimeVIF, s.TimeGram, s.TimeEig, s.TimeProject)
 	}
-	if s.TimeVIF+s.TimeProject > s.TimePCA {
-		t.Fatalf("vif %v + project %v exceed pca %v", s.TimeVIF, s.TimeProject, s.TimePCA)
+	if sum := s.TimeVIF + s.TimeGram + s.TimeEig + s.TimeProject; sum > s.TimePCA {
+		t.Fatalf("vif %v + gram %v + eig %v + project %v exceed pca %v",
+			s.TimeVIF, s.TimeGram, s.TimeEig, s.TimeProject, s.TimePCA)
 	}
 	p := DPZL()
 	p.Standardize = StandardizeOff

@@ -93,3 +93,17 @@ func BenchmarkSymEigValues256(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkSymEigTopK256 is the spectrum-first eigensolve of the
+// low-rank benchmark workload: the covariance of a PHIS-like 256×512
+// field's DCT blocks, with the k=42 vectors its default TVE selects.
+func BenchmarkSymEigTopK256(b *testing.B) {
+	a := dctBlockCovariance(b, "PHIS", 2003)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := SymEigTopK(a, fixedCount(42)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -70,7 +70,7 @@ func SymEig(a *mat.Dense) (*System, error) {
 	if err := tqli(d, e, z); err != nil {
 		return nil, err
 	}
-	return sortedSystem(d, z), nil
+	return sortedSystem(d, z, n), nil
 }
 
 // SymEigValues computes only the eigenvalues of the symmetric matrix a,
@@ -106,21 +106,20 @@ func SymEigValues(a *mat.Dense) ([]float64, error) {
 
 // sortedSystem returns the eigenpairs (d[j], row j of the n×n row-major
 // zt) in fresh storage, sorted by descending eigenvalue, with the
-// eigenvectors as columns.
-func sortedSystem(d, zt []float64) *System {
+// eigenvectors of the leading cols as columns.
+func sortedSystem(d, zt []float64, cols int) *System {
 	n := len(d)
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return d[idx[a]] > d[idx[b]] })
+	idx := descendingOrder(d)
 	vals := make([]float64, n)
-	vecs := mat.NewDense(n, n)
+	vecs := mat.NewDense(n, cols)
 	vd := vecs.Data()
 	for newJ, oldJ := range idx {
 		vals[newJ] = d[oldJ]
+		if newJ >= cols {
+			continue
+		}
 		for i, v := range zt[oldJ*n : (oldJ+1)*n] {
-			vd[i*n+newJ] = v
+			vd[i*cols+newJ] = v
 		}
 	}
 	return &System{Values: vals, Vectors: vecs}
@@ -141,6 +140,22 @@ func transposeSquare(a []float64, n int) {
 // set, the orthogonal transform is accumulated into a; otherwise a is
 // left as scratch.
 func tred2(a, d, e []float64, vectors bool) {
+	tred2Reduce(a, d, e)
+	if !vectors {
+		tred2Diagonal(a, d)
+		return
+	}
+	tred2Accumulate(a, d)
+}
+
+// tred2Reduce is tred2's reduction phase. On return e holds the
+// sub-diagonal (e[0] is zero) and d[i] the scalar H of reflector i,
+// P_i = I − u·uᵀ/H, whose Householder vector u is stored in row i of a
+// left of the diagonal (zero when step i needed no reflection). The
+// upper triangle holds u/H by columns, and the diagonal of a is the
+// diagonal of the tridiagonal matrix (see tred2Diagonal). The
+// orthogonal transform is Q = P_{n-1}···P_1, with QᵀAQ tridiagonal.
+func tred2Reduce(a, d, e []float64) {
 	n := len(d)
 	for i := n - 1; i >= 1; i-- {
 		l := i - 1
@@ -211,13 +226,22 @@ func tred2(a, d, e []float64, vectors bool) {
 	}
 	d[0] = 0
 	e[0] = 0
-	if !vectors {
-		for i := 0; i < n; i++ {
-			d[i] = a[i*n+i]
-		}
-		return
+}
+
+// tred2Diagonal copies the tridiagonal's diagonal out of the reduced a.
+func tred2Diagonal(a, d []float64) {
+	n := len(d)
+	for i := 0; i < n; i++ {
+		d[i] = a[i*n+i]
 	}
-	// Accumulate Q = P_1···P_{n-2}. Step i applies its reflector to the
+}
+
+// tred2Accumulate is tred2's accumulation phase: it overwrites the
+// reduced a with Q, reading each reflector's H from d (as tred2Reduce
+// left it), and leaves the tridiagonal's diagonal in d.
+func tred2Accumulate(a, d []float64) {
+	n := len(d)
+	// Accumulate Q = P_{n-1}···P_1. Step i applies its reflector to the
 	// leading i×i block: g = (row i)·block gathered over whole rows,
 	// then the rank-1 update row by row. Every g[j] keeps its
 	// ascending-k sum, and the update reads no column it writes.
@@ -257,7 +281,13 @@ func tred2(a, d, e []float64, vectors bool) {
 // sub-diagonal e) with implicit-shift QL. On return d holds the
 // eigenvalues. Unless zt is nil, each rotation is also applied to rows of
 // the n×n row-major zt, the transposed accumulator.
-func tqli(d, e, zt []float64) error {
+func tqli(d, e, zt []float64) error { return tqliTrack(d, e, zt, nil) }
+
+// tqliTrack is tqli that also applies each rotation to col, one column
+// of the transposed accumulator, at O(1) per rotation: started from
+// column c of the accumulator tqli would be given, col ends holding
+// component c of every (unsorted) eigenvector, bit for bit.
+func tqliTrack(d, e, zt, col []float64) error {
 	n := len(d)
 	for i := 1; i < n; i++ {
 		e[i-1] = e[i]
@@ -310,6 +340,11 @@ func tqli(d, e, zt []float64) error {
 						zi1[k] = s*zi[k] + c*v
 						zi[k] = c*zi[k] - s*v
 					}
+				}
+				if col != nil {
+					v := col[i+1]
+					col[i+1] = s*col[i] + c*v
+					col[i] = c*col[i] - s*v
 				}
 			}
 			if r == 0 && m-1 >= l {

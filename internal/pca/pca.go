@@ -23,8 +23,8 @@ import (
 type Model struct {
 	Means       []float64  // per-feature means subtracted before projection
 	Scales      []float64  // per-feature std devs if standardized, else nil
-	Eigenvalues []float64  // descending; full spectrum for Fit, k leading for FitK
-	Components  *mat.Dense // features × s (s = len(Eigenvalues)); column j is eigenvector j
+	Eigenvalues []float64  // descending; full spectrum for Fit and FitExact, k leading for FitK
+	Components  *mat.Dense // features × s; column j is eigenvector j (s = len(Eigenvalues), or FitExact's k+Extra)
 	// TotalVar is the trace of the analyzed covariance matrix — the TVE
 	// denominator. For a full Fit it equals the eigenvalue sum; for FitK
 	// it is computed directly so TVE stays meaningful with a truncated
@@ -42,12 +42,11 @@ type Options struct {
 	// Workers bounds the parallelism of the covariance Gram kernel
 	// (0 = GOMAXPROCS). It never changes the result bits.
 	Workers int
-	// Sketch enables the randomized-range-finder fast path for the
-	// TVE/k-targeted fits (FitTVE, FitK and their reuse variants): a seeded
-	// sketch proposes the basis and the exact Rayleigh-quotient guard
-	// verifies it, so results always carry the cold path's TVE guarantee.
-	// Fit, FitJacobi and Spectrum ignore the flag — they exist to produce
-	// the full spectrum, which a sketch cannot.
+	// Sketch enables the randomized-range-finder fast path for FitK: a
+	// seeded sketch proposes the basis and the exact Rayleigh-quotient
+	// guard verifies it, so results always carry the cold path's TVE
+	// guarantee. Fit, FitExact, FitJacobi and Spectrum ignore the flag —
+	// they select k from the full spectrum, which a sketch cannot give.
 	Sketch bool
 }
 
@@ -115,58 +114,6 @@ func FitK(x *mat.Dense, k int, opts Options, seed int64) (*Model, error) {
 	m.Eigenvalues = sys.Values
 	m.Components = sys.Vectors
 	return m, nil
-}
-
-// FitTVE fits only as many leading components as needed to reach the
-// given cumulative-TVE target, growing the computed subspace geometrically
-// (16, 32, 64, …) via eigen.TopK. For high-linearity data where k ≪ M this
-// costs O(M²·k) instead of the full O(M³) decomposition — the saving DPZ's
-// sampling strategy banks on. Small feature counts fall through to the
-// dense path, which is faster there.
-func FitTVE(x *mat.Dense, target float64, opts Options, seed int64) (*Model, error) {
-	if opts.Sketch {
-		m, _, err := FitTVESketch(x, target, opts, seed)
-		return m, err
-	}
-	_, c := x.Dims()
-	if c <= 256 {
-		return Fit(x, opts)
-	}
-	if target <= 0 || target > 1 {
-		return nil, fmt.Errorf("pca: TVE target %v out of (0,1]", target)
-	}
-	m := &Model{}
-	cov, release := m.covariance(x, opts)
-	defer release()
-	for i := 0; i < c; i++ {
-		m.TotalVar += cov.At(i, i)
-	}
-	for k := 16; ; k *= 2 {
-		if k >= c {
-			sys, err := eigen.SymEig(cov)
-			if err != nil {
-				return nil, fmt.Errorf("pca: eigendecomposition failed: %w", err)
-			}
-			clampNonNegative(sys.Values)
-			m.Eigenvalues = sys.Values
-			m.Components = sys.Vectors
-			return m, nil
-		}
-		sys, err := eigen.TopK(cov, k, seed)
-		if err != nil {
-			return nil, fmt.Errorf("pca: truncated eigendecomposition failed: %w", err)
-		}
-		clampNonNegative(sys.Values)
-		var cum float64
-		for _, v := range sys.Values {
-			cum += v
-		}
-		if m.TotalVar == 0 || cum/m.TotalVar >= target {
-			m.Eigenvalues = sys.Values
-			m.Components = sys.Vectors
-			return m, nil
-		}
-	}
 }
 
 // FitJacobi fits the full PCA basis with the worker-parallel one-sided
@@ -296,13 +243,7 @@ func (m *Model) TVECurve() []float64 {
 // KForTVE returns the smallest k whose cumulative TVE reaches the given
 // threshold (Method 2 in Algorithm 1). The result is always in [1, M].
 func (m *Model) KForTVE(tve float64) int {
-	curve := m.TVECurve()
-	for i, v := range curve {
-		if v >= tve {
-			return i + 1
-		}
-	}
-	return len(curve)
+	return kForTVE(m.TVECurve(), tve)
 }
 
 // ProjectionMatrix returns the M×k matrix of the k leading eigenvectors.

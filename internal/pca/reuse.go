@@ -63,6 +63,12 @@ func (d ReuseDecision) String() string {
 	}
 }
 
+// BasisMargin is how many components beyond the selected k a published
+// basis keeps. The margin lets a follower tile whose spectrum is slightly
+// flatter still find its target inside the candidate, at a per-entry
+// memory cost of M·8 bytes per extra column.
+const BasisMargin = 8
+
 // guardSampleRows caps the deterministic row sample the cheap pre-filter
 // projects before committing to the full-data verification.
 const guardSampleRows = 256
@@ -92,8 +98,9 @@ func (b *Basis) usable(x *mat.Dense, opts Options) bool {
 //  2. Otherwise the candidate warm-starts subspace iteration on this
 //     tile's covariance, growing the subspace geometrically until the
 //     target is met (ReuseRefine).
-//  3. Without a usable candidate the ordinary Fit runs (ReuseCold),
-//     keeping the output bit-identical to the reuse-disabled path.
+//  3. Without a usable candidate the exact FitExact runs (ReuseCold),
+//     with BasisMargin extra components for the basis it will publish.
+//     Its first k components are those of the reuse-disabled path.
 //
 // The decision is a pure function of x, target, opts and the candidate —
 // nothing timing- or worker-dependent enters it. The adopted basis
@@ -112,7 +119,7 @@ func FitTVEReuse(x *mat.Dense, target float64, opts Options, seed int64, cand *B
 			m, _, err := FitTVESketch(x, target, opts, seed)
 			return m, ReuseCold, err
 		}
-		m, err := Fit(x, opts)
+		m, _, err := FitExact(x, Selection{TVE: target, Extra: BasisMargin}, opts)
 		return m, ReuseCold, err
 	}
 
@@ -325,9 +332,10 @@ func acceptExact(m *Model, x *mat.Dense, q *mat.Dense, keep int, target float64)
 }
 
 // refineTVE warm-starts subspace iteration on x's covariance from warm,
-// growing the computed subspace geometrically until the cumulative TVE
-// target is met (the warm analogue of FitTVE, without its small-matrix
-// fall-through: the caller already decided reuse is worthwhile).
+// growing the computed subspace geometrically (doubling from the warm
+// basis's width) until the cumulative TVE target is met. There is no
+// small-matrix fall-through: the caller already decided reuse is
+// worthwhile.
 func refineTVE(m *Model, x *mat.Dense, target float64, opts Options, seed int64, warm *mat.Dense) error {
 	_, c := x.Dims()
 	covBuf := scratch.Floats(c * c)

@@ -36,7 +36,7 @@ import (
 )
 
 // sketchMinFeatures is the feature count below which sketching cannot beat
-// the dense solver (mirrors FitTVE's fall-through cut).
+// the dense solver.
 const sketchMinFeatures = 256
 
 // sketchPilotK is the pilot sketch width: wide enough to see the leading

@@ -272,7 +272,7 @@ func TestFitTVESketchValidation(t *testing.T) {
 	}
 }
 
-// FitTVE with the Sketch option must agree with the exact path: both
+// FitTVESketch must agree with the exact fit (FitExact): both
 // reach the target, and the sketch's adopted component count sits in the
 // narrow window the Ky Fan inequality allows — never below the exact
 // minimum, and at most a few verified extras above it.
@@ -294,14 +294,14 @@ func FuzzFitTVESketchMatchesExact(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		exact, err := FitTVE(x, target, Options{}, seed)
+		_, exact, err := FitExact(x, Selection{TVE: target}, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got := adoptedTVE(sk); got < target-1e-9 {
 			t.Fatalf("sketch (decision %v) reached %.9f < target %v", dec, got, target)
 		}
-		kExact := exact.KForTVE(target)
+		kExact := exact.K
 		kSketch := sk.KForTVE(target)
 		if kSketch < kExact-1 {
 			t.Fatalf("sketch claims %d components reach %.6f but the exact minimum is %d — an unverified accept", kSketch, target, kExact)

@@ -69,41 +69,45 @@ func TestTVECurveOf(t *testing.T) {
 	}
 }
 
+// The FitTVE tests exercise FitExact at a TVE target: the fit that
+// replaced the geometric-ladder FitTVE on the exact path.
+
 func TestFitTVESmallFallsThrough(t *testing.T) {
 	rng := rand.New(rand.NewSource(303))
 	x := lowRankData(100, 10, 3, 0.01, rng)
-	m, err := FitTVE(x, 0.999, Options{}, 1)
+	m, tr, err := FitExact(x, Selection{TVE: 0.999}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Small feature counts use the dense path: full spectrum available.
+	// The full spectrum is always there; the basis stops at k.
 	if len(m.Eigenvalues) != 10 {
-		t.Fatalf("dense fall-through returned %d eigenvalues", len(m.Eigenvalues))
+		t.Fatalf("fit returned %d eigenvalues, want the full 10", len(m.Eigenvalues))
 	}
-	if m.KForTVE(0.999) > 4 {
-		t.Fatalf("rank-3 data selected k=%d", m.KForTVE(0.999))
+	if tr.K != m.KForTVE(0.999) || tr.K > 4 {
+		t.Fatalf("rank-3 data selected k=%d (KForTVE %d)", tr.K, m.KForTVE(0.999))
+	}
+	if _, cols := m.Components.Dims(); cols != tr.K {
+		t.Fatalf("%d components computed for k=%d", cols, tr.K)
 	}
 }
 
 func TestFitTVELargeTruncates(t *testing.T) {
-	// 300 features (> the 256 dense crossover), intrinsic rank 6: the
-	// truncated fit must stop far short of the full spectrum and still
-	// reconstruct well.
+	// 300 features, intrinsic rank 6: the fit must compute far fewer
+	// eigenvectors than features and still reconstruct well.
 	rng := rand.New(rand.NewSource(304))
 	x := lowRankData(400, 300, 6, 1e-4, rng)
-	m, err := FitTVE(x, 0.999, Options{}, 1)
+	m, tr, err := FitExact(x, Selection{TVE: 0.999}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(m.Eigenvalues) >= 300 {
-		t.Fatalf("truncated fit computed the full spectrum (%d)", len(m.Eigenvalues))
+	if _, cols := m.Components.Dims(); cols != tr.K || cols >= 300 {
+		t.Fatalf("computed %d eigenvectors for k=%d of 300", cols, tr.K)
 	}
 	curve := m.TVECurve()
-	if curve[len(curve)-1] < 0.999 {
-		t.Fatalf("computed prefix does not reach the target: %v", curve[len(curve)-1])
+	if curve[tr.K-1] < 0.999 {
+		t.Fatalf("k=%d does not reach the target: %v", tr.K, curve[tr.K-1])
 	}
-	k := m.KForTVE(0.999)
-	recon := m.Reconstruct(x, k)
+	recon := m.Reconstruct(x, tr.K)
 	var num, den float64
 	for i, v := range x.Data() {
 		d := v - recon.Data()[i]
@@ -118,11 +122,17 @@ func TestFitTVELargeTruncates(t *testing.T) {
 func TestFitTVEValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(305))
 	x := lowRankData(400, 300, 3, 0.1, rng)
-	if _, err := FitTVE(x, 0, Options{}, 1); err == nil {
+	if _, _, err := FitExact(x, Selection{TVE: 0}, Options{}); err == nil {
 		t.Fatal("expected error for target 0")
 	}
-	if _, err := FitTVE(x, 1.5, Options{}, 1); err == nil {
+	if _, _, err := FitExact(x, Selection{TVE: 1.5}, Options{}); err == nil {
 		t.Fatal("expected error for target > 1")
+	}
+	if _, _, err := FitExact(mat.NewDense(1, 4), Selection{TVE: 0.9}, Options{}); err == nil {
+		t.Fatal("expected single-sample rejection")
+	}
+	if _, _, err := FitExact(mat.NewDense(5, 0), Selection{TVE: 0.9}, Options{}); err == nil {
+		t.Fatal("expected zero-feature rejection")
 	}
 }
 
@@ -193,12 +203,12 @@ func TestFitKValidation(t *testing.T) {
 func TestFitTVEStandardizedLarge(t *testing.T) {
 	rng := rand.New(rand.NewSource(309))
 	x := lowRankData(400, 300, 4, 1e-3, rng)
-	m, err := FitTVE(x, 0.999, Options{Standardize: true}, 1)
+	m, tr, err := FitExact(x, Selection{TVE: 0.999}, Options{Standardize: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Scales == nil {
-		t.Fatal("scales missing on standardized truncated fit")
+	if m.Scales == nil || !tr.Standardized {
+		t.Fatal("scales missing on standardized fit")
 	}
 	if math.Abs(m.TotalVar-300) > 1e-6 {
 		t.Fatalf("correlation trace %v, want 300", m.TotalVar)

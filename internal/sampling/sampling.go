@@ -18,7 +18,7 @@ import (
 // VIFCutoff is the conventional collinearity threshold: data whose mean
 // VIF falls below it is treated as low-linearity (standardization is
 // applied and poor DPZ compressibility is expected).
-const VIFCutoff = 5.0
+const VIFCutoff = pca.VIFCutoff
 
 // Params configures the strategy. Zero values select the paper defaults.
 type Params struct {
@@ -205,10 +205,10 @@ func subsetIndices(s, t int, seed int64) []int {
 }
 
 // VIF computes the variance inflation factor of each (sampled) feature of
-// x from a row sample of rate sr: VIF_j = 1/(1−R²_j), obtained as the
-// diagonal of the inverse correlation matrix. Columns beyond maxFeatures
-// are uniformly subsampled. Returned VIFs are clipped to [1, 1e6] (exact
-// collinearity would otherwise be infinite).
+// x from a row sample of rate sr (pca.CorrelationVIF on the sample's
+// correlation matrix). Columns beyond maxFeatures are uniformly
+// subsampled. Algorithm 2 probes with it; the exact Stage 2 fit reads
+// the same factors off its own covariance instead (pca.FitExact).
 func VIF(x *mat.Dense, sr float64, maxFeatures int, seed int64) ([]float64, error) {
 	n, m := x.Dims()
 	if n < 4 || m < 2 {
@@ -253,28 +253,9 @@ func VIF(x *mat.Dense, sr float64, maxFeatures int, seed int64) ([]float64, erro
 			dst[j] = src[c]
 		}
 	}
-	corr := mat.Correlation(sub)
-	// Ridge-regularize so near-singular correlation matrices (the very
-	// high collinearity DPZ hopes for) stay invertible; the ridge bounds
-	// reported VIFs rather than breaking them.
-	const ridge = 1e-6
-	for i := 0; i < cols; i++ {
-		corr.Set(i, i, corr.At(i, i)+ridge)
-	}
-	diag, err := mat.SPDInverseDiag(corr)
+	vif, err := pca.CorrelationVIF(mat.Correlation(sub))
 	if err != nil {
 		return nil, fmt.Errorf("sampling: VIF inversion: %w", err)
-	}
-	vif := make([]float64, cols)
-	for j := 0; j < cols; j++ {
-		v := diag[j]
-		if v < 1 {
-			v = 1
-		}
-		if v > 1e6 || math.IsNaN(v) || math.IsInf(v, 0) {
-			v = 1e6
-		}
-		vif[j] = v
 	}
 	return vif, nil
 }
