@@ -20,13 +20,19 @@ var detWorkers = []int{1, 2, 8}
 
 func TestCompressWorkersByteIdentical(t *testing.T) {
 	f := dataset.CESM("FLDSC", 128, 256, 17)
+	// The default options on the flat CLDHGH-like field give k ≈ M = 256,
+	// so the covariance Gram and the projection both split across workers.
+	flat := dataset.CESM("CLDHGH", 256, 512, 2001)
 	for _, mk := range []struct {
-		name string
-		opts dpz.Options
+		name  string
+		field *dataset.Field
+		opts  dpz.Options
 	}{
-		{"loose", dpz.LooseOptions()},
-		{"strict", dpz.StrictOptions()},
+		{"loose", f, dpz.LooseOptions()},
+		{"strict", f, dpz.StrictOptions()},
+		{"default-flat", flat, dpz.DefaultOptions()},
 	} {
+		f := mk.field
 		t.Run(mk.name, func(t *testing.T) {
 			var ref []byte
 			for _, w := range detWorkers {

@@ -107,3 +107,19 @@ func TestRoundTripProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestReadBitsPastEndConsumesNothing(t *testing.T) {
+	r := NewReader([]byte{0xA5, 0x0F})
+	if _, err := r.ReadBits(3); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.ReadBits(14); err != ErrOutOfBits {
+		t.Fatalf("err = %v, want ErrOutOfBits", err)
+	}
+	if r.Pos() != 3 {
+		t.Fatalf("failed read moved the position to %d", r.Pos())
+	}
+	if v, err := r.ReadBits(13); err != nil || v != 0x50F {
+		t.Fatalf("remaining 13 bits = %x, %v; want 50f", v, err)
+	}
+}

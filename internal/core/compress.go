@@ -246,11 +246,11 @@ func CompressContext(ctx context.Context, data []float64, dims []int, p Params) 
 	default:
 		standardize := p.Standardize == StandardizeOn
 		auto := p.Standardize == StandardizeAuto
-		// Only the exact fit builds a covariance to read the VIFs from;
-		// the Jacobi, reuse and sketch fits probe with sampling.VIF. Its
-		// full-feature form inverts an M×M correlation matrix — the O(M³)
-		// wall the sketch engine exists to avoid — so sketch mode samples
-		// the features (the cap Algorithm 2 uses).
+		// Only the exact fit builds a covariance to probe; the Jacobi,
+		// reuse and sketch fits run the same probe on the correlation
+		// matrix of a row sample. Its full-feature form factors an M×M
+		// matrix — the O(M³) wall the sketch engine exists to avoid — so
+		// sketch mode samples the features (the cap Algorithm 2 uses).
 		exact := !p.ParallelPCA && (p.Selection != TVEThreshold || p.Basis == nil && !p.SketchPCA)
 		if auto && !exact {
 			vifFeatures := 0
@@ -258,15 +258,10 @@ func CompressContext(ctx context.Context, data []float64, dims []int, p Params) 
 				vifFeatures = sketchVIFFeatures
 			}
 			tv := metrics.Now()
-			vif, err := sampling.VIF(x, 0.01, vifFeatures, seed)
-			st.TimeVIF = metrics.Since(tv)
-			if err == nil {
-				var mean float64
-				for _, v := range vif {
-					mean += v
-				}
-				standardize = mean/float64(len(vif)) < sampling.VIFCutoff
+			if corr, err := sampling.SampleCorrelation(x, 0.01, vifFeatures, seed); err == nil {
+				standardize = pca.LowLinearity(corr)
 			}
+			st.TimeVIF = metrics.Since(tv)
 		}
 		popts := pca.Options{Standardize: standardize, Workers: p.Workers, Sketch: p.SketchPCA}
 		switch {
@@ -338,12 +333,7 @@ func CompressContext(ctx context.Context, data []float64, dims []int, p Params) 
 		return nil, err
 	}
 	tp := metrics.Now()
-	var scores *mat.Dense
-	if p.SketchPCA {
-		scores = model.TransformFast(x, k, p.Workers)
-	} else {
-		scores = model.Transform(x, k)
-	}
+	scores := model.TransformW(x, k, p.Workers)
 	st.TimeProject = metrics.Since(tp)
 	var kept float64
 	for i := 0; i < k && i < len(model.Eigenvalues); i++ {

@@ -9,6 +9,8 @@ import (
 	"dpz/internal/blockio"
 	"dpz/internal/dataset"
 	"dpz/internal/mat"
+	"dpz/internal/pca"
+	"dpz/internal/sampling"
 	"dpz/internal/transform"
 )
 
@@ -95,11 +97,13 @@ func stage2Input(t *testing.T, f *dataset.Field) *mat.Dense {
 	return blocks.T()
 }
 
-// TestStandardizeDecisionPinned pins the auto-standardize bit of the
-// default compress, which the exact fit now derives from its own
-// covariance, to the frozen standalone probe on every dataset at scale
-// 0.1 and on both benchmark snapshot fields. A flip is a behaviour
-// change of the probe and must be reported, not absorbed.
+// TestStandardizeDecisionPinned pins the auto-standardize bit to the
+// frozen standalone probe on every dataset at scale 0.1 and on both
+// benchmark snapshot fields, for both probes: the default compress,
+// whose exact fit runs pca.LowLinearity on its own covariance, and the
+// sampled probe of the Jacobi, reuse and sketch fits (pca.LowLinearity on
+// sampling.SampleCorrelation). A flip is a behaviour change of the probe
+// and must be reported, not absorbed.
 func TestStandardizeDecisionPinned(t *testing.T) {
 	fields := map[string]*dataset.Field{
 		"perfbench-CLDHGH-256x512": dataset.CESM("CLDHGH", 256, 512, 2001),
@@ -113,7 +117,13 @@ func TestStandardizeDecisionPinned(t *testing.T) {
 		fields[name] = f
 	}
 	for name, f := range fields {
-		want := frozenVIFProbe(stage2Input(t, f), 1)
+		x := stage2Input(t, f)
+		want := frozenVIFProbe(x, 1)
+		if corr, err := sampling.SampleCorrelation(x, 0.01, 0, 1); err != nil {
+			t.Errorf("%s: sample correlation: %v", name, err)
+		} else if got := pca.LowLinearity(corr); got != want {
+			t.Errorf("%s: standardize flipped: sampled probe says %v, frozen probe %v", name, got, want)
+		}
 		c, err := Compress(f.Data, f.Dims, Default())
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)

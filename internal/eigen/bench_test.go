@@ -63,7 +63,7 @@ func BenchmarkTopK512x16(b *testing.B) {
 	a := mat.Mul(g.T(), g)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := TopK(a, 16, 1); err != nil {
+		if _, err := TopK(a, 16, 1, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -183,17 +183,13 @@ func tred2Reduce(a, d, e []float64) {
 				// p = A·u/h from the lower triangle, in row sweeps: each
 				// e[j] first sums its own row (k <= j), then gains the
 				// column terms (k > j) in ascending k, the summation order
-				// of the column-walking formulation.
+				// of the column-walking formulation. The row dots run four
+				// rows per sweep over u, each row with its own ascending-k
+				// accumulator, so the blocking changes no bits.
 				for j := range ai {
 					a[j*n+i] = ai[j] / h
-					row := a[j*n : j*n+j+1]
-					u := ai[:len(row)]
-					g = 0
-					for k, v := range row {
-						g += v * u[k]
-					}
-					e[j] = g
 				}
+				rowDots(a, n, ai, e)
 				for k := 1; k <= l; k++ {
 					uk := ai[k]
 					row := a[k*n : k*n+k]
@@ -226,6 +222,47 @@ func tred2Reduce(a, d, e []float64) {
 	}
 	d[0] = 0
 	e[0] = 0
+}
+
+// rowDots sets e[j] = Σ_{k≤j} a[j][k]·u[k] for every j < len(u), reading
+// the lower triangle of the row-major n×n a. Rows go four per sweep over
+// u: the shared prefix k ≤ j0 feeds four accumulators, and rows j0+1..j0+3
+// then finish their own short tails. Each e[j] is still one accumulator
+// over ascending k, the single-row loop's sequence, bit for bit.
+func rowDots(a []float64, n int, u, e []float64) {
+	m := len(u)
+	j := 0
+	for ; j+4 <= m; j += 4 {
+		r0 := a[j*n : j*n+j+1]
+		r1 := a[(j+1)*n : (j+1)*n+j+2]
+		r2 := a[(j+2)*n : (j+2)*n+j+3]
+		r3 := a[(j+3)*n : (j+3)*n+j+4]
+		uu := u[:len(r0)]
+		var s0, s1, s2, s3 float64
+		for k, x := range uu {
+			s0 += r0[k] * x
+			s1 += r1[k] * x
+			s2 += r2[k] * x
+			s3 += r3[k] * x
+		}
+		u1, u2, u3 := u[j+1], u[j+2], u[j+3]
+		s1 += r1[j+1] * u1
+		s2 += r2[j+1] * u1
+		s2 += r2[j+2] * u2
+		s3 += r3[j+1] * u1
+		s3 += r3[j+2] * u2
+		s3 += r3[j+3] * u3
+		e[j], e[j+1], e[j+2], e[j+3] = s0, s1, s2, s3
+	}
+	for ; j < m; j++ {
+		row := a[j*n : j*n+j+1]
+		uu := u[:len(row)]
+		var g float64
+		for k, v := range row {
+			g += v * uu[k]
+		}
+		e[j] = g
+	}
 }
 
 // tred2Diagonal copies the tridiagonal's diagonal out of the reduced a.

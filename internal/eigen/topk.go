@@ -20,8 +20,9 @@ const maxSubspaceSweeps = 40
 // O(M³) decomposition (Section IV-D: "when k ≪ min(M,N) the complexity of
 // k-PCA can be reduced").
 //
-// seed makes the random starting subspace reproducible.
-func TopK(a *mat.Dense, k int, seed int64) (*System, error) {
+// seed makes the random starting subspace reproducible; workers bounds
+// the multiplies' parallelism (0 = GOMAXPROCS) and never changes a bit.
+func TopK(a *mat.Dense, k int, seed int64, workers int) (*System, error) {
 	n, c := a.Dims()
 	if n != c {
 		return nil, fmt.Errorf("eigen: non-square input %dx%d", n, c)
@@ -47,8 +48,8 @@ func TopK(a *mat.Dense, k int, seed int64) (*System, error) {
 		q.Data()[i] = rng.NormFloat64()
 	}
 	orthonormalize(q)
-	iterate(a, q)
-	sys, err := rayleighRitz(a, q)
+	iterate(a, q, workers)
+	sys, err := rayleighRitz(a, q, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -63,7 +64,7 @@ func TopK(a *mat.Dense, k int, seed int64) (*System, error) {
 // timesteps — the iteration converges in one or two sweeps instead of the
 // cold start's many. The returned sweep count is the number of
 // double-apply sweeps performed (0 when the dense solver was used).
-func TopKWarm(a *mat.Dense, k int, warm *mat.Dense, seed int64) (*System, int, error) {
+func TopKWarm(a *mat.Dense, k int, warm *mat.Dense, seed int64, workers int) (*System, int, error) {
 	n, c := a.Dims()
 	if n != c {
 		return nil, 0, fmt.Errorf("eigen: non-square input %dx%d", n, c)
@@ -72,7 +73,7 @@ func TopKWarm(a *mat.Dense, k int, warm *mat.Dense, seed int64) (*System, int, e
 		return nil, 0, fmt.Errorf("eigen: k=%d out of range [1,%d]", k, n)
 	}
 	if warm == nil {
-		sys, err := TopK(a, k, seed)
+		sys, err := TopK(a, k, seed, workers)
 		return sys, 0, err
 	}
 	if wr, _ := warm.Dims(); wr != n {
@@ -109,8 +110,8 @@ func TopKWarm(a *mat.Dense, k int, warm *mat.Dense, seed int64) (*System, int, e
 		}
 	}
 	orthonormalize(q)
-	sweeps := iterate(a, q)
-	sys, err := rayleighRitz(a, q)
+	sweeps := iterate(a, q, workers)
+	sys, err := rayleighRitz(a, q, workers)
 	if err != nil {
 		return nil, sweeps, err
 	}
@@ -134,7 +135,7 @@ func subspaceWidth(n, k int) int {
 // when the variance captured by the subspace — trace(QᵀAQ), the only
 // quantity PCA consumes — is stable. Exact eigenpair separation is then
 // restored by the Rayleigh–Ritz step.
-func iterate(a, q *mat.Dense) int {
+func iterate(a, q *mat.Dense, workers int) int {
 	n, p := q.Dims()
 	zbuf := scratch.Floats(n * p)
 	defer scratch.PutFloats(zbuf)
@@ -143,14 +144,14 @@ func iterate(a, q *mat.Dense) int {
 	sweeps := 0
 	for sweep := 0; sweep < maxSubspaceSweeps; sweep++ {
 		sweeps++
-		mat.MulInto(z, a, q)
+		mat.MulInto(z, a, q, workers)
 		// Captured variance: Σ_j (Qᵀ A Q)_jj = Σ_j Q_j·Z_j.
 		var captured float64
 		qd, zd := q.Data(), z.Data()
 		for i, qv := range qd {
 			captured += qv * zd[i]
 		}
-		mat.MulInto(q, a, z)
+		mat.MulInto(q, a, z, workers)
 		orthonormalize(q)
 		if prevCaptured >= 0 && math.Abs(captured-prevCaptured) <= 1e-7*(1+math.Abs(captured)) {
 			break
@@ -163,17 +164,18 @@ func iterate(a, q *mat.Dense) int {
 // rayleighRitz solves the small p×p projected problem on the converged
 // subspace q to resolve clustered eigenvalues cleanly, returning the full
 // p Ritz pairs.
-func rayleighRitz(a, q *mat.Dense) (*System, error) {
+func rayleighRitz(a, q *mat.Dense, workers int) (*System, error) {
 	n, p := q.Dims()
 	aqBuf := scratch.Floats(n * p)
 	defer scratch.PutFloats(aqBuf)
 	aq := mat.NewDenseData(n, p, aqBuf)
-	mat.MulInto(aq, a, q)
+	mat.MulInto(aq, a, q, workers)
 	qtBuf := scratch.Floats(n * p)
 	defer scratch.PutFloats(qtBuf)
 	qt := mat.NewDenseData(p, n, qtBuf)
 	mat.TransposeInto(qt, q)
-	small := mat.Mul(qt, aq)
+	small := mat.NewDense(p, p)
+	mat.MulInto(small, qt, aq, workers)
 	// Symmetrize round-off.
 	for i := 0; i < p; i++ {
 		for j := i + 1; j < p; j++ {
@@ -186,7 +188,8 @@ func rayleighRitz(a, q *mat.Dense) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	ritz := mat.Mul(q, ssys.Vectors)
+	ritz := mat.NewDense(n, p)
+	mat.MulInto(ritz, q, ssys.Vectors, workers)
 	return &System{Values: ssys.Values, Vectors: ritz}, nil
 }
 

@@ -32,7 +32,7 @@ func TestTopKMatchesFullDecomposition(t *testing.T) {
 	}
 	a := spdWithSpectrum(vals, 91)
 	for _, k := range []int{1, 3, 10} {
-		sys, err := TopK(a, k, 7)
+		sys, err := TopK(a, k, 7, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -57,7 +57,7 @@ func TestTopKMatchesFullDecomposition(t *testing.T) {
 
 func TestTopKSmallMatrixUsesDensePath(t *testing.T) {
 	a := spdWithSpectrum([]float64{5, 3, 1}, 92)
-	sys, err := TopK(a, 2, 1)
+	sys, err := TopK(a, 2, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,13 +68,13 @@ func TestTopKSmallMatrixUsesDensePath(t *testing.T) {
 
 func TestTopKValidation(t *testing.T) {
 	a := mat.NewDense(4, 4)
-	if _, err := TopK(a, 0, 1); err == nil {
+	if _, err := TopK(a, 0, 1, 0); err == nil {
 		t.Fatal("expected error for k=0")
 	}
-	if _, err := TopK(a, 5, 1); err == nil {
+	if _, err := TopK(a, 5, 1, 0); err == nil {
 		t.Fatal("expected error for k>n")
 	}
-	if _, err := TopK(mat.NewDense(2, 3), 1, 1); err == nil {
+	if _, err := TopK(mat.NewDense(2, 3), 1, 1, 0); err == nil {
 		t.Fatal("expected error for non-square")
 	}
 }
@@ -85,7 +85,7 @@ func TestTopKOrthonormalColumns(t *testing.T) {
 		vals[i] = 1 / float64(i+1)
 	}
 	a := spdWithSpectrum(vals, 93)
-	sys, err := TopK(a, 6, 3)
+	sys, err := TopK(a, 6, 3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

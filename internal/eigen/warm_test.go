@@ -60,7 +60,7 @@ func TestTopKAgreesWithSymEigRandomized(t *testing.T) {
 					if k > n/8 && n > 256 {
 						continue // would route dense anyway; covered by small n
 					}
-					sys, err := TopK(a, k, 7)
+					sys, err := TopK(a, k, 7, 0)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -116,13 +116,13 @@ func TestTopKWarmFewerSweepsThanCold(t *testing.T) {
 		cold.Data()[i] = rng.NormFloat64()
 	}
 	orthonormalize(cold)
-	_, coldSweeps, err := TopKWarm(a, k, cold, 1)
+	_, coldSweeps, err := TopKWarm(a, k, cold, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	warm := perturbedBasis(ref.Vectors, subspaceWidth(n, k), 1e-4, 5)
-	sys, warmSweeps, err := TopKWarm(a, k, warm, 1)
+	sys, warmSweeps, err := TopKWarm(a, k, warm, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,14 +145,14 @@ func TestTopKWarmNilAndMismatch(t *testing.T) {
 		vals[i] = math.Exp(-float64(i) / 8)
 	}
 	a := spdWithSpectrum(vals, 3)
-	sys, sweeps, err := TopKWarm(a, 4, nil, 7)
+	sys, sweeps, err := TopKWarm(a, 4, nil, 7, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sweeps != 0 {
 		t.Fatalf("nil warm reported %d sweeps", sweeps)
 	}
-	refSys, err := TopK(a, 4, 7)
+	refSys, err := TopK(a, 4, 7, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestTopKWarmNilAndMismatch(t *testing.T) {
 			t.Fatalf("nil warm diverged from TopK at value %d", i)
 		}
 	}
-	if _, _, err := TopKWarm(a, 4, mat.NewDense(10, 4), 7); err == nil {
+	if _, _, err := TopKWarm(a, 4, mat.NewDense(10, 4), 7, 0); err == nil {
 		t.Fatal("expected error for mismatched warm basis rows")
 	}
 }

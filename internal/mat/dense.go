@@ -113,25 +113,26 @@ func TransposeInto(t, m *Dense) {
 	}
 }
 
-// Mul computes a*b into a new matrix, parallelizing across row stripes.
-// It panics on inner-dimension mismatch.
+// Mul computes a*b into a new matrix, parallelizing across row stripes
+// (up to GOMAXPROCS workers). It panics on inner-dimension mismatch.
 func Mul(a, b *Dense) *Dense {
 	if a.cols != b.rows {
 		panic(fmt.Sprintf("mat: mul shape mismatch %dx%d · %dx%d", a.rows, a.cols, b.rows, b.cols))
 	}
 	out := NewDense(a.rows, b.cols)
-	MulInto(out, a, b)
+	MulInto(out, a, b, 0)
 	return out
 }
 
-// MulInto computes out = a*b, reusing out's storage. out must be a.rows ×
-// b.cols and must not alias a or b.
-func MulInto(out, a, b *Dense) {
+// MulInto computes out = a*b, reusing out's storage, with at most workers
+// goroutines (0 = GOMAXPROCS). out must be a.rows × b.cols and must not
+// alias a or b. Each output row is computed by one worker in the same
+// order whatever the bound, so the worker count never changes a bit.
+func MulInto(out, a, b *Dense, workers int) {
 	if a.cols != b.rows || out.rows != a.rows || out.cols != b.cols {
 		panic("mat: MulInto shape mismatch")
 	}
 	n := a.rows
-	workers := parallel.DefaultWorkers()
 	if n*a.cols*b.cols < 1<<16 {
 		workers = 1
 	}
@@ -241,8 +242,8 @@ func CorrelationW(m *Dense, workers int) *Dense {
 
 // covarianceCentered computes (X-μ)ᵀ(X-μ)/(n-1), optionally scaling each
 // feature by 1/std (yielding the correlation matrix). The Gram product
-// runs through the blocked SyrK kernel; the worker count does not affect
-// the result bits (see SyrKInto).
+// runs through the register-tiled Gram kernel; the worker count does not
+// affect the result bits (see gramInto).
 func covarianceCentered(m *Dense, means, stds []float64, workers int) *Dense {
 	cov := NewDense(m.cols, m.cols)
 	CovarianceCenteredInto(cov, m, means, stds, workers)
@@ -264,21 +265,28 @@ func CovarianceCenteredInto(cov, m *Dense, means, stds []float64, workers int) {
 	if den <= 0 {
 		den = 1
 	}
-	// Center (and optionally scale) into a scratch matrix, then one
-	// symmetric rank-k update instead of a general multiply + transpose.
+	// Center (and optionally scale) straight into the feature-major
+	// layout the Gram kernel reads, in cache blocks as TransposeInto
+	// walks, then one symmetric rank-k update.
 	centered := scratch.Floats(r * c)
-	for i := 0; i < r; i++ {
-		src := m.data[i*c:]
-		dst := centered[i*c:]
-		for j := 0; j < c; j++ {
-			v := src[j] - means[j]
-			if stds != nil {
-				v /= stds[j]
+	const bs = 64
+	for i0 := 0; i0 < r; i0 += bs {
+		i1 := min(i0+bs, r)
+		for j0 := 0; j0 < c; j0 += bs {
+			j1 := min(j0+bs, c)
+			for i := i0; i < i1; i++ {
+				src := m.data[i*c:]
+				for j := j0; j < j1; j++ {
+					v := src[j] - means[j]
+					if stds != nil {
+						v /= stds[j]
+					}
+					centered[j*r+i] = v
+				}
 			}
-			dst[j] = v
 		}
 	}
-	SyrKInto(cov, NewDenseData(r, c, centered), workers)
+	gramInto(cov, NewDenseData(c, r, centered), workers)
 	scratch.PutFloats(centered)
 	for i := range cov.data {
 		cov.data[i] /= den
@@ -289,11 +297,21 @@ func CovarianceCenteredInto(cov, m *Dense, means, stds []float64, workers int) {
 // returns the lower-triangular factor. It returns an error if a is not
 // positive definite (within a small jitter tolerance).
 func Cholesky(a *Dense) (*Dense, error) {
+	l, _, err := CholeskyUntil(a, nil)
+	return l, err
+}
+
+// CholeskyUntil is Cholesky with an early exit. Columns are factored
+// left to right; once pivot L_jj is set, and before the column below it,
+// stop(j, L_jj) is called (a nil stop never fires). A true return
+// abandons the factorization: l is nil and stopped is true. A factor that
+// completes carries Cholesky's bits, since the operations are the same.
+func CholeskyUntil(a *Dense, stop func(j int, ljj float64) bool) (l *Dense, stopped bool, err error) {
 	if a.rows != a.cols {
-		return nil, fmt.Errorf("mat: cholesky of non-square %dx%d", a.rows, a.cols)
+		return nil, false, fmt.Errorf("mat: cholesky of non-square %dx%d", a.rows, a.cols)
 	}
 	n := a.rows
-	l := NewDense(n, n)
+	l = NewDense(n, n)
 	for j := 0; j < n; j++ {
 		lj := l.data[j*n : j*n+j]
 		var d float64
@@ -302,10 +320,13 @@ func Cholesky(a *Dense) (*Dense, error) {
 		}
 		d = a.data[j*n+j] - d
 		if d <= 0 {
-			return nil, fmt.Errorf("mat: matrix not positive definite at pivot %d (d=%g)", j, d)
+			return nil, false, fmt.Errorf("mat: matrix not positive definite at pivot %d (d=%g)", j, d)
 		}
 		ljj := math.Sqrt(d)
 		l.data[j*n+j] = ljj
+		if stop != nil && stop(j, ljj) {
+			return nil, true, nil
+		}
 		inv := 1 / ljj
 		// Rows below the pivot in pairs: two independent dot products,
 		// each summed in ascending k, keep the FPU busy without changing
@@ -322,7 +343,7 @@ func Cholesky(a *Dense) (*Dense, error) {
 			l.data[i1*n+j] = (a.data[i1*n+j] - s1) * inv
 		}
 	}
-	return l, nil
+	return l, false, nil
 }
 
 // CholeskySolve solves a x = b for symmetric positive definite a given its
@@ -354,18 +375,25 @@ func CholeskySolve(l *Dense, b []float64) []float64 {
 }
 
 // SPDInverseDiag returns the diagonal of the inverse of the symmetric
-// positive-definite matrix a, via one Cholesky factorization. Entry j is
-// eⱼᵀ·A⁻¹·eⱼ from a forward solve L y = eⱼ over rows ≥ j only (the
-// leading entries of y are zero) and a back-substitution Lᵀ x = y that
-// stops at row j, reading a transposed copy of L so both solves walk
-// rows. The operations and their order are those of CholeskySolve on eⱼ,
-// so each entry carries the bits of the full inverse's diagonal.
+// positive-definite matrix a, via one Cholesky factorization and
+// CholeskyInverseDiag.
 func SPDInverseDiag(a *Dense) ([]float64, error) {
 	l, err := Cholesky(a)
 	if err != nil {
 		return nil, err
 	}
-	n := a.rows
+	return CholeskyInverseDiag(l), nil
+}
+
+// CholeskyInverseDiag returns the diagonal of A⁻¹ given A's Cholesky
+// factor l. Entry j is eⱼᵀ·A⁻¹·eⱼ from a forward solve L y = eⱼ over rows
+// ≥ j only (the leading entries of y are zero) and a back-substitution
+// Lᵀ x = y that stops at row j, reading a transposed copy of L so both
+// solves walk rows. The operations and their order are those of
+// CholeskySolve on eⱼ, so each entry carries the bits of the full
+// inverse's diagonal.
+func CholeskyInverseDiag(l *Dense) []float64 {
+	n := l.rows
 	lt := l.T()
 	diag := make([]float64, n)
 	y0, y1 := make([]float64, n), make([]float64, n)
@@ -410,7 +438,7 @@ func SPDInverseDiag(a *Dense) ([]float64, error) {
 		}
 		diag[j0], diag[j1] = y0[j0], y1[j1]
 	}
-	return diag, nil
+	return diag
 }
 
 // Equal reports whether a and b have the same shape and all elements within

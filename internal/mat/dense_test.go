@@ -356,3 +356,24 @@ func TestCloneIndependence(t *testing.T) {
 		t.Fatal("Clone shares storage with original")
 	}
 }
+
+// TestMulIntoWorkersBitIdentical: the worker bound only splits output
+// rows, so every bound gives the serial product's bits, on shapes below
+// and above the parallel cutoff and on odd row counts.
+func TestMulIntoWorkersBitIdentical(t *testing.T) {
+	for _, s := range [][3]int{{3, 4, 5}, {65, 33, 17}, {512, 256, 42}, {257, 255, 254}} {
+		a := randomDense(s[0], s[1], int64(s[0]+s[1]))
+		b := randomDense(s[1], s[2], int64(s[1]+s[2]))
+		want := NewDense(s[0], s[2])
+		MulInto(want, a, b, 1)
+		for _, w := range []int{2, 8} {
+			got := NewDense(s[0], s[2])
+			MulInto(got, a, b, w)
+			for i, v := range got.Data() {
+				if math.Float64bits(v) != math.Float64bits(want.Data()[i]) {
+					t.Fatalf("%v workers=%d: element %d = %v, serial %v", s, w, i, v, want.Data()[i])
+				}
+			}
+		}
+	}
+}

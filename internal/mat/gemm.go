@@ -54,9 +54,8 @@ func Dot(x, y []float64) float64 {
 // four sequential Axpy sweeps and exposes four independent multiply
 // chains to the scheduler. The jam changes the per-element summation
 // ORDER versus sequential axpys, so it must only back kernels whose
-// rounding is not pinned to the naive loop (the sketch and decode
-// kernels below; the exact-path MulInto/SyrKInto keep the
-// order-preserving Axpy).
+// rounding is not pinned to the naive loop (the sketch, projection and
+// decode kernels below; MulInto keeps the order-preserving Axpy).
 func axpy4(dst, x0, x1, x2, x3 []float64, a0, a1, a2, a3 float64) {
 	n := len(dst)
 	x0 = x0[:n]
@@ -99,8 +98,9 @@ func axpy4x2(d0, d1, x0, x1, x2, x3 []float64, a0, a1, a2, a3, c0, c1, c2, c3 fl
 // so how a worker's chunk splits into pairs cannot change a bit.
 //
 // This is the sketch multiply (Y = A·Ω with tall-skinny Ω streams b's few
-// columns through cache while walking a once) and the decode recompose
-// (blocks = C·Z over the rank-space rows). Its summation order is fixed
+// columns through cache while walking a once), the Stage 2 projection
+// (Y = (X−μ)·D_k, pca.Model.TransformW) and the decode recompose (blocks
+// = C·Z over the rank-space rows). Its summation order is fixed
 // but intentionally NOT the naive loop's — only code whose rounding is not
 // pinned to the naive loop may use it (see axpy4).
 func GemmInto(out, a, b *Dense, workers int) {

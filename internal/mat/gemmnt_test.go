@@ -33,7 +33,7 @@ func TestGemmNTIntoMatchesMulBits(t *testing.T) {
 		fill(a)
 		fill(b)
 		want := NewDense(sh.m, sh.n)
-		MulInto(want, a, b.T())
+		MulInto(want, a, b.T(), 1)
 		for _, w := range []int{1, 2, 8} {
 			got := NewDense(sh.m, sh.n)
 			// Poison the output to catch unwritten elements.

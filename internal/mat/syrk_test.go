@@ -88,3 +88,16 @@ func BenchmarkSyrK(b *testing.B) {
 		SyrK(a, 0)
 	}
 }
+
+// BenchmarkCovariance256x512 is the exact fit's Gram at the perfbench
+// shape: a 256×512 field's DCT blocks, 512 samples × M=256 features.
+func BenchmarkCovariance256x512(b *testing.B) {
+	a := randomDense(512, 256, 1)
+	means := ColMeans(a)
+	cov := NewDense(256, 256)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		CovarianceCenteredInto(cov, a, means, nil, 0)
+	}
+}

@@ -23,29 +23,78 @@ const VIFCutoff = 5.0
 // stay invertible; it bounds the reported VIFs rather than breaking them.
 const vifRidge = 1e-6
 
+// probeMargin is the relative margin by which the lower bound of
+// LowLinearity must clear the cutoff before the probe stops early. It
+// sits far above the bound's rounding error (at most about M·κ·ε ≈ 1e-5
+// with the ridge bounding κ by 1e6), so an early answer is always the
+// answer the full inverse diagonal gives.
+const probeMargin = 1e-3
+
 // CorrelationVIF returns the variance inflation factor of each feature
 // whose correlation matrix is corr, VIF_j = 1/(1−R²_j) = (corr⁻¹)_jj,
 // clipped to [1, 1e6] (exact collinearity would otherwise be infinite).
 // It adds the ridge to corr's diagonal in place first.
 func CorrelationVIF(corr *mat.Dense) ([]float64, error) {
-	n := corr.Rows()
-	for i := 0; i < n; i++ {
-		corr.Set(i, i, corr.At(i, i)+vifRidge)
-	}
+	addRidge(corr)
 	diag, err := mat.SPDInverseDiag(corr)
 	if err != nil {
 		return nil, err
 	}
 	for j, v := range diag {
-		if v < 1 {
-			v = 1
-		}
-		if v > 1e6 || math.IsNaN(v) || math.IsInf(v, 0) {
-			v = 1e6
-		}
-		diag[j] = v
+		diag[j] = clipVIF(v)
 	}
 	return diag, nil
+}
+
+// LowLinearity is the auto-standardize probe on the correlation matrix
+// corr: whether the features' mean VIF, as CorrelationVIF reports them,
+// falls below VIFCutoff. A matrix that will not factor counts as
+// high-linearity. It adds the ridge to corr's diagonal in place.
+//
+// It answers "no" as early as it can. Pivot j of the Cholesky factor of
+// R = corr + ridge·I gives 1/L_jj² = 1/(1−R²_j|<j), the VIF of feature j
+// against the features before it only. Conditioning on fewer features
+// never explains more variance, so that is at most feature j's true VIF,
+// and clipping is monotone; every feature not yet factored has a VIF of
+// at least 1. Their sum is thus a lower bound on Σ VIF, and once it
+// clears VIFCutoff·M by probeMargin the factorization stops. Otherwise
+// the same factor yields the inverse diagonal, and the decision is the
+// one CorrelationVIF's VIFs give, bit for bit.
+func LowLinearity(corr *mat.Dense) bool {
+	n := corr.Rows()
+	addRidge(corr)
+	bound := VIFCutoff * float64(n) * (1 + probeMargin)
+	var lower float64
+	l, stopped, err := mat.CholeskyUntil(corr, func(j int, ljj float64) bool {
+		lower += clipVIF(1 / (ljj * ljj))
+		return lower+float64(n-1-j) > bound
+	})
+	if stopped || err != nil {
+		return false
+	}
+	var sum float64
+	for _, v := range mat.CholeskyInverseDiag(l) {
+		sum += clipVIF(v)
+	}
+	return sum/float64(n) < VIFCutoff
+}
+
+// addRidge adds vifRidge to corr's diagonal.
+func addRidge(corr *mat.Dense) {
+	for i := 0; i < corr.Rows(); i++ {
+		corr.Set(i, i, corr.At(i, i)+vifRidge)
+	}
+}
+
+// clipVIF clips a VIF to [1, 1e6], mapping NaN and ±Inf to 1e6.
+func clipVIF(v float64) float64 {
+	if v < 1 {
+		return 1
+	}
+	if v > 1e6 || math.IsNaN(v) || math.IsInf(v, 0) {
+		return 1e6
+	}
+	return v
 }
 
 // Selection tells FitExact how to choose k and how much basis to return.
@@ -69,8 +118,8 @@ type FitTrace struct {
 	K            int  // selected component count, in [1, M]
 	Standardized bool // whether the fit ran on standardized features
 	// TimeVIF is the standardize probe: scaling the covariance to a
-	// correlation matrix and its Cholesky inverse diagonal. Zero when no
-	// probe ran.
+	// correlation matrix and LowLinearity's bound-first Cholesky. Zero
+	// when no probe ran.
 	TimeVIF time.Duration
 	// TimeGram builds the covariance: the means, the centered SyrK Gram
 	// and, when standardizing, the scaling to a correlation matrix.
@@ -192,25 +241,15 @@ func correlateInto(dst, cov *mat.Dense, stds []float64) {
 	}
 }
 
-// lowLinearity is the auto-standardize probe: the mean VIF of the
-// features, read from the correlation matrix of cov, is below
-// VIFCutoff. A correlation matrix that will not factor counts as
-// high-linearity (no standardization), as a failed probe always has.
+// lowLinearity runs LowLinearity on the correlation matrix of cov,
+// built in pooled scratch so cov itself is left as it is.
 func lowLinearity(cov *mat.Dense, stds []float64) bool {
 	n := cov.Rows()
 	buf := scratch.Floats(n * n)
 	defer scratch.PutFloats(buf)
 	corr := mat.NewDenseData(n, n, buf)
 	correlateInto(corr, cov, stds)
-	vif, err := CorrelationVIF(corr)
-	if err != nil {
-		return false
-	}
-	var sum float64
-	for _, v := range vif {
-		sum += v
-	}
-	return sum/float64(n) < VIFCutoff
+	return LowLinearity(corr)
 }
 
 // kForTVE is the smallest k whose cumulative TVE reaches tve, or the

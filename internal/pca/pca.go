@@ -102,7 +102,7 @@ func FitK(x *mat.Dense, k int, opts Options, seed int64) (*Model, error) {
 	for i := 0; i < c; i++ {
 		m.TotalVar += cov.At(i, i)
 	}
-	sys, err := eigen.TopK(cov, k, seed)
+	sys, err := eigen.TopK(cov, k, seed, opts.Workers)
 	if err != nil {
 		return nil, fmt.Errorf("pca: truncated eigendecomposition failed: %w", err)
 	}
@@ -265,27 +265,16 @@ func (m *Model) ProjectionMatrix(k int) *mat.Dense {
 
 // Transform projects x (rows = samples, cols = M features) onto the k
 // leading components, returning the rows × k score matrix Y = (X−μ)·D_k.
-// The centered intermediate runs through pooled scratch storage.
+// It is TransformW with no worker bound (GOMAXPROCS).
 func (m *Model) Transform(x *mat.Dense, k int) *mat.Dense {
-	r, c := x.Dims()
-	if c != m.NumFeatures() {
-		panic("pca: Transform feature-count mismatch")
-	}
-	buf := scratch.Floats(r * c)
-	defer scratch.PutFloats(buf)
-	centered := mat.NewDenseData(r, c, buf)
-	centerInto(centered, x, m.Means, m.Scales)
-	out := mat.NewDense(r, k)
-	mat.MulInto(out, centered, m.ProjectionMatrix(k))
-	return out
+	return m.TransformW(x, k, 0)
 }
 
-// TransformFast is Transform on the jammed sketch multiply (GemmInto)
-// with an explicit worker bound. Its rounding differs from Transform's
-// order-preserving MulInto, so the exact engine must not use it; the
-// sketch engine does, where the projection would otherwise be the last
-// unjammed full-data pass. Deterministic for every worker count.
-func (m *Model) TransformFast(x *mat.Dense, k, workers int) *mat.Dense {
+// TransformW is Transform with an explicit worker bound (0 = GOMAXPROCS).
+// The centered intermediate runs through pooled scratch storage and the
+// product through mat.GemmInto, whose bits do not depend on the worker
+// count.
+func (m *Model) TransformW(x *mat.Dense, k, workers int) *mat.Dense {
 	r, c := x.Dims()
 	if c != m.NumFeatures() {
 		panic("pca: Transform feature-count mismatch")

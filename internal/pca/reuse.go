@@ -128,8 +128,8 @@ func FitTVEReuse(x *mat.Dense, target float64, opts Options, seed int64, cand *B
 	if opts.Standardize {
 		m.Scales = mat.ColStds(x, m.Means)
 	}
-	if guardSample(x, m.Means, m.Scales, cand.Q, target) {
-		if ok := acceptExact(m, x, cand.Q, cand.Q.Cols(), target); ok {
+	if guardSample(x, m.Means, m.Scales, cand.Q, target, opts.Workers) {
+		if ok := acceptExact(m, x, cand.Q, cand.Q.Cols(), target, opts.Workers); ok {
 			return m, ReuseAccept, nil
 		}
 	}
@@ -168,8 +168,8 @@ func FitKReuse(x *mat.Dense, k int, target float64, opts Options, seed int64, ca
 	if opts.Standardize {
 		m.Scales = mat.ColStds(x, m.Means)
 	}
-	if target > 0 && target <= 1 && cand.Q.Cols() >= k && guardSample(x, m.Means, m.Scales, cand.Q, target) {
-		if ok := acceptExact(m, x, cand.Q, k, target); ok {
+	if target > 0 && target <= 1 && cand.Q.Cols() >= k && guardSample(x, m.Means, m.Scales, cand.Q, target, opts.Workers) {
+		if ok := acceptExact(m, x, cand.Q, k, target, opts.Workers); ok {
 			return m, ReuseAccept, nil
 		}
 	}
@@ -182,7 +182,7 @@ func FitKReuse(x *mat.Dense, k int, target float64, opts Options, seed int64, ca
 	for i := 0; i < c; i++ {
 		m.TotalVar += cov.At(i, i)
 	}
-	sys, _, err := eigen.TopKWarm(cov, k, cand.Q, seed)
+	sys, _, err := eigen.TopKWarm(cov, k, cand.Q, seed, opts.Workers)
 	if err != nil {
 		return nil, ReuseRefine, fmt.Errorf("pca: warm truncated eigendecomposition failed: %w", err)
 	}
@@ -197,7 +197,7 @@ func FitKReuse(x *mat.Dense, k int, target float64, opts Options, seed int64, ca
 // least the target fraction of its energy. It only decides whether the
 // exact full-data verification is worth running; acceptance is never
 // granted on the sample alone.
-func guardSample(x *mat.Dense, means, scales []float64, q *mat.Dense, target float64) bool {
+func guardSample(x *mat.Dense, means, scales []float64, q *mat.Dense, target float64, workers int) bool {
 	r, c := x.Dims()
 	kc := q.Cols()
 	rs := r
@@ -234,7 +234,7 @@ func guardSample(x *mat.Dense, means, scales []float64, q *mat.Dense, target flo
 	ybuf := scratch.Floats(rs * kc)
 	defer scratch.PutFloats(ybuf)
 	y := mat.NewDenseData(rs, kc, ybuf)
-	mat.MulInto(y, sample, q)
+	mat.MulInto(y, sample, q, workers)
 	var captured float64
 	for _, v := range ybuf {
 		captured += v * v
@@ -248,7 +248,7 @@ func guardSample(x *mat.Dense, means, scales []float64, q *mat.Dense, target flo
 // orthonormal makes Σλ̂ exactly the variance the projection preserves)
 // together with the exact total variance of x. m supplies the means and
 // scales; nothing else on m is read or written.
-func measureRayleigh(m *Model, x *mat.Dense, q *mat.Dense) (lam []float64, totalVar float64) {
+func measureRayleigh(m *Model, x *mat.Dense, q *mat.Dense, workers int) (lam []float64, totalVar float64) {
 	r, c := x.Dims()
 	kc := q.Cols()
 	cbuf := scratch.Floats(r * c)
@@ -267,7 +267,7 @@ func measureRayleigh(m *Model, x *mat.Dense, q *mat.Dense) (lam []float64, total
 	ybuf := scratch.Floats(r * kc)
 	defer scratch.PutFloats(ybuf)
 	y := mat.NewDenseData(r, kc, ybuf)
-	mat.MulInto(y, centered, q)
+	mat.MulInto(y, centered, q, workers)
 	lam = make([]float64, kc)
 	for i := 0; i < r; i++ {
 		row := y.Row(i)
@@ -317,8 +317,8 @@ func adoptColumns(m *Model, q *mat.Dense, lam []float64, order []int, keep int, 
 // columns re-ranked by measured variance (truncated to keep), its
 // eigenvalues are the measurements, and true is returned; on failure the
 // model's Eigenvalues/Components/TotalVar are left unset.
-func acceptExact(m *Model, x *mat.Dense, q *mat.Dense, keep int, target float64) bool {
-	lam, totalVar := measureRayleigh(m, x, q)
+func acceptExact(m *Model, x *mat.Dense, q *mat.Dense, keep int, target float64, workers int) bool {
+	lam, totalVar := measureRayleigh(m, x, q, workers)
 	order := rankByVariance(lam)
 	var captured float64
 	for j := 0; j < keep; j++ {
@@ -357,7 +357,7 @@ func refineTVE(m *Model, x *mat.Dense, target float64, opts Options, seed int64,
 			m.Components = sys.Vectors
 			return nil
 		}
-		sys, _, err := eigen.TopKWarm(cov, k, warm, seed)
+		sys, _, err := eigen.TopKWarm(cov, k, warm, seed, opts.Workers)
 		if err != nil {
 			return fmt.Errorf("pca: warm truncated eigendecomposition failed: %w", err)
 		}

@@ -247,7 +247,7 @@ func FitKSketch(x *mat.Dense, k int, target float64, opts Options, seed int64) (
 		m2, err2 := FitK(x, k, copts, seed)
 		return m2, SketchFallback, err2
 	}
-	if target > 0 && target <= 1 && acceptExact(m, x, sys.Vectors, k, target) {
+	if target > 0 && target <= 1 && acceptExact(m, x, sys.Vectors, k, target, opts.Workers) {
 		return m, SketchAccept, nil
 	}
 
@@ -260,7 +260,7 @@ func FitKSketch(x *mat.Dense, k int, target float64, opts Options, seed int64) (
 	for i := 0; i < c; i++ {
 		m.TotalVar += cov.At(i, i)
 	}
-	wsys, _, err := eigen.TopKWarm(cov, k, sys.Vectors, seed)
+	wsys, _, err := eigen.TopKWarm(cov, k, sys.Vectors, seed, opts.Workers)
 	if err != nil {
 		return nil, SketchRefine, fmt.Errorf("pca: warm truncated eigendecomposition failed: %w", err)
 	}
@@ -370,7 +370,7 @@ func subsampleRows(src *mat.Dense, rows int) (*mat.Dense, []float64) {
 // λ̂_j = ‖C q_j‖²/(r−1) for the already-centered matrix C — the
 // measurement core of the acceptance guard, on the jammed sketch multiply
 // (deterministic for every worker count, rounding independent of the
-// exact path's MulInto).
+// reuse guard's MulInto).
 func measureCentered(centered, q *mat.Dense, workers int) []float64 {
 	r, _ := centered.Dims()
 	kc := q.Cols()

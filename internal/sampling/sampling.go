@@ -205,11 +205,26 @@ func subsetIndices(s, t int, seed int64) []int {
 }
 
 // VIF computes the variance inflation factor of each (sampled) feature of
-// x from a row sample of rate sr (pca.CorrelationVIF on the sample's
-// correlation matrix). Columns beyond maxFeatures are uniformly
-// subsampled. Algorithm 2 probes with it; the exact Stage 2 fit reads
-// the same factors off its own covariance instead (pca.FitExact).
+// x: pca.CorrelationVIF on SampleCorrelation's matrix. Algorithm 2 reports
+// them; a fit that only needs the standardize decision runs
+// pca.LowLinearity on the same matrix instead, and the exact Stage 2 fit
+// reads it off its own covariance (pca.FitExact).
 func VIF(x *mat.Dense, sr float64, maxFeatures int, seed int64) ([]float64, error) {
+	corr, err := SampleCorrelation(x, sr, maxFeatures, seed)
+	if err != nil {
+		return nil, err
+	}
+	vif, err := pca.CorrelationVIF(corr)
+	if err != nil {
+		return nil, fmt.Errorf("sampling: VIF inversion: %w", err)
+	}
+	return vif, nil
+}
+
+// SampleCorrelation is the correlation matrix the VIF probe reads: that
+// of a row sample of x at rate sr, at least four rows and twice as tall
+// as it is wide. Columns beyond maxFeatures are uniformly subsampled.
+func SampleCorrelation(x *mat.Dense, sr float64, maxFeatures int, seed int64) (*mat.Dense, error) {
 	n, m := x.Dims()
 	if n < 4 || m < 2 {
 		return nil, fmt.Errorf("sampling: matrix %dx%d too small for VIF", n, m)
@@ -253,11 +268,7 @@ func VIF(x *mat.Dense, sr float64, maxFeatures int, seed int64) ([]float64, erro
 			dst[j] = src[c]
 		}
 	}
-	vif, err := pca.CorrelationVIF(mat.Correlation(sub))
-	if err != nil {
-		return nil, fmt.Errorf("sampling: VIF inversion: %w", err)
-	}
-	return vif, nil
+	return mat.Correlation(sub), nil
 }
 
 // sampleDistinct draws `want` distinct indices from [0, n) — all of them,
