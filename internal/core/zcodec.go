@@ -14,8 +14,8 @@ import (
 )
 
 // This file is the zlib add-on stage's codec: pooled writers/readers so
-// the per-section deflate calls do not rebuild their ~32 KiB of flate
-// state each time, and a shard framing that splits large sections into
+// the per-section deflate calls do not allocate a new flate state (over
+// 640 KiB of hash tables) each time, and a shard framing that splits large sections into
 // independently-deflated chunks so a single big section can use every
 // worker. Shard boundaries depend only on the raw section length, never
 // on the worker count, so streams are byte-identical for any parallelism.

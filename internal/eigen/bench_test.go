@@ -1,6 +1,7 @@
 package eigen
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -102,8 +103,27 @@ func BenchmarkSymEigTopK256(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := SymEigTopK(a, fixedCount(42)); err != nil {
+		if _, err := SymEigTopK(a, fixedCount(42), 1); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkSymEigTopK256Flat is the eigensolve of the flat-spectrum
+// benchmark workload as the exact fit runs it: the CLDHGH-like
+// covariance with the k=254 of 256 vectors its default TVE selects,
+// past the crossover, so on the accumulation route; at one and two
+// workers.
+func BenchmarkSymEigTopK256Flat(b *testing.B) {
+	a := dctBlockCovariance(b, "CLDHGH", 2001)
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("w%d", workers), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := SymEigTopK(a, fixedCount(254), workers); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -8,13 +8,14 @@
 // (symmetric positive semi-definite, typically a few hundred to a few
 // thousand features) it converges in a handful of sweeps per eigenvalue.
 //
-// Both kernels are laid out so that every O(n³) inner loop walks
-// contiguous memory of the row-major workspace: tred2's mat-vec and its
-// accumulation phase sweep rows rather than columns, and tqli rotates
-// rows of the transposed accumulator (eigenvectors are its rows until
-// the final sort copies them into columns). Each floating-point
+// Every O(n³) inner loop walks contiguous memory: tred2's mat-vec sweeps
+// rows of the row-major workspace, the accumulation builds each column
+// of Q as a contiguous row of a packed stripe, and the QL rotations are
+// replayed on contiguous rows of the transposed accumulator, split into
+// one private stripe per worker (vectors.go). Each floating-point
 // operation and its order are those of the textbook column-walking
-// loops, so the results are bit-identical to them.
+// loops, so the results are bit-identical to them for every worker
+// count.
 package eigen
 
 import (
@@ -42,7 +43,8 @@ type System struct {
 }
 
 // SymEig computes the full eigendecomposition of the symmetric matrix a.
-// Only the lower triangle is read; a is not modified.
+// Only the lower triangle is read; a is not modified. It runs the
+// accumulation route of SymEigTopK on one worker.
 func SymEig(a *mat.Dense) (*System, error) {
 	r, c := a.Dims()
 	if r != c {
@@ -52,25 +54,31 @@ func SymEig(a *mat.Dense) (*System, error) {
 		return &System{Values: nil, Vectors: mat.NewDense(0, 0)}, nil
 	}
 	n := r
-	// z starts as a copy of a and is overwritten with the accumulated
-	// orthogonal transform, transposed in place before tqli so that each
-	// rotation updates two contiguous rows; afterwards row j of z is the
-	// eigenvector of d[j]. The workspace is pooled: sortedSystem copies
-	// the eigenpairs into fresh storage, so nothing pooled escapes to the
-	// caller.
+	// The workspace is pooled, apart from the accumulation buffer q,
+	// which ends as the returned eigenvectors: nothing pooled escapes to
+	// the caller.
 	z := scratch.Floats(n * n)
 	defer scratch.PutFloats(z)
 	copy(z, a.Data())
-	d := scratch.Floats(n) // diagonal
+	h := scratch.Floats(n) // reflector scalars
+	defer scratch.PutFloats(h)
+	d := scratch.Floats(n) // diagonal, then the eigenvalues
 	defer scratch.PutFloats(d)
 	e := scratch.Floats(n) // off-diagonal
 	defer scratch.PutFloats(e)
-	tred2(z, d, e, true)
-	transposeSquare(z, n)
-	if err := tqli(d, e, z); err != nil {
+	tred2Reduce(z, h, e)
+	tred2Diagonal(z, d)
+	q := make([]float64, n*n)
+	rows, err := accumulatedVectors(z, h, d, e, q, 1)
+	if err != nil {
 		return nil, err
 	}
-	return sortedSystem(d, z, n), nil
+	idx := descendingOrder(d)
+	vals := make([]float64, n)
+	for newJ, oldJ := range idx {
+		vals[newJ] = d[oldJ]
+	}
+	return &System{Values: vals, Vectors: gatherVectors(q, z, rows, idx, n)}, nil
 }
 
 // SymEigValues computes only the eigenvalues of the symmetric matrix a,
@@ -96,7 +104,8 @@ func SymEigValues(a *mat.Dense) ([]float64, error) {
 	d := make([]float64, n)
 	e := scratch.Floats(n)
 	defer scratch.PutFloats(e)
-	tred2(work, d, e, false)
+	tred2Reduce(work, d, e)
+	tred2Diagonal(work, d)
 	if err := tqli(d, e, nil); err != nil {
 		return nil, err
 	}
@@ -104,57 +113,15 @@ func SymEigValues(a *mat.Dense) ([]float64, error) {
 	return d, nil
 }
 
-// sortedSystem returns the eigenpairs (d[j], row j of the n×n row-major
-// zt) in fresh storage, sorted by descending eigenvalue, with the
-// eigenvectors of the leading cols as columns.
-func sortedSystem(d, zt []float64, cols int) *System {
-	n := len(d)
-	idx := descendingOrder(d)
-	vals := make([]float64, n)
-	vecs := mat.NewDense(n, cols)
-	vd := vecs.Data()
-	for newJ, oldJ := range idx {
-		vals[newJ] = d[oldJ]
-		if newJ >= cols {
-			continue
-		}
-		for i, v := range zt[oldJ*n : (oldJ+1)*n] {
-			vd[i*cols+newJ] = v
-		}
-	}
-	return &System{Values: vals, Vectors: vecs}
-}
-
-// transposeSquare transposes the n×n row-major matrix a in place.
-func transposeSquare(a []float64, n int) {
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			a[i*n+j], a[j*n+i] = a[j*n+i], a[i*n+j]
-		}
-	}
-}
-
-// tred2 reduces the symmetric n×n row-major matrix a (lower triangle
-// read) to tridiagonal form using Householder reflections. On return d
-// holds the diagonal and e the sub-diagonal (e[0] is zero). With vectors
-// set, the orthogonal transform is accumulated into a; otherwise a is
-// left as scratch.
-func tred2(a, d, e []float64, vectors bool) {
-	tred2Reduce(a, d, e)
-	if !vectors {
-		tred2Diagonal(a, d)
-		return
-	}
-	tred2Accumulate(a, d)
-}
-
-// tred2Reduce is tred2's reduction phase. On return e holds the
-// sub-diagonal (e[0] is zero) and d[i] the scalar H of reflector i,
-// P_i = I − u·uᵀ/H, whose Householder vector u is stored in row i of a
-// left of the diagonal (zero when step i needed no reflection). The
-// upper triangle holds u/H by columns, and the diagonal of a is the
-// diagonal of the tridiagonal matrix (see tred2Diagonal). The
-// orthogonal transform is Q = P_{n-1}···P_1, with QᵀAQ tridiagonal.
+// tred2Reduce reduces the symmetric n×n row-major matrix a (lower
+// triangle read) to tridiagonal form with Householder reflections. On
+// return e holds the sub-diagonal (e[0] is zero) and d[i] the scalar H
+// of reflector i, P_i = I − u·uᵀ/H, whose Householder vector u is stored
+// in row i of a left of the diagonal (zero when step i needed no
+// reflection). The upper triangle holds u/H by columns, and the diagonal
+// of a is the diagonal of the tridiagonal matrix (see tred2Diagonal).
+// The orthogonal transform is Q = P_{n-1}···P_1, with QᵀAQ tridiagonal;
+// accumulatedVectors and backTransform apply it.
 func tred2Reduce(a, d, e []float64) {
 	n := len(d)
 	for i := n - 1; i >= 1; i-- {
@@ -273,58 +240,13 @@ func tred2Diagonal(a, d []float64) {
 	}
 }
 
-// tred2Accumulate is tred2's accumulation phase: it overwrites the
-// reduced a with Q, reading each reflector's H from d (as tred2Reduce
-// left it), and leaves the tridiagonal's diagonal in d.
-func tred2Accumulate(a, d []float64) {
-	n := len(d)
-	// Accumulate Q = P_{n-1}···P_1. Step i applies its reflector to the
-	// leading i×i block: g = (row i)·block gathered over whole rows,
-	// then the rank-1 update row by row. Every g[j] keeps its
-	// ascending-k sum, and the update reads no column it writes.
-	g := scratch.Floats(n)
-	defer scratch.PutFloats(g)
-	for i := 0; i < n; i++ {
-		if d[i] != 0 {
-			ai := a[i*n : i*n+i]
-			gi := g[:i]
-			clear(gi)
-			for k, aik := range ai {
-				row := a[k*n : k*n+i]
-				gi = gi[:len(row)]
-				for j, v := range row {
-					gi[j] += aik * v
-				}
-			}
-			for k := 0; k < i; k++ {
-				aki := a[k*n+i]
-				row := a[k*n : k*n+i]
-				gi = gi[:len(row)]
-				for j := range row {
-					row[j] -= gi[j] * aki
-				}
-			}
-		}
-		d[i] = a[i*n+i]
-		a[i*n+i] = 1
-		for j := 0; j < i; j++ {
-			a[j*n+i] = 0
-			a[i*n+j] = 0
-		}
-	}
-}
-
 // tqli diagonalizes a symmetric tridiagonal matrix (diagonal d,
 // sub-diagonal e) with implicit-shift QL. On return d holds the
-// eigenvalues. Unless zt is nil, each rotation is also applied to rows of
-// the n×n row-major zt, the transposed accumulator.
-func tqli(d, e, zt []float64) error { return tqliTrack(d, e, zt, nil) }
-
-// tqliTrack is tqli that also applies each rotation to col, one column
-// of the transposed accumulator, at O(1) per rotation: started from
-// column c of the accumulator tqli would be given, col ends holding
-// component c of every (unsorted) eigenvector, bit for bit.
-func tqliTrack(d, e, zt, col []float64) error {
+// eigenvalues. Unless rot is nil it is called with each plane rotation
+// (i, s, c) in order; applied to the rows of the transposed accumulator
+// zt, rotation (i, s, c) sets zt_i, zt_{i+1} to c·zt_i − s·zt_{i+1},
+// s·zt_i + c·zt_{i+1}, which leaves eigenvector j in row j.
+func tqli(d, e []float64, rot func(i int, s, c float64)) error {
 	n := len(d)
 	for i := 1; i < n; i++ {
 		e[i-1] = e[i]
@@ -370,18 +292,8 @@ func tqliTrack(d, e, zt, col []float64) error {
 				p = s * r
 				d[i+1] = g + p
 				g = c*r - b
-				if zt != nil {
-					zi := zt[i*n : (i+1)*n]
-					zi1 := zt[(i+1)*n : (i+2)*n][:len(zi)]
-					for k, v := range zi1 {
-						zi1[k] = s*zi[k] + c*v
-						zi[k] = c*zi[k] - s*v
-					}
-				}
-				if col != nil {
-					v := col[i+1]
-					col[i+1] = s*col[i] + c*v
-					col[i] = c*col[i] - s*v
+				if rot != nil {
+					rot(i, s, c)
 				}
 			}
 			if r == 0 && m-1 >= l {

@@ -137,11 +137,13 @@ func TestSymEigValuesBitIdenticalToReference(t *testing.T) {
 	}
 }
 
-// TestTqliBitIdenticalToReference drives tqli directly on tridiagonals
-// with subnormal entries, where a rotation's hypotenuse underflows to
-// exactly zero (the r == 0 split branch no dense input above reaches).
-// The transposed accumulator must end as the transpose of the reference
-// one, and the values-only run must match refTqliValues.
+// TestTqliBitIdenticalToReference drives the striped rotation replay
+// directly on tridiagonals with subnormal entries, where a rotation's
+// hypotenuse underflows to exactly zero (the r == 0 split branch, which
+// breaks a sweep midway and which no dense input above reaches). Started
+// from the identity at every worker count, the stripes must end as the
+// reference's accumulator, and the values-only run must match
+// refTqliValues.
 func TestTqliBitIdenticalToReference(t *testing.T) {
 	for _, tc := range []struct{ d, e []float64 }{
 		{[]float64{1e-310, 0, -1e-310, 1e-300}, []float64{1e-300, 1e-300, 1e-310, -1}},
@@ -149,30 +151,30 @@ func TestTqliBitIdenticalToReference(t *testing.T) {
 		{[]float64{3, 2, 1e-310, 5e-324, 5e-324}, []float64{-1e-310, 0.5, 2, 1e-300, 1e+300}},
 	} {
 		n := len(tc.d)
-		id := func() []float64 {
-			z := make([]float64, n*n)
-			for i := 0; i < n; i++ {
-				z[i*n+i] = 1
-			}
-			return z
+		id := make([]float64, n*n)
+		for i := 0; i < n; i++ {
+			id[i*n+i] = 1
 		}
-		wd, we, wz := slices.Clone(tc.d), slices.Clone(tc.e), mat.NewDenseData(n, n, id())
+		wd, we, wz := slices.Clone(tc.d), slices.Clone(tc.e), mat.NewDenseData(n, n, slices.Clone(id))
 		if err := refTqli(wd, we, wz); err != nil {
 			t.Fatal(err)
 		}
-		gd, ge, gz := slices.Clone(tc.d), slices.Clone(tc.e), id()
-		if err := tqli(gd, ge, gz); err != nil {
-			t.Fatal(err)
-		}
-		transposeSquare(gz, n)
-		if sameBits(gd, wd) != -1 || sameBits(ge, we) != -1 || sameBits(gz, wz.Data()) != -1 {
-			t.Errorf("d=%v e=%v: tqli differs from the reference", tc.d, tc.e)
+		for _, workers := range []int{1, 2, 8} {
+			rows := rowStripes(n, min(workers, n))
+			z := make([]float64, n*n)
+			gd, ge := slices.Clone(tc.d), slices.Clone(tc.e)
+			if err := replayRotations(gd, ge, z, id, rows); err != nil {
+				t.Fatal(err)
+			}
+			if sameBits(gd, wd) != -1 || sameBits(ge, we) != -1 || sameBits(z, stripesOf(wz.T().Data(), rows)) != -1 {
+				t.Errorf("d=%v e=%v workers=%d: replayed tqli differs from the reference", tc.d, tc.e, workers)
+			}
 		}
 		vd, ve := slices.Clone(tc.d), slices.Clone(tc.e)
 		if err := refTqliValues(vd, ve); err != nil {
 			t.Fatal(err)
 		}
-		gd, ge = slices.Clone(tc.d), slices.Clone(tc.e)
+		gd, ge := slices.Clone(tc.d), slices.Clone(tc.e)
 		if err := tqli(gd, ge, nil); err != nil {
 			t.Fatal(err)
 		}
@@ -182,8 +184,60 @@ func TestTqliBitIdenticalToReference(t *testing.T) {
 	}
 }
 
-// TestSymEigDoesNotModifyInput guards the in-place transpose: it must
-// touch only the pooled workspace.
+// stripesOf lays the n×n row-major zt out in the row stripes
+// accumulatedVectors replays on: stripe w holds columns
+// rows[w]..rows[w+1]−1 of zt as a packed n×(rows[w+1]−rows[w]) block.
+func stripesOf(zt []float64, rows []int) []float64 {
+	n := rows[len(rows)-1]
+	out := make([]float64, 0, n*n)
+	for w := 0; w+1 < len(rows); w++ {
+		for i := 0; i < n; i++ {
+			out = append(out, zt[i*n+rows[w]:i*n+rows[w+1]]...)
+		}
+	}
+	return out
+}
+
+// TestSymEigTopKWorkersBitIdenticalToReference: the accumulation route
+// (forced for every count by a zero crossover) returns the frozen
+// SymEig's eigenvalues and leading eigenvectors bit for bit at every
+// worker count. The oracle cases include n ∈ {1, 2, 3}, where eight
+// workers become n and some column stripes are empty, and the
+// block-diagonal matrix, whose zero reflectors the accumulation skips.
+func TestSymEigTopKWorkersBitIdenticalToReference(t *testing.T) {
+	for name, a := range oracleCases(t) {
+		want, err := refSymEig(a)
+		if err != nil {
+			t.Fatalf("%s: reference: %v", name, err)
+		}
+		n, _ := a.Dims()
+		for _, workers := range []int{1, 2, 8} {
+			for _, k := range []int{1, n/2 + 1, n} {
+				got, inverse, err := symEigTopK(a, fixedCount(k), workers, 0, topKGuardTol)
+				if err != nil {
+					t.Fatalf("%s workers=%d k=%d: %v", name, workers, k, err)
+				}
+				if inverse {
+					t.Fatalf("%s workers=%d k=%d: took inverse iteration", name, workers, k)
+				}
+				if i := sameBits(got.Values, want.Values); i != -1 {
+					t.Errorf("%s workers=%d k=%d: eigenvalues differ at %d", name, workers, k, i)
+				}
+				assertLeadingColumnsBitIdentical(t, fmt.Sprintf("%s workers=%d", name, workers), want, got, k)
+			}
+			got, err := SymEigTopK(a, fixedCount(n), workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i := sameBits(got.Vectors.Data(), want.Vectors.Data()); i != -1 {
+				t.Errorf("%s workers=%d: SymEigTopK(n) vectors differ at %d", name, workers, i)
+			}
+		}
+	}
+}
+
+// TestSymEigDoesNotModifyInput guards the pooled workspace: every route
+// must touch only it, on one worker and on two.
 func TestSymEigDoesNotModifyInput(t *testing.T) {
 	a := randomSymmetric(31, rand.New(rand.NewSource(1202)))
 	orig := a.Clone()
@@ -192,6 +246,13 @@ func TestSymEigDoesNotModifyInput(t *testing.T) {
 	}
 	if _, err := SymEigValues(a); err != nil {
 		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 2} {
+		for _, k := range []int{3, 31} { // inverse iteration, accumulation
+			if _, _, err := symEigTopK(a, fixedCount(k), workers, 15, topKGuardTol); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 	if i := sameBits(a.Data(), orig.Data()); i != -1 {
 		t.Fatalf("input modified at %d", i)

@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"dpz/internal/mat"
+	"dpz/internal/parallel"
 	"dpz/internal/scratch"
 )
 
@@ -40,6 +41,11 @@ const (
 	// eigenvector whose sign a computed vector adopts; below it round-off
 	// could decide the sign.
 	signMinLast = 1e-8
+	// minStripeRows is the fewest rows SymEigTopK hands one worker.
+	// Waking a goroutine can cost tens of microseconds on a small
+	// virtual machine, more than a narrower stripe saves (measured at
+	// n ≤ 64, docs/PERFORMANCE.md §15).
+	minStripeRows = 64
 	// invStartSeed is the SplitMix64 increment behind the deterministic
 	// start vectors; the generator restarts at zero on every solve.
 	invStartSeed = 0x9e3779b97f4a7c15
@@ -62,16 +68,25 @@ const (
 // crossover, the reduction is finished the way SymEig finishes it, and
 // the vectors are SymEig's bit for bit. Only the lower triangle of a is
 // read; a is not modified.
-func SymEigTopK(a *mat.Dense, count func(values []float64) int) (*System, error) {
+//
+// workers bounds the parallelism of the vector phases (0 = GOMAXPROCS;
+// 1 starts no goroutine) and never changes a bit. Each worker gets at
+// least minStripeRows rows, so a small matrix runs on one. The reduction
+// and the eigenvalue sweep are serial.
+func SymEigTopK(a *mat.Dense, count func(values []float64) int, workers int) (*System, error) {
 	n, _ := a.Dims()
-	sys, _, err := symEigTopK(a, count, n*topKInverseMaxNum/topKInverseMaxDen, topKGuardTol)
+	if workers <= 0 {
+		workers = parallel.DefaultWorkers()
+	}
+	workers = max(1, min(workers, n/minStripeRows))
+	sys, _, err := symEigTopK(a, count, workers, n*topKInverseMaxNum/topKInverseMaxDen, topKGuardTol)
 	return sys, err
 }
 
 // symEigTopK is SymEigTopK with the crossover (the largest vector count
 // inverse iteration serves) and the guard tolerance as parameters. It
 // also reports whether the vectors came from inverse iteration.
-func symEigTopK(a *mat.Dense, count func(values []float64) int, maxInverse int, tol float64) (sys *System, inverse bool, err error) {
+func symEigTopK(a *mat.Dense, count func(values []float64) int, workers, maxInverse int, tol float64) (sys *System, inverse bool, err error) {
 	r, c := a.Dims()
 	if r != c {
 		return nil, false, fmt.Errorf("eigen: non-square input %dx%d", r, c)
@@ -105,7 +120,8 @@ func symEigTopK(a *mat.Dense, count func(values []float64) int, maxInverse int, 
 	last := scratch.ZeroedFloats(n)
 	defer scratch.PutFloats(last)
 	last[n-1] = 1
-	if err := tqliTrack(vals, ev, nil, last); err != nil {
+	err = tqli(vals, ev, func(i int, s, c float64) { rotateRows(last, 1, i, s, c) })
+	if err != nil {
 		return nil, false, err
 	}
 	order := descendingOrder(vals)
@@ -124,7 +140,7 @@ func symEigTopK(a *mat.Dense, count func(values []float64) int, maxInverse int, 
 		wt := scratch.Floats(kv * n)
 		defer scratch.PutFloats(wt)
 		if tridiagonalVectors(d, e, vals[:kv], signs, wt, tol) {
-			backTransform(z, h, wt, n, kv)
+			backTransform(z, h, wt, n, kv, workers)
 			vecs := mat.NewDense(n, kv)
 			vd := vecs.Data()
 			for j := 0; j < kv; j++ {
@@ -137,15 +153,15 @@ func symEigTopK(a *mat.Dense, count func(values []float64) int, maxInverse int, 
 	}
 
 	// The accumulation route: SymEig's remaining steps on the saved
-	// reduction, so the vectors carry SymEig's bits.
-	tred2Accumulate(z, h)
-	transposeSquare(z, n)
-	if err := tqli(h, e, z); err != nil {
+	// reduction, so the vectors carry SymEig's bits. The replay's
+	// eigenvalues in d are the ones already sorted into vals, and the
+	// accumulation buffer ends as the returned vectors.
+	q := make([]float64, n*n)
+	rows, err := accumulatedVectors(z, h, d, e, q, workers)
+	if err != nil {
 		return nil, false, err
 	}
-	sys = sortedSystem(h, z, kv)
-	sys.Values = vals
-	return sys, false, nil
+	return &System{Values: vals, Vectors: gatherVectors(q, z, rows, order, kv)}, false, nil
 }
 
 // tridiagonalVectors computes, by inverse iteration, the eigenvectors of
@@ -274,42 +290,20 @@ func tridiagonalGuard(d, e, vals, wt []float64, onenrm, tol float64) bool {
 // backTransform maps the tridiagonal eigenvectors in the rows of the
 // kv×n wt to eigenvectors of the original matrix, v = Q·w with
 // Q = P_{n-1}···P_1, by applying the reflectors tred2Reduce left in the
-// rows of z (scalars in h) innermost first. Each reflector is a dot and
-// an axpy over its prefix of every row, four rows at a time so its
-// Householder vector is read once per group.
-func backTransform(z, h, wt []float64, n, kv int) {
-	for i := 1; i < n; i++ {
-		hi := h[i]
-		if hi == 0 {
-			continue
-		}
-		u := z[i*n : i*n+i]
-		j := 0
-		for ; j+4 <= kv; j += 4 {
-			w0 := wt[j*n:][:i]
-			w1 := wt[(j+1)*n:][:i]
-			w2 := wt[(j+2)*n:][:i]
-			w3 := wt[(j+3)*n:][:i]
-			var s0, s1, s2, s3 float64
-			for k, v := range u {
-				s0 += v * w0[k]
-				s1 += v * w1[k]
-				s2 += v * w2[k]
-				s3 += v * w3[k]
+// rows of z (scalars in h) innermost first: each is a dot and an axpy
+// over its prefix of every row. The rows are split into contiguous
+// groups, one per worker; each row sees the same operations in any
+// group, so the bits do not depend on workers.
+func backTransform(z, h, wt []float64, n, kv, workers int) {
+	parallel.ForChunks(kv, workers, func(lo, hi int) {
+		for i := 1; i < n; i++ {
+			if h[i] == 0 {
+				continue
 			}
-			s0, s1, s2, s3 = s0/hi, s1/hi, s2/hi, s3/hi
-			for k, v := range u {
-				w0[k] -= s0 * v
-				w1[k] -= s1 * v
-				w2[k] -= s2 * v
-				w3[k] -= s3 * v
-			}
+			u := z[i*n : i*n+i]
+			reflectRows(wt, n, lo, hi, u, u, h[i])
 		}
-		for ; j < kv; j++ {
-			w := wt[j*n:][:i]
-			mat.Axpy(w, u, -mat.Dot(u, w)/hi)
-		}
-	}
+	})
 }
 
 // tridiagLU is the pivoted LU factorization of T − xI for a symmetric

@@ -198,7 +198,7 @@ func FitExact(x *mat.Dense, sel Selection, opts Options) (*Model, FitTrace, erro
 		}
 		tr.K = min(max(tr.K, 1), c)
 		return min(tr.K+max(sel.Extra, 0), c)
-	})
+	}, opts.Workers)
 	tr.TimeEig = metrics.Since(t0)
 	if err != nil {
 		return nil, tr, fmt.Errorf("pca: eigendecomposition failed: %w", err)

@@ -348,7 +348,7 @@ func refineTVE(m *Model, x *mat.Dense, target float64, opts Options, seed int64,
 	}
 	for k := warm.Cols(); ; k *= 2 {
 		if k >= c {
-			sys, err := eigen.SymEig(cov)
+			sys, err := eigen.SymEigTopK(cov, func([]float64) int { return c }, opts.Workers)
 			if err != nil {
 				return fmt.Errorf("pca: eigendecomposition failed: %w", err)
 			}
