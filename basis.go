@@ -64,8 +64,7 @@ func (b *BasisCache) Capacity() int { return b.c.Capacity() }
 // basisEligible reports whether basis reuse can do anything for o. The
 // guard needs an explicit TVE target to verify candidates against, and
 // the warm solver only helps paths that compute a truncated basis; plain
-// knee-point selection needs the full spectrum, and the Jacobi fit has
-// its own solver.
+// knee-point selection needs the full spectrum.
 func basisEligible(o Options) bool {
 	if !o.BasisReuse {
 		return false

@@ -43,7 +43,6 @@ func run(args []string, out io.Writer) error {
 		fit        = fs.String("fit", "1d", "knee curve fit: 1d or polyn")
 		sampling   = fs.Bool("sampling", false, "enable the Algorithm 2 sampling strategy")
 		basisReuse = fs.Bool("basis-reuse", false, "reuse PCA bases across similar tiles (quality-guarded; tve/sampling paths)")
-		pcaEngine  = fs.String("pca", "exact", "stage 2 eigensolve engine: exact or sketch (randomized, guard-verified)")
 		workers    = fs.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS)")
 		zlevel     = fs.Int("zlevel", 0, "zlib add-on level 1-9 (0 = zlib default)")
 		verify     = fs.Bool("verify", false, "after -z, decompress and report PSNR/θ")
@@ -56,7 +55,7 @@ func run(args []string, out io.Writer) error {
 	}
 	rest := fs.Args()
 
-	opts, err := buildOptions(*scheme, *selection, *nines, *fit, *pcaEngine, *index, *sampling, *basisReuse, *workers, *zlevel)
+	opts, err := buildOptions(*scheme, *selection, *nines, *fit, *index, *sampling, *basisReuse, *workers, *zlevel)
 	if err != nil {
 		return err
 	}
@@ -171,7 +170,7 @@ func run(args []string, out io.Writer) error {
 // byte-identical to a /v1/compress response for the same settings. The
 // explicit nines check preserves the CLI's rejection of -tve 0 (the spec
 // treats 0 as "default").
-func buildOptions(scheme, selection string, nines int, fit, pcaEngine, index string, sampling, basisReuse bool, workers, zlevel int) (dpz.Options, error) {
+func buildOptions(scheme, selection string, nines int, fit, index string, sampling, basisReuse bool, workers, zlevel int) (dpz.Options, error) {
 	if nines == 0 {
 		return dpz.Options{}, fmt.Errorf("tve nines 0 out of range")
 	}
@@ -184,7 +183,6 @@ func buildOptions(scheme, selection string, nines int, fit, pcaEngine, index str
 		Workers:    workers,
 		ZLevel:     zlevel,
 		BasisReuse: basisReuse,
-		PCA:        pcaEngine,
 		Index:      index,
 	}.Options()
 }

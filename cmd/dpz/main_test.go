@@ -34,7 +34,7 @@ func TestParseDims(t *testing.T) {
 }
 
 func TestBuildOptions(t *testing.T) {
-	o, err := buildOptions("loose", "knee", 4, "polyn", "sketch", "on", true, false, 3, 6)
+	o, err := buildOptions("loose", "knee", 4, "polyn", "on", true, false, 3, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,13 +53,10 @@ func TestBuildOptions(t *testing.T) {
 	if o.TVE != dpz.Nines(4) {
 		t.Fatalf("TVE = %v", o.TVE)
 	}
-	if !o.SketchPCA {
-		t.Fatalf("pca engine sketch not threaded: %+v", o)
-	}
 	if o.NoIndex {
 		t.Fatalf("index on produced NoIndex: %+v", o)
 	}
-	o, err = buildOptions("loose", "tve", 4, "1d", "exact", "off", false, false, 0, 0)
+	o, err = buildOptions("loose", "tve", 4, "1d", "off", false, false, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,25 +64,22 @@ func TestBuildOptions(t *testing.T) {
 		t.Fatalf("index off not threaded: %+v", o)
 	}
 
-	if _, err := buildOptions("medium", "tve", 5, "1d", "exact", "on", false, false, 0, 0); err == nil {
+	if _, err := buildOptions("medium", "tve", 5, "1d", "on", false, false, 0, 0); err == nil {
 		t.Fatal("expected error for unknown scheme")
 	}
-	if _, err := buildOptions("strict", "best", 5, "1d", "exact", "on", false, false, 0, 0); err == nil {
+	if _, err := buildOptions("strict", "best", 5, "1d", "on", false, false, 0, 0); err == nil {
 		t.Fatal("expected error for unknown selection")
 	}
-	if _, err := buildOptions("strict", "tve", 0, "1d", "exact", "on", false, false, 0, 0); err == nil {
+	if _, err := buildOptions("strict", "tve", 0, "1d", "on", false, false, 0, 0); err == nil {
 		t.Fatal("expected error for zero nines")
 	}
-	if _, err := buildOptions("strict", "tve", 5, "cubic", "exact", "on", false, false, 0, 0); err == nil {
+	if _, err := buildOptions("strict", "tve", 5, "cubic", "on", false, false, 0, 0); err == nil {
 		t.Fatal("expected error for unknown fit")
 	}
-	if _, err := buildOptions("strict", "tve", 5, "1d", "exact", "on", false, false, 0, 10); err == nil {
+	if _, err := buildOptions("strict", "tve", 5, "1d", "on", false, false, 0, 10); err == nil {
 		t.Fatal("expected error for out-of-range zlevel")
 	}
-	if _, err := buildOptions("strict", "tve", 5, "1d", "magic", "on", false, false, 0, 0); err == nil {
-		t.Fatal("expected error for unknown pca engine")
-	}
-	if _, err := buildOptions("strict", "tve", 5, "1d", "exact", "maybe", false, false, 0, 0); err == nil {
+	if _, err := buildOptions("strict", "tve", 5, "1d", "maybe", false, false, 0, 0); err == nil {
 		t.Fatal("expected error for unknown index mode")
 	}
 }

@@ -46,13 +46,18 @@ func loadBaseline(path string) (*perfReport, error) {
 // compareBaseline gates report against the baseline at path: every
 // record present in both (matched by name + workers) must not have
 // slowed by more than maxRegress percent, on ns/op or on any sufficiently
-// large stage. Faster-or-equal records pass silently; missing records on
-// either side are ignored (suites grow across revisions). The returned
-// error lists every offender.
+// large stage. Faster-or-equal records pass silently. Records new in the
+// current report are not gated (suites grow across revisions); records
+// the current report dropped are not gated either, but each is named on
+// a "dropped: <name> w<workers>" line so a removal never passes
+// unnoticed. The returned error lists every offender.
 func compareBaseline(path string, report perfReport, maxRegress float64, out io.Writer) error {
 	base, err := loadBaseline(path)
 	if err != nil {
 		return err
+	}
+	for _, id := range droppedRecords(base, &report) {
+		fmt.Fprintf(out, "dropped: %s\n", id)
 	}
 	deltas := gateDeltas(base, &report)
 	var offenders []gateDelta
@@ -73,17 +78,35 @@ func compareBaseline(path string, report perfReport, maxRegress float64, out io.
 	return nil
 }
 
+// recordKey identifies a record across reports.
+type recordKey struct {
+	name    string
+	workers int
+}
+
+// droppedRecords returns "<name> w<workers>" for every baseline record
+// the current report lacks, in baseline order.
+func droppedRecords(base, cur *perfReport) []string {
+	have := make(map[recordKey]bool, len(cur.Records))
+	for _, r := range cur.Records {
+		have[recordKey{r.Name, r.Workers}] = true
+	}
+	var dropped []string
+	for _, r := range base.Records {
+		if !have[recordKey{r.Name, r.Workers}] {
+			dropped = append(dropped, fmt.Sprintf("%s w%d", r.Name, r.Workers))
+		}
+	}
+	return dropped
+}
+
 // gateDeltas pairs up records by (name, workers) and emits one delta per
 // comparable metric, sorted by descending regression so the worst
 // offender leads error messages.
 func gateDeltas(base, cur *perfReport) []gateDelta {
-	type key struct {
-		name    string
-		workers int
-	}
-	old := make(map[key]perfRecord, len(base.Records))
+	old := make(map[recordKey]perfRecord, len(base.Records))
 	for _, r := range base.Records {
-		old[key{r.Name, r.Workers}] = r
+		old[recordKey{r.Name, r.Workers}] = r
 	}
 	var deltas []gateDelta
 	push := func(name string, o, n int64) {
@@ -98,7 +121,7 @@ func gateDeltas(base, cur *perfReport) []gateDelta {
 		})
 	}
 	for _, r := range cur.Records {
-		b, ok := old[key{r.Name, r.Workers}]
+		b, ok := old[recordKey{r.Name, r.Workers}]
 		if !ok {
 			continue
 		}

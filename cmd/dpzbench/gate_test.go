@@ -78,11 +78,36 @@ func TestGateIgnoresNoiseStagesAndNewRecords(t *testing.T) {
 	}}
 	cur := perfReport{Records: []perfRecord{
 		benchRecord("compress", 1, 1_000_000_000, &stageNs{Decompose: 3_000_000, Total: 1_000_000_000}),
-		benchRecord("compress-lowrank-sketch", 1, 900_000_000, nil), // new in this revision
+		benchRecord("compress-new", 1, 900_000_000, nil), // new in this revision
 	}}
 	path := writeReport(t, t.TempDir(), base)
 	if err := compareBaseline(path, cur, 10, io.Discard); err != nil {
 		t.Fatalf("sub-floor stages and unmatched records must not gate: %v", err)
+	}
+}
+
+// TestGateNamesDroppedRecords: a baseline record the current run lacks
+// is not gated, but the gate names it once, so a deleted record cannot
+// vanish without a word.
+func TestGateNamesDroppedRecords(t *testing.T) {
+	base := perfReport{Records: []perfRecord{
+		benchRecord("compress", 1, 1_000_000_000, nil),
+		benchRecord("compress-old", 1, 1_000_000_000, nil),
+		benchRecord("compress-old", 2, 1_000_000_000, nil),
+	}}
+	cur := perfReport{Records: []perfRecord{
+		benchRecord("compress", 1, 1_000_000_000, nil),
+		benchRecord("compress-old", 2, 1_000_000_000, nil),
+	}}
+	var out strings.Builder
+	if err := compareBaseline(writeReport(t, t.TempDir(), base), cur, 10, &out); err != nil {
+		t.Fatalf("a dropped record must not fail the gate: %v", err)
+	}
+	if got := strings.Count(out.String(), "dropped: "); got != 1 {
+		t.Fatalf("want one dropped line, got %d:\n%s", got, out.String())
+	}
+	if !strings.Contains(out.String(), "dropped: compress-old w1\n") {
+		t.Fatalf("dropped line must name the record and its workers:\n%s", out.String())
 	}
 }
 

@@ -47,9 +47,6 @@ type perfRecord struct {
 	// BasisDecisions counts the reuse decisions of the representative run
 	// for basis-reuse records.
 	BasisDecisions map[string]int `json:"basis_decisions,omitempty"`
-	// SketchDecision reports the sketch engine's path on the representative
-	// run for -pca=sketch records (accept/refine/fallback).
-	SketchDecision string `json:"sketch_decision,omitempty"`
 }
 
 // stageNs is a per-stage nanosecond breakdown. Compress records fill the
@@ -244,43 +241,26 @@ func runPerfSuite(scale float64, workers []int, notes []string, baseline string,
 		rec.StageNs = stagesOf(probe.Stats)
 	}
 
-	// Sketch-engine records. compress-sketch is the same flat-spectrum
-	// CLDHGH field (the sketch pilot must detect flatness and fall back at
-	// small cost); compress-lowrank/compress-lowrank-sketch measure the
-	// k ≪ M regime the sketch targets on a PHIS field of the same size,
-	// where the guarded accept skips both the covariance build and the
-	// dense eigensolve.
+	// compress-lowrank measures the k ≪ M regime on a PHIS field of the
+	// same size, where Stage 2 computes only the few vectors kept.
 	lf := dataset.CESM("PHIS", f.Dims[0], f.Dims[1], 2001)
-	for _, cfg := range []struct {
-		name   string
-		field  *dataset.Field
-		sketch bool
-	}{
-		{"compress-sketch", f, true},
-		{"compress-lowrank", lf, false},
-		{"compress-lowrank-sketch", lf, true},
-	} {
-		for _, w := range workers {
-			o := dpz.LooseOptions()
-			o.Workers = w
-			o.SketchPCA = cfg.sketch
-			data, dims := cfg.field.Data, cfg.field.Dims
-			rec := add(cfg.name, w, bench(func(b *testing.B) {
-				b.SetBytes(rawBytes)
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, err := dpz.CompressFloat64(data, dims, o); err != nil {
-						b.Fatal(err)
-					}
+	for _, w := range workers {
+		o := dpz.LooseOptions()
+		o.Workers = w
+		rec := add("compress-lowrank", w, bench(func(b *testing.B) {
+			b.SetBytes(rawBytes)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := dpz.CompressFloat64(lf.Data, lf.Dims, o); err != nil {
+					b.Fatal(err)
 				}
-			}))
-			probe, err := dpz.CompressFloat64(data, dims, o)
-			if err != nil {
-				return err
 			}
-			rec.StageNs = stagesOf(probe.Stats)
-			rec.SketchDecision = probe.Stats.SketchDecision
+		}))
+		probe, err := dpz.CompressFloat64(lf.Data, lf.Dims, o)
+		if err != nil {
+			return err
 		}
+		rec.StageNs = stagesOf(probe.Stats)
 	}
 
 	res, err := dpz.CompressFloat64(f.Data, f.Dims, dpz.LooseOptions())

@@ -23,6 +23,14 @@ func TestCompressWorkersByteIdentical(t *testing.T) {
 	// The default options on the flat CLDHGH-like field give k ≈ M = 256,
 	// so the covariance Gram and the projection both split across workers.
 	flat := dataset.CESM("CLDHGH", 256, 512, 2001)
+	// With sampling on, Stage 2 fits the sampled rows with pca.FitK;
+	// knee selection without sampling takes FitExact's knee arm.
+	loose := func(sampling bool, sel dpz.Selection) dpz.Options {
+		o := dpz.LooseOptions()
+		o.UseSampling = sampling
+		o.Selection = sel
+		return o
+	}
 	for _, mk := range []struct {
 		name  string
 		field *dataset.Field
@@ -31,6 +39,9 @@ func TestCompressWorkersByteIdentical(t *testing.T) {
 		{"loose", f, dpz.LooseOptions()},
 		{"strict", f, dpz.StrictOptions()},
 		{"default-flat", flat, dpz.DefaultOptions()},
+		{"sampling-tve", flat, loose(true, dpz.TVEThreshold)},
+		{"sampling-knee", flat, loose(true, dpz.KneePoint)},
+		{"knee", flat, loose(false, dpz.KneePoint)},
 	} {
 		f := mk.field
 		t.Run(mk.name, func(t *testing.T) {
@@ -67,43 +78,6 @@ func TestCompressWorkersByteIdentical(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// The sketch-accelerated PCA path must be as deterministic as the exact
-// one: byte-identical streams for every worker count and repeated runs.
-// The field is sized so M > 256 and the sketch fast path actually engages.
-func TestCompressSketchWorkersByteIdentical(t *testing.T) {
-	f := dataset.CESM("PHIS", 300, 600, 29)
-	var ref []byte
-	var refDecision string
-	for _, w := range detWorkers {
-		for rep := 0; rep < 2; rep++ {
-			o := dpz.LooseOptions()
-			o.Workers = w
-			o.SketchPCA = true
-			res, err := dpz.CompressFloat64(f.Data, f.Dims, o)
-			if err != nil {
-				t.Fatalf("workers=%d rep=%d: %v", w, rep, err)
-			}
-			if res.Stats.SketchDecision == "" {
-				t.Fatalf("workers=%d rep=%d: SketchPCA set but no sketch decision reported", w, rep)
-			}
-			if ref == nil {
-				ref, refDecision = res.Data, res.Stats.SketchDecision
-				continue
-			}
-			if res.Stats.SketchDecision != refDecision {
-				t.Fatalf("workers=%d rep=%d: decision %q vs %q", w, rep, res.Stats.SketchDecision, refDecision)
-			}
-			if !bytes.Equal(res.Data, ref) {
-				t.Fatalf("workers=%d rep=%d: sketch stream differs from workers=%d", w, rep, detWorkers[0])
-			}
-		}
-	}
-	// The stream must decode like any other DPZ stream.
-	if _, _, err := core.Decompress(ref, 2); err != nil {
-		t.Fatal(err)
 	}
 }
 

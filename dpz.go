@@ -131,14 +131,6 @@ type Options struct {
 	// ZLevel sets the zlib add-on compression level, 1 (fastest) to 9
 	// (best). 0 keeps zlib's default, matching previous releases.
 	ZLevel int
-	// SketchPCA replaces Stage 2's cold covariance-eigensolve with a
-	// seeded randomized-sketch fast path when the fit targets a TVE
-	// threshold or a sampled k. The sketched basis is only adopted after
-	// an exact full-data variance measurement proves it meets the target,
-	// so the accuracy contract is identical to the exact path; fits the
-	// sketch cannot serve (knee-point selection needs the full spectrum)
-	// fall back to the exact solver automatically.
-	SketchPCA bool
 	// BasisReuse lets compressions of similar tiles reuse (or warm-start
 	// from) an earlier tile's PCA basis instead of refitting from
 	// scratch. A reused basis must first pass a quality guard proving it
@@ -208,7 +200,6 @@ func (o Options) toCore() core.Params {
 		DCT2D:              o.Use2DDCT,
 		CoeffTruncate:      o.CoeffTruncate,
 		ZLevel:             o.ZLevel,
-		SketchPCA:          o.SketchPCA,
 		NoIndex:            o.NoIndex,
 		Sampling: sampling.Params{
 			S:  o.SamplingSubsets,
@@ -273,8 +264,8 @@ type Stats struct {
 	// the auto-standardize VIF probe (zero when none ran; on the default
 	// exact fit only the probe's correlation scaling and Cholesky, since
 	// it reads the fit's own covariance), the exact fit's covariance
-	// build and eigensolve (zero on the sampling, reuse, sketch and
-	// Jacobi fits), and the projection onto the k retained components.
+	// build and eigensolve (zero on the sampling and reuse fits), and
+	// the projection onto the k retained components.
 	TimeVIF     time.Duration
 	TimeGram    time.Duration
 	TimeEig     time.Duration
@@ -288,13 +279,6 @@ type Stats struct {
 	// the quality guard), or "refine" (candidate warm-started the
 	// eigensolve). Empty when basis reuse was off for this compression.
 	BasisDecision string
-
-	// SketchDecision reports which path the sketch fast path took:
-	// "accept" (sketched basis passed the exact guard), "refine" (sketch
-	// warm-started the exact eigensolve), or "fallback" (the selected fit
-	// could not use a sketch and ran exactly). Empty when SketchPCA was
-	// off for this compression.
-	SketchDecision string
 
 	// Sampling holds the Algorithm 2 report when UseSampling was set.
 	Sampling *Estimate
@@ -351,9 +335,6 @@ func fromCoreStats(s core.Stats) Stats {
 	}
 	if s.BasisDecision != pca.ReuseOff {
 		out.BasisDecision = s.BasisDecision.String()
-	}
-	if s.SketchDecision != pca.SketchOff {
-		out.SketchDecision = s.SketchDecision.String()
 	}
 	if s.Sampling != nil {
 		out.Sampling = &Estimate{

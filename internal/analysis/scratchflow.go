@@ -56,7 +56,7 @@ func runScratchFlow(pass *ProgramPass) {
 // sfAcquire is one buffer obligation in a unit.
 type sfAcquire struct {
 	pos      token.Pos
-	desc     string // "scratch.Floats" or "pca.subsampleRows" for fresh-result acquires
+	desc     string // "scratch.Floats", or the callee's name for fresh-result acquires
 	obj      types.Object
 	deferred bool
 	viaCall  bool // acquired through a callee's fresh result

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"testing"
 
 	"dpz/internal/dataset"
@@ -218,33 +217,6 @@ func TestWaveletConflicts(t *testing.T) {
 	p.DCT2D = true
 	if _, err := Compress(f.Data, f.Dims, p); err == nil {
 		t.Fatal("expected wavelet/DCT2D conflict error")
-	}
-}
-
-func TestParallelPCAMatchesSerial(t *testing.T) {
-	f := smoothField()
-	base := DPZS()
-	base.TVE = NinesTVE(5)
-	par := base
-	par.ParallelPCA = true
-	par.Workers = 4
-	cs, err := Compress(f.Data, f.Dims, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cp, err := Compress(f.Data, f.Dims, par)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cs.Stats.K != cp.Stats.K {
-		t.Fatalf("k differs: serial %d, jacobi %d", cs.Stats.K, cp.Stats.K)
-	}
-	outS, _, _ := Decompress(cs.Bytes, 0)
-	outP, _, _ := Decompress(cp.Bytes, 0)
-	pS := stats.PSNR(f.Data, outS)
-	pP := stats.PSNR(f.Data, outP)
-	if math.Abs(pS-pP) > 1 {
-		t.Fatalf("PSNR differs: serial %.2f, jacobi %.2f", pS, pP)
 	}
 }
 

@@ -48,11 +48,6 @@ type Stats struct {
 	// Stage 2 (ReuseOff when Params.Basis was nil).
 	BasisDecision pca.ReuseDecision
 
-	// SketchDecision reports which path the sketch fast path took for
-	// Stage 2 (SketchOff when Params.SketchPCA was false, SketchFallback
-	// when it was requested but the selected fit cannot use it).
-	SketchDecision pca.SketchDecision
-
 	TimeDecompose time.Duration
 	TimeDCT       time.Duration
 	TimePCA       time.Duration
@@ -63,9 +58,9 @@ type Stats struct {
 	// TimeGram's (zero when no probe ran; Algorithm 2's own probe is
 	// inside sampling.Run and not split out). TimeGram is the exact
 	// fit's covariance build and TimeEig its eigensolve, k selection
-	// included; both are zero on the sampling, reuse, sketch and Jacobi
-	// fits, which are not split. TimeProject is the projection onto the
-	// k retained components.
+	// included; both are zero on the sampling and reuse fits, which are
+	// not split. TimeProject is the projection onto the k retained
+	// components.
 	TimeVIF     time.Duration
 	TimeGram    time.Duration
 	TimeEig     time.Duration
@@ -221,23 +216,20 @@ func CompressContext(ctx context.Context, data []float64, dims []int, p Params) 
 		// Fit the truncated basis on the sampled rows only (Algorithm 2's
 		// Stage 2 saving), then project the full data below.
 		sub := sampleRows(x, sp)
-		popts := pca.Options{Standardize: standardize, Workers: p.Workers, Sketch: p.SketchPCA}
-		// The guard can only verify a candidate against an explicit TVE
-		// target, so knee-selected k keeps the warm refine but never
-		// accepts outright (for basis reuse and sketch alike).
-		target := 0.0
-		if p.Selection == TVEThreshold {
-			target = sp.TVE
-		}
-		switch {
-		case p.Basis != nil:
+		popts := pca.Options{Standardize: standardize, Workers: p.Workers}
+		if p.Basis != nil {
+			// The guard can only verify a candidate against an explicit
+			// TVE target, so knee-selected k keeps the warm refine but
+			// never accepts outright.
+			target := 0.0
+			if p.Selection == TVEThreshold {
+				target = sp.TVE
+			}
 			var dec pca.ReuseDecision
 			model, dec, err = pca.FitKReuse(sub, k, target, popts, seed, p.Basis.Candidate)
 			p.Basis.Decision = dec
 			st.BasisDecision = dec
-		case p.SketchPCA:
-			model, st.SketchDecision, err = pca.FitKSketch(sub, k, target, popts, seed)
-		default:
+		} else {
 			model, err = pca.FitK(sub, k, popts, seed)
 		}
 		if err != nil {
@@ -246,52 +238,26 @@ func CompressContext(ctx context.Context, data []float64, dims []int, p Params) 
 	default:
 		standardize := p.Standardize == StandardizeOn
 		auto := p.Standardize == StandardizeAuto
-		// Only the exact fit builds a covariance to probe; the Jacobi,
-		// reuse and sketch fits run the same probe on the correlation
-		// matrix of a row sample. Its full-feature form factors an M×M
-		// matrix — the O(M³) wall the sketch engine exists to avoid — so
-		// sketch mode samples the features (the cap Algorithm 2 uses).
-		exact := !p.ParallelPCA && (p.Selection != TVEThreshold || p.Basis == nil && !p.SketchPCA)
+		// Only the exact fit builds a covariance to probe; TVE reuse runs
+		// the same probe on the correlation matrix of a row sample.
+		exact := p.Selection != TVEThreshold || p.Basis == nil
 		if auto && !exact {
-			vifFeatures := 0
-			if p.SketchPCA {
-				vifFeatures = sketchVIFFeatures
-			}
 			tv := metrics.Now()
-			if corr, err := sampling.SampleCorrelation(x, 0.01, vifFeatures, seed); err == nil {
+			if corr, err := sampling.SampleCorrelation(x, 0.01, 0, seed); err == nil {
 				standardize = pca.LowLinearity(corr)
 			}
 			st.TimeVIF = metrics.Since(tv)
 		}
-		popts := pca.Options{Standardize: standardize, Workers: p.Workers, Sketch: p.SketchPCA}
-		switch {
-		case p.ParallelPCA:
-			model, err = pca.FitJacobi(x, pca.Options{Standardize: standardize}, p.Workers)
-			if p.SketchPCA {
-				st.SketchDecision = pca.SketchFallback
-			}
-		case p.Basis != nil && p.Selection == TVEThreshold:
-			var dec pca.ReuseDecision
-			model, dec, err = pca.FitTVEReuse(x, p.TVE, popts, seed, p.Basis.Candidate)
-			p.Basis.Decision = dec
-			st.BasisDecision = dec
-		case p.SketchPCA && p.Selection == TVEThreshold:
-			// The sketch wall-killer: never forms the M×M covariance unless
-			// the exact guard rejects every ladder rung. This is the path
-			// that replaces the cold Fit's O(M³) eigensolve at scale.
-			model, st.SketchDecision, err = pca.FitTVESketch(x, p.TVE, popts, seed)
-		default:
+		popts := pca.Options{Standardize: standardize, Workers: p.Workers}
+		if exact {
 			// The exact spectrum-first fit: one covariance feeds the
 			// standardize probe and the eigensolve, k is chosen from the
 			// eigenvalues, and only the vectors kept (plus a published
 			// basis's margin) are computed. Knee selection needs the full
-			// spectrum, so it lands here even when reuse or sketch is on.
+			// spectrum, so it lands here even when reuse is on.
 			if p.Basis != nil {
 				p.Basis.Decision = pca.ReuseCold
 				st.BasisDecision = pca.ReuseCold
-			}
-			if p.SketchPCA {
-				st.SketchDecision = pca.SketchFallback
 			}
 			sel := pca.Selection{TVE: p.TVE, AutoStandardize: auto}
 			if p.Selection == KneePoint {
@@ -302,21 +268,21 @@ func CompressContext(ctx context.Context, data []float64, dims []int, p Params) 
 				sel.Extra = pca.BasisMargin
 			}
 			var tr pca.FitTrace
-			model, tr, err = pca.FitExact(x, sel, pca.Options{Standardize: standardize, Workers: p.Workers})
+			model, tr, err = pca.FitExact(x, sel, popts)
 			standardize, k = tr.Standardized, tr.K
 			st.TimeVIF, st.TimeGram, st.TimeEig = tr.TimeVIF, tr.TimeGram, tr.TimeEig
+		} else {
+			var dec pca.ReuseDecision
+			model, dec, err = pca.FitTVEReuse(x, p.TVE, popts, seed, p.Basis.Candidate)
+			p.Basis.Decision = dec
+			st.BasisDecision = dec
 		}
 		if err != nil {
 			return nil, fmt.Errorf("core: k-PCA: %w", err)
 		}
 		st.Standardized = standardize
-		if k == 0 {
-			switch p.Selection {
-			case KneePoint:
-				k = knee.Detect(model.TVECurve(), p.Fit)
-			default:
-				k = model.KForTVE(p.TVE)
-			}
+		if !exact {
+			k = model.KForTVE(p.TVE)
 		}
 	}
 	if k < 1 {
@@ -542,11 +508,6 @@ func CompressContext(ctx context.Context, data []float64, dims []int, p Params) 
 	st.TimeTotal = metrics.Since(tStart)
 	return &Compressed{Bytes: out, Stats: st}, nil
 }
-
-// sketchVIFFeatures caps the auto-standardize VIF probe's feature sample
-// when the sketch engine is active (matches the Algorithm 2 sampling
-// default), keeping the probe O(cap³) instead of O(M³).
-const sketchVIFFeatures = 192
 
 // publishBasis extracts the reusable part of a fitted model: the leading
 // min(k+pca.BasisMargin, fitted) components. The columns are shared with the

@@ -111,11 +111,6 @@ type Params struct {
 	// domains should work when coefficients show normality and high
 	// information preservation (Section III-B2).
 	UseWavelet bool
-	// ParallelPCA fits Stage 2 with the worker-parallel one-sided Jacobi
-	// SVD instead of the serial covariance eigensolve (same basis up to
-	// sign). Jacobi's higher flop count means it needs many cores to win;
-	// the scaling experiment measures both paths.
-	ParallelPCA bool
 	// HuffmanIndices entropy-codes the Stage 3 bin indices with canonical
 	// Huffman before the zlib add-on — an SZ-style entropy stage that pays
 	// off on skewed index distributions (ablation knob).
@@ -123,13 +118,6 @@ type Params struct {
 	// ZLevel sets the zlib add-on compression level, 1 (fastest) to 9
 	// (best). 0 keeps zlib's default level, matching previous releases.
 	ZLevel int
-	// SketchPCA enables the randomized-sketch fast path for Stage 2: a
-	// seeded range-finder sketch proposes the basis and the exact
-	// Rayleigh-quotient guard verifies it against the TVE target before
-	// adoption, so the selection guarantee is unchanged. Fits that need
-	// the full spectrum (knee-point selection) or their own solver
-	// (ParallelPCA) fall back to their usual path.
-	SketchPCA bool
 	// NoIndex disables the format-v3 retrieval-index section, producing a
 	// v2 stream byte-identical to what earlier releases wrote. Use it for
 	// exact-format reproduction (golden files) or when the few dozen bytes
@@ -151,9 +139,7 @@ type BasisExchange struct {
 	// Candidate is the warm-start basis offered to Stage 2, or nil.
 	Candidate *pca.Basis
 	// Fitted is set on success to the leading components this
-	// compression used, in a form suitable as a future Candidate. It is
-	// nil when the selected path cannot produce a reusable basis
-	// (e.g. the Jacobi fit).
+	// compression used, in a form suitable as a future Candidate.
 	Fitted *pca.Basis
 	// Decision records which reuse path Stage 2 took.
 	Decision pca.ReuseDecision

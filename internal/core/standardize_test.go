@@ -101,7 +101,7 @@ func stage2Input(t *testing.T, f *dataset.Field) *mat.Dense {
 // frozen standalone probe on every dataset at scale 0.1 and on both
 // benchmark snapshot fields, for both probes: the default compress,
 // whose exact fit runs pca.LowLinearity on its own covariance, and the
-// sampled probe of the Jacobi, reuse and sketch fits (pca.LowLinearity on
+// sampled probe of the TVE reuse fit (pca.LowLinearity on
 // sampling.SampleCorrelation). A flip is a behaviour change of the probe
 // and must be reported, not absorbed.
 func TestStandardizeDecisionPinned(t *testing.T) {

@@ -70,21 +70,6 @@ func BenchmarkTopK512x16(b *testing.B) {
 	}
 }
 
-func BenchmarkOneSidedJacobi256x128(b *testing.B) {
-	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		x := mat.NewDense(256, 128)
-		for j := range x.Data() {
-			x.Data()[j] = rng.NormFloat64()
-		}
-		b.StartTimer()
-		if _, err := OneSidedJacobi(x, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkSymEigValues256(b *testing.B) {
 	a := dctBlockCovariance(b, "CLDHGH", 2001)
 	b.ResetTimer()

@@ -186,7 +186,8 @@ func scaleRows(cfg Config) int {
 // Scaling measures compression wall time against the worker count — the
 // paper's future-work item "expand the DPZ algorithm to exploit
 // parallelism for better scalability", realized here by the block-parallel
-// DCT and quantization stages.
+// DCT and quantization stages and the worker-split Gram, eigenvectors and
+// projection of Stage 2.
 func Scaling(cfg Config) error {
 	cfg = cfg.withDefaults()
 	f, err := load("CLDHGH", cfg)
@@ -196,34 +197,27 @@ func Scaling(cfg Config) error {
 	base := core.DPZS()
 	base.TVE = core.NinesTVE(5)
 	tw := newTable(cfg.Out)
-	fmt.Fprintln(tw, "PCA path\tworkers\tcompress\tdecompress\tspeedup vs 1")
-	for _, par := range []bool{false, true} {
-		label := "eigensolve (serial)"
-		if par {
-			label = "jacobi (parallel)"
+	fmt.Fprintln(tw, "workers\tcompress\tdecompress\tspeedup vs 1")
+	var t1 time.Duration
+	for _, w := range []int{1, 2, 4, 8} {
+		p := base
+		p.Workers = w
+		t0 := time.Now()
+		c, err := core.Compress(f.Data, f.Dims, p)
+		if err != nil {
+			return err
 		}
-		var t1 time.Duration
-		for _, w := range []int{1, 2, 4, 8} {
-			p := base
-			p.Workers = w
-			p.ParallelPCA = par
-			t0 := time.Now()
-			c, err := core.Compress(f.Data, f.Dims, p)
-			if err != nil {
-				return err
-			}
-			ct := time.Since(t0)
-			t0 = time.Now()
-			if _, _, err := core.Decompress(c.Bytes, w); err != nil {
-				return err
-			}
-			dt := time.Since(t0)
-			if w == 1 {
-				t1 = ct
-			}
-			fmt.Fprintf(tw, "%s\t%d\t%v\t%v\t%.2fx\n", label, w, ct.Round(10*time.Microsecond),
-				dt.Round(10*time.Microsecond), t1.Seconds()/ct.Seconds())
+		ct := time.Since(t0)
+		t0 = time.Now()
+		if _, _, err := core.Decompress(c.Bytes, w); err != nil {
+			return err
 		}
+		dt := time.Since(t0)
+		if w == 1 {
+			t1 = ct
+		}
+		fmt.Fprintf(tw, "%d\t%v\t%v\t%.2fx\n", w, ct.Round(10*time.Microsecond),
+			dt.Round(10*time.Microsecond), t1.Seconds()/ct.Seconds())
 	}
 	return tw.Flush()
 }

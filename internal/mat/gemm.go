@@ -6,9 +6,9 @@ import (
 	"dpz/internal/parallel"
 )
 
-// This file holds the unrolled level-2/level-3 kernels behind the sketch
-// eigensolver: a general multiply and a transpose multiply with explicit
-// worker bounds, plus the shared unrolled axpy/dot primitives. Go has no
+// This file holds the unrolled level-2/level-3 kernels behind the Stage 2
+// projection and the decode recompose: a general multiply with an
+// explicit worker bound, plus the shared unrolled axpy/dot primitives. Go has no
 // SIMD intrinsics, so the kernels follow the scalar half of the SIMD
 // playbook instead: 4-wide manual unrolling on the innermost loop with the
 // slice re-slice hint that lets the compiler hoist the bounds check out of
@@ -54,8 +54,8 @@ func Dot(x, y []float64) float64 {
 // four sequential Axpy sweeps and exposes four independent multiply
 // chains to the scheduler. The jam changes the per-element summation
 // ORDER versus sequential axpys, so it must only back kernels whose
-// rounding is not pinned to the naive loop (the sketch, projection and
-// decode kernels below; MulInto keeps the order-preserving Axpy).
+// rounding is not pinned to the naive loop (the projection and decode
+// kernel below; MulInto keeps the order-preserving Axpy).
 func axpy4(dst, x0, x1, x2, x3 []float64, a0, a1, a2, a3 float64) {
 	n := len(dst)
 	x0 = x0[:n]
@@ -97,10 +97,8 @@ func axpy4x2(d0, d1, x0, x1, x2, x3 []float64, a0, a1, a2, a3, c0, c1, c2, c3 fl
 // pairing halves it. A pair computes each row exactly as a lone row would,
 // so how a worker's chunk splits into pairs cannot change a bit.
 //
-// This is the sketch multiply (Y = A·Ω with tall-skinny Ω streams b's few
-// columns through cache while walking a once), the Stage 2 projection
-// (Y = (X−μ)·D_k, pca.Model.TransformW) and the decode recompose (blocks
-// = C·Z over the rank-space rows). Its summation order is fixed
+// This is the Stage 2 projection (Y = (X−μ)·D_k, pca.Model.TransformW)
+// and the decode recompose (blocks = C·Z over the rank-space rows). Its summation order is fixed
 // but intentionally NOT the naive loop's — only code whose rounding is not
 // pinned to the naive loop may use it (see axpy4).
 func GemmInto(out, a, b *Dense, workers int) {
@@ -154,59 +152,6 @@ func GemmInto(out, a, b *Dense, workers int) {
 			}
 			for k := kj; k < a.cols; k++ {
 				Axpy(orow, b.data[k*bc:(k+1)*bc], arow[k])
-			}
-		}
-	})
-}
-
-// GemmTInto computes out = aᵀ·b without materializing aᵀ, with an explicit
-// worker bound (0 = GOMAXPROCS). out must be a.cols × b.cols and must not
-// alias a or b. Workers partition out's rows; each output row accumulates
-// over a's rows in the same jammed ascending order regardless of the
-// worker count, so the result bits are worker-independent.
-//
-// The kernel is the second half of the sketch pipeline (Z = AᵀY): both a
-// and b stream row-contiguously, four input rows jammed per sweep (axpy4)
-// with an order-preserving Axpy tail. Like GemmInto, its summation order
-// is fixed but not the naive loop's.
-func GemmTInto(out, a, b *Dense, workers int) {
-	if a.rows != b.rows || out.rows != a.cols || out.cols != b.cols {
-		panic(fmt.Sprintf("mat: GemmTInto shape mismatch %dx%dᵀ · %dx%d -> %dx%d",
-			a.rows, a.cols, b.rows, b.cols, out.rows, out.cols))
-	}
-	if a.rows*a.cols*b.cols < 1<<16 {
-		workers = 1
-	}
-	ij := a.rows &^ 3
-	ac, bc := a.cols, b.cols
-	parallel.ForChunks(a.cols, workers, func(lo, hi int) {
-		for j := lo; j < hi; j++ {
-			orow := out.data[j*out.cols : (j+1)*out.cols]
-			for x := range orow {
-				orow[x] = 0
-			}
-		}
-		for i := 0; i < ij; i += 4 {
-			a0 := a.data[i*ac : (i+1)*ac]
-			a1 := a.data[(i+1)*ac : (i+2)*ac]
-			a2 := a.data[(i+2)*ac : (i+3)*ac]
-			a3 := a.data[(i+3)*ac : (i+4)*ac]
-			b0 := b.data[i*bc : (i+1)*bc]
-			b1 := b.data[(i+1)*bc : (i+2)*bc]
-			b2 := b.data[(i+2)*bc : (i+3)*bc]
-			b3 := b.data[(i+3)*bc : (i+4)*bc]
-			for j := lo; j < hi; j++ {
-				axpy4(out.data[j*out.cols:(j+1)*out.cols],
-					b0, b1, b2, b3, a0[j], a1[j], a2[j], a3[j])
-			}
-		}
-		for i := ij; i < a.rows; i++ {
-			arow := a.data[i*ac : (i+1)*ac]
-			brow := b.data[i*bc : (i+1)*bc]
-			for j := lo; j < hi; j++ {
-				if v := arow[j]; v != 0 {
-					Axpy(out.data[j*out.cols:(j+1)*out.cols], brow, v)
-				}
 			}
 		}
 	})

@@ -21,23 +21,6 @@ func naiveMul(a, b *Dense) *Dense {
 	return out
 }
 
-// naiveTMul is the reference Aᵀ·B.
-func naiveTMul(a, b *Dense) *Dense {
-	ar, ac := a.Dims()
-	_, bc := b.Dims()
-	out := NewDense(ac, bc)
-	for j := 0; j < ac; j++ {
-		for c := 0; c < bc; c++ {
-			var s float64
-			for i := 0; i < ar; i++ {
-				s += a.At(i, j) * b.At(i, c)
-			}
-			out.Set(j, c, s)
-		}
-	}
-	return out
-}
-
 // gemmShapes straddle the 4-wide jam edge (reduction dims ≡ 0..3 mod 4)
 // and the small-input serial cutoff.
 var gemmShapes = [][3]int{
@@ -57,19 +40,7 @@ func TestGemmIntoMatchesNaive(t *testing.T) {
 	}
 }
 
-func TestGemmTIntoMatchesNaive(t *testing.T) {
-	for _, s := range gemmShapes {
-		a := randomDense(s[0], s[1], int64(s[0]+3*s[1]))
-		b := randomDense(s[0], s[2], int64(s[2]+11*s[0]))
-		out := NewDense(s[1], s[2])
-		GemmTInto(out, a, b, 3)
-		if !Equal(out, naiveTMul(a, b), 1e-9) {
-			t.Fatalf("GemmTInto mismatch for %v", s)
-		}
-	}
-}
-
-// The jammed kernels promise bit-identical output for every worker count
+// The jammed kernel promises bit-identical output for every worker count
 // and across repeated runs: each output row is owned by one worker and
 // accumulates in a fixed jammed order.
 func TestGemmIntoByteIdenticalAcrossWorkers(t *testing.T) {
@@ -90,25 +61,7 @@ func TestGemmIntoByteIdenticalAcrossWorkers(t *testing.T) {
 	}
 }
 
-func TestGemmTIntoByteIdenticalAcrossWorkers(t *testing.T) {
-	a := randomDense(301, 190, 44)
-	b := randomDense(301, 57, 45)
-	base := NewDense(190, 57)
-	GemmTInto(base, a, b, 1)
-	for _, w := range []int{1, 2, 3, 8} {
-		for rep := 0; rep < 2; rep++ {
-			out := NewDense(190, 57)
-			GemmTInto(out, a, b, w)
-			for i, v := range out.Data() {
-				if v != base.Data()[i] {
-					t.Fatalf("workers=%d rep=%d: entry %d differs: %v vs %v", w, rep, i, v, base.Data()[i])
-				}
-			}
-		}
-	}
-}
-
-// The kernels must zero the output rows themselves: pooled scratch
+// The kernel must zero the output rows itself: pooled scratch
 // buffers arrive dirty.
 func TestGemmIntoOverwritesDirtyOutput(t *testing.T) {
 	a := randomDense(37, 21, 46)
@@ -127,29 +80,10 @@ func TestGemmIntoOverwritesDirtyOutput(t *testing.T) {
 	}
 }
 
-func TestGemmTIntoOverwritesDirtyOutput(t *testing.T) {
-	a := randomDense(37, 21, 48)
-	b := randomDense(37, 9, 49)
-	want := NewDense(21, 9)
-	GemmTInto(want, a, b, 1)
-	dirty := NewDense(21, 9)
-	for i := range dirty.Data() {
-		dirty.Data()[i] = 1e30
-	}
-	GemmTInto(dirty, a, b, 2)
-	for i, v := range dirty.Data() {
-		if v != want.Data()[i] {
-			t.Fatalf("dirty output leaked into entry %d: %v vs %v", i, v, want.Data()[i])
-		}
-	}
-}
-
 func TestGemmIntoShapePanics(t *testing.T) {
 	for _, f := range []func(){
 		func() { GemmInto(NewDense(2, 2), NewDense(2, 3), NewDense(4, 2), 1) },
 		func() { GemmInto(NewDense(3, 2), NewDense(2, 3), NewDense(3, 2), 1) },
-		func() { GemmTInto(NewDense(3, 2), NewDense(2, 3), NewDense(3, 2), 1) },
-		func() { GemmTInto(NewDense(2, 2), NewDense(4, 3), NewDense(4, 3), 1) },
 	} {
 		func() {
 			defer func() {
@@ -162,8 +96,8 @@ func TestGemmIntoShapePanics(t *testing.T) {
 	}
 }
 
-// Benchmarks at the sketch pipeline's real shapes (M≈900 features,
-// tall-skinny sketch width ≈170).
+// BenchmarkGemmInto multiplies at dpzbench's Stage 2 size (M=900 features)
+// by a tall-skinny operand 172 columns wide.
 func BenchmarkGemmInto(b *testing.B) {
 	a := randomDense(1800, 900, 1)
 	w := randomDense(900, 172, 2)
@@ -172,16 +106,5 @@ func BenchmarkGemmInto(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		GemmInto(out, a, w, 1)
-	}
-}
-
-func BenchmarkGemmTInto(b *testing.B) {
-	a := randomDense(1800, 900, 3)
-	y := randomDense(1800, 172, 4)
-	out := NewDense(900, 172)
-	b.SetBytes(2 * 1800 * 900 * 172)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		GemmTInto(out, a, y, 1)
 	}
 }

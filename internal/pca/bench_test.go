@@ -25,13 +25,3 @@ func BenchmarkSpectrum360x180(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkFitJacobi360x180(b *testing.B) {
-	rng := rand.New(rand.NewSource(3))
-	x := lowRankData(360, 180, 20, 0.1, rng)
-	for i := 0; i < b.N; i++ {
-		if _, err := FitJacobi(x, Options{}, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

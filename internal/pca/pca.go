@@ -42,12 +42,6 @@ type Options struct {
 	// Workers bounds the parallelism of the covariance Gram kernel
 	// (0 = GOMAXPROCS). It never changes the result bits.
 	Workers int
-	// Sketch enables the randomized-range-finder fast path for FitK: a
-	// seeded sketch proposes the basis and the exact Rayleigh-quotient
-	// guard verifies it, so results always carry the cold path's TVE
-	// guarantee. Fit, FitExact, FitJacobi and Spectrum ignore the flag —
-	// they select k from the full spectrum, which a sketch cannot give.
-	Sketch bool
 }
 
 // Fit computes the PCA basis of x (rows = samples, cols = features).
@@ -85,10 +79,6 @@ func Fit(x *mat.Dense, opts Options) (*Model, error) {
 // iteration — the reduced-cost path DPZ's sampling strategy enables once
 // k_e is known (O(M²k) instead of the full O(M³) eigendecomposition).
 func FitK(x *mat.Dense, k int, opts Options, seed int64) (*Model, error) {
-	if opts.Sketch {
-		m, _, err := FitKSketch(x, k, 0, opts, seed)
-		return m, err
-	}
 	r, c := x.Dims()
 	if r < 2 {
 		return nil, fmt.Errorf("pca: need at least 2 samples, got %d", r)
@@ -113,41 +103,6 @@ func FitK(x *mat.Dense, k int, opts Options, seed int64) (*Model, error) {
 	}
 	m.Eigenvalues = sys.Values
 	m.Components = sys.Vectors
-	return m, nil
-}
-
-// FitJacobi fits the full PCA basis with the worker-parallel one-sided
-// Jacobi SVD instead of the serial covariance eigensolve. Column-pair
-// rotations within a tournament round are independent, so Stage 2 scales
-// with cores — but Jacobi performs several times the eigensolve's flops at
-// DPZ's typical N≈2M shapes, so the parallel path only wins on very wide
-// machines (see the scaling experiment, which measures both). Results
-// match Fit up to sign and round-off.
-func FitJacobi(x *mat.Dense, opts Options, workers int) (*Model, error) {
-	r, c := x.Dims()
-	if r < 2 {
-		return nil, fmt.Errorf("pca: need at least 2 samples, got %d", r)
-	}
-	if c < 1 {
-		return nil, errors.New("pca: need at least 1 feature")
-	}
-	m := &Model{}
-	m.Means = mat.ColMeans(x)
-	if opts.Standardize {
-		m.Scales = mat.ColStds(x, m.Means)
-	}
-	// Jacobi consumes the centered (and optionally scaled) data directly.
-	centered := center(x, m.Means, m.Scales)
-	sys, err := eigen.OneSidedJacobi(centered, workers)
-	if err != nil {
-		return nil, fmt.Errorf("pca: jacobi: %w", err)
-	}
-	clampNonNegative(sys.Values)
-	m.Eigenvalues = sys.Values
-	m.Components = sys.Vectors
-	for _, v := range sys.Values {
-		m.TotalVar += v
-	}
 	return m, nil
 }
 
@@ -310,12 +265,6 @@ func (m *Model) InverseTransform(y *mat.Dense) *mat.Dense {
 // best rank-k approximation of x in the fitted basis.
 func (m *Model) Reconstruct(x *mat.Dense, k int) *mat.Dense {
 	return m.InverseTransform(m.Transform(x, k))
-}
-
-func center(x *mat.Dense, means, scales []float64) *mat.Dense {
-	out := mat.NewDense(x.Rows(), x.Cols())
-	centerInto(out, x, means, scales)
-	return out
 }
 
 // centerInto writes the centered (and optionally scaled) copy of x into

@@ -186,8 +186,10 @@ func TestTransformMatchesMulInto(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		centered := mat.NewDense(s.rows, s.cols)
+		centerInto(centered, x, m.Means, m.Scales)
 		want := mat.NewDense(s.rows, s.k)
-		mat.MulInto(want, center(x, m.Means, m.Scales), m.ProjectionMatrix(s.k), 1)
+		mat.MulInto(want, centered, m.ProjectionMatrix(s.k), 1)
 		var scale float64
 		for _, v := range want.Data() {
 			scale = math.Max(scale, math.Abs(v))

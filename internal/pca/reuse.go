@@ -115,10 +115,6 @@ func FitTVEReuse(x *mat.Dense, target float64, opts Options, seed int64, cand *B
 		return nil, ReuseCold, fmt.Errorf("pca: TVE target %v out of (0,1]", target)
 	}
 	if !cand.usable(x, opts) {
-		if opts.Sketch {
-			m, _, err := FitTVESketch(x, target, opts, seed)
-			return m, ReuseCold, err
-		}
 		m, _, err := FitExact(x, Selection{TVE: target, Extra: BasisMargin}, opts)
 		return m, ReuseCold, err
 	}
@@ -155,10 +151,6 @@ func FitKReuse(x *mat.Dense, k int, target float64, opts Options, seed int64, ca
 		return nil, ReuseCold, fmt.Errorf("pca: k=%d out of range [1,%d]", k, c)
 	}
 	if !cand.usable(x, opts) {
-		if opts.Sketch {
-			m, _, err := FitKSketch(x, k, target, opts, seed)
-			return m, ReuseCold, err
-		}
 		m, err := FitK(x, k, opts, seed)
 		return m, ReuseCold, err
 	}

@@ -241,3 +241,92 @@ func TestReuseDecisionString(t *testing.T) {
 		}
 	}
 }
+
+// adoptedTVE is the cumulative variance fraction the model's adopted
+// columns capture.
+func adoptedTVE(m *Model) float64 {
+	if m.TotalVar <= 0 {
+		return 1
+	}
+	var cum float64
+	for _, v := range m.Eigenvalues {
+		cum += v
+	}
+	return cum / m.TotalVar
+}
+
+// tiltedTile returns a copy of the low-rank tile coef·basis whose basis
+// is tilted by tilt·G (G iid normal), plus small noise: the same
+// coefficients on a rotated subspace. A small tilt leaves a basis fitted
+// on it good enough for the guard to accept on the original tile; a large
+// one forces the warm refine.
+func tiltedTile(coef, basis *mat.Dense, tilt float64, rng *rand.Rand) *mat.Dense {
+	tb := mat.NewDense(basis.Rows(), basis.Cols())
+	for i, v := range basis.Data() {
+		tb.Data()[i] = v + tilt*rng.NormFloat64()
+	}
+	y := mat.Mul(coef, tb)
+	for i := range y.Data() {
+		y.Data()[i] += 1e-5 * rng.NormFloat64()
+	}
+	return y
+}
+
+// Every fit path meets the TVE target: FitTVEReuse, offered the exact
+// fit's basis (with the published margin) from a tilted copy of the tile,
+// must adopt a basis that reaches the target on the tile itself, whether
+// the guard accepts the candidate or the warm refine replaces it. Its
+// component count sits in the window the Ky Fan inequality allows —
+// never below the exact minimum (up to rounding), and at most a few
+// verified extras above it.
+func FuzzFitTVEReuseMeetsTarget(f *testing.F) {
+	f.Add(int64(1), 0.99, 0.0)
+	f.Add(int64(7), 0.999, 0.05)
+	f.Add(int64(19), 0.9, 0.9)
+	f.Add(int64(23), 0.99999, 0.3)
+	f.Fuzz(func(t *testing.T, seed int64, target, tilt float64) {
+		if math.IsNaN(target) || math.IsInf(target, 0) || math.IsNaN(tilt) || math.IsInf(tilt, 0) {
+			t.Skip()
+		}
+		target = 0.5 + math.Mod(math.Abs(target), 0.49999)
+		tilt = math.Mod(math.Abs(tilt), 1)
+		rng := rand.New(rand.NewSource(seed))
+		const n, m = 480, 200
+		rank := 6 + int(uint64(seed)%24)
+		coef := mat.NewDense(n, rank)
+		for i := range coef.Data() {
+			coef.Data()[i] = 10 * rng.NormFloat64()
+		}
+		basis := mat.NewDense(rank, m)
+		for i := range basis.Data() {
+			basis.Data()[i] = rng.NormFloat64()
+		}
+		x := mat.Mul(coef, basis)
+		for i := range x.Data() {
+			x.Data()[i] += 1e-5*rng.NormFloat64() + 3
+		}
+		prev, _, err := FitExact(tiltedTile(coef, basis, tilt, rng), Selection{TVE: target, Extra: BasisMargin}, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, dec, err := FitTVEReuse(x, target, Options{Workers: 2}, seed, &Basis{Q: prev.Components})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, exact, err := FitExact(x, Selection{TVE: target}, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tve := adoptedTVE(got); tve < target-1e-9 {
+			t.Fatalf("reuse (decision %v) reached %.9f < target %v", dec, tve, target)
+		}
+		k := got.KForTVE(target)
+		if k < exact.K-1 {
+			t.Fatalf("reuse (decision %v) claims %d components reach %.6f but the exact minimum is %d — an unverified accept", dec, k, target, exact.K)
+		}
+		if k > exact.K+16 {
+			t.Fatalf("reuse (decision %v) needed %d components for %.6f, exact needs %d — basis quality collapsed", dec, k, target, exact.K)
+		}
+		t.Logf("decision=%v k=%d exact=%d", dec, k, exact.K)
+	})
+}

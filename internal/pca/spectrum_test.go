@@ -136,49 +136,6 @@ func TestFitTVEValidation(t *testing.T) {
 	}
 }
 
-func TestFitJacobiMatchesFit(t *testing.T) {
-	rng := rand.New(rand.NewSource(306))
-	x := lowRankData(180, 20, 6, 0.3, rng)
-	a, err := Fit(x, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := FitJacobi(x, Options{}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for j := range a.Eigenvalues {
-		if math.Abs(a.Eigenvalues[j]-b.Eigenvalues[j]) > 1e-7*(1+a.Eigenvalues[j]) {
-			t.Fatalf("eigenvalue %d: %v vs %v", j, a.Eigenvalues[j], b.Eigenvalues[j])
-		}
-	}
-	// Same-rank reconstructions agree (bases match up to sign).
-	ra := a.Reconstruct(x, 6)
-	rb := b.Reconstruct(x, 6)
-	if !mat.Equal(ra, rb, 1e-6) {
-		t.Fatal("Jacobi and eigensolve reconstructions differ")
-	}
-}
-
-func TestFitJacobiStandardized(t *testing.T) {
-	rng := rand.New(rand.NewSource(307))
-	x := lowRankData(120, 8, 8, 1, rng)
-	m, err := FitJacobi(x, Options{Standardize: true}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Scales == nil {
-		t.Fatal("scales missing")
-	}
-	if math.Abs(m.TotalVar-8) > 1e-8 {
-		t.Fatalf("standardized total variance %v, want 8", m.TotalVar)
-	}
-	recon := m.Reconstruct(x, 8)
-	if !mat.Equal(x, recon, 1e-7) {
-		t.Fatal("full-rank standardized reconstruction not exact")
-	}
-}
-
 func TestFitKValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(308))
 	x := lowRankData(30, 6, 3, 0.1, rng)
@@ -212,14 +169,5 @@ func TestFitTVEStandardizedLarge(t *testing.T) {
 	}
 	if math.Abs(m.TotalVar-300) > 1e-6 {
 		t.Fatalf("correlation trace %v, want 300", m.TotalVar)
-	}
-}
-
-func TestFitJacobiValidation(t *testing.T) {
-	if _, err := FitJacobi(mat.NewDense(1, 4), Options{}, 1); err == nil {
-		t.Fatal("expected single-sample rejection")
-	}
-	if _, err := FitJacobi(mat.NewDense(5, 0), Options{}, 1); err == nil {
-		t.Fatal("expected zero-feature rejection")
 	}
 }

@@ -409,7 +409,6 @@ func (s *Server) reqOptions(r *http.Request) (dpz.Options, error) {
 		Workers:    workers,
 		ZLevel:     zlevel,
 		BasisReuse: basisReuse,
-		PCA:        reqParam(r, "pca"),
 	}
 	o, err := spec.Options()
 	if err != nil {

@@ -56,11 +56,6 @@ type OptionSpec struct {
 	// reuse or warm-start from an earlier tile's basis after a quality
 	// guard verifies the TVE target still holds.
 	BasisReuse bool
-	// PCA selects the Stage 2 eigensolve engine: "exact" (the cold
-	// covariance eigensolve, bit-identical to previous releases) or
-	// "sketch" (the randomized range-finder fast path, verified by the
-	// exact variance guard before adoption). Empty means exact.
-	PCA string
 	// Index controls the trailing retrieval-index section: "on" (format
 	// v3 with per-tile summaries, the default) or "off" (format v2,
 	// byte-identical to earlier releases). Empty means on.
@@ -125,18 +120,6 @@ func (s OptionSpec) Options() (Options, error) {
 	}
 	o.ZLevel = s.ZLevel
 	o.BasisReuse = s.BasisReuse
-	engine := s.PCA
-	if engine == "" {
-		engine = "exact"
-	}
-	switch strings.ToLower(engine) {
-	case "exact":
-		o.SketchPCA = false
-	case "sketch":
-		o.SketchPCA = true
-	default:
-		return o, fmt.Errorf("unknown pca engine %q (exact|sketch)", s.PCA)
-	}
 	index := s.Index
 	if index == "" {
 		index = "on"
