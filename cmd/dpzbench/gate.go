@@ -10,7 +10,8 @@ import (
 
 // The -baseline regression gate: compare a fresh perf report against a
 // recorded BENCH_<rev>.json and fail (non-zero exit) when any matching
-// record slowed down by more than -max-regress percent. The gate compares
+// record slowed down by more than -max-regress percent, or a compress
+// record's stream lost CR or PSNR beyond the quality bounds. The gate compares
 // the benchmark's ns/op and, when both reports carry a stage breakdown,
 // each per-stage wall time — so a regression hiding inside one stage
 // (the PCA wall this suite exists to watch, or the recompose GEMM on the
@@ -21,6 +22,14 @@ import (
 // gated: percentage deltas of sub-50ms stages are clock noise, not
 // regressions.
 const gateStageFloorNs = 50_000_000
+
+// Quality bounds: a compress record's CR may not fall by more than
+// gateCRDropPct percent of the baseline's, nor its PSNR by more than
+// gatePSNRDropDB.
+const (
+	gateCRDropPct  = 1.0
+	gatePSNRDropDB = 0.1
+)
 
 // gateDelta is one gated comparison's outcome.
 type gateDelta struct {
@@ -59,6 +68,7 @@ func compareBaseline(path string, report perfReport, maxRegress float64, out io.
 	for _, id := range droppedRecords(base, &report) {
 		fmt.Fprintf(out, "dropped: %s\n", id)
 	}
+	lost := qualityLosses(base, &report, out)
 	deltas := gateDeltas(base, &report)
 	var offenders []gateDelta
 	for _, d := range deltas {
@@ -73,6 +83,10 @@ func compareBaseline(path string, report perfReport, maxRegress float64, out io.
 	if len(offenders) > 0 {
 		return fmt.Errorf("%d record(s) regressed beyond %.1f%% vs %s (worst: %s %+.1f%%)",
 			len(offenders), maxRegress, path, offenders[0].Name, offenders[0].Percent)
+	}
+	if len(lost) > 0 {
+		return fmt.Errorf("%d record(s) lost more than %.1f%% CR or %.2f dB PSNR vs %s: %v",
+			len(lost), gateCRDropPct, gatePSNRDropDB, path, lost)
 	}
 	fmt.Fprintf(out, "gate: %d comparison(s) within %.1f%% of %s\n", len(deltas), maxRegress, path)
 	return nil
@@ -98,6 +112,34 @@ func droppedRecords(base, cur *perfReport) []string {
 		}
 	}
 	return dropped
+}
+
+// qualityLosses prints a "quality:" line for every record whose CR,
+// PSNR, k or standardize bit differs from the baseline's, and returns
+// "<name> w<workers>" for each one whose CR or PSNR fell beyond the
+// quality bounds. Records without quality on either side (baselines
+// written before records carried it) are skipped.
+func qualityLosses(base, cur *perfReport, out io.Writer) []string {
+	old := make(map[recordKey]*quality, len(base.Records))
+	for _, r := range base.Records {
+		old[recordKey{r.Name, r.Workers}] = r.Quality
+	}
+	var lost []string
+	for _, r := range cur.Records {
+		b, q := old[recordKey{r.Name, r.Workers}], r.Quality
+		if b == nil || q == nil || *b == *q {
+			continue
+		}
+		id := fmt.Sprintf("%s w%d", r.Name, r.Workers)
+		status := "ok"
+		if q.CR < b.CR*(1-gateCRDropPct/100) || q.PSNR < b.PSNR-gatePSNRDropDB {
+			status = "QUALITY LOSS"
+			lost = append(lost, id)
+		}
+		fmt.Fprintf(out, "quality: %s cr %.4f -> %.4f, psnr %.3f -> %.3f dB, k %d -> %d, standardized %v -> %v  %s\n",
+			id, b.CR, q.CR, b.PSNR, q.PSNR, b.K, q.K, b.Standardized, q.Standardized, status)
+	}
+	return lost
 }
 
 // gateDeltas pairs up records by (name, workers) and emits one delta per

@@ -175,3 +175,66 @@ func TestGateMissingBaselineFile(t *testing.T) {
 		t.Fatal("missing baseline file must error")
 	}
 }
+
+func qualityRecord(name string, cr, psnr float64, k int, std bool) perfRecord {
+	r := benchRecord(name, 1, 1_000_000_000, nil)
+	r.Quality = &quality{CR: cr, PSNR: psnr, K: k, Standardized: std}
+	return r
+}
+
+// TestGateQualityLine: a change to k or the standardize bit within the
+// CR and PSNR bounds passes, but is named on a "quality:" line.
+func TestGateQualityLine(t *testing.T) {
+	base := perfReport{Records: []perfRecord{
+		qualityRecord("compress", 2.40, 60.0, 147, false),
+		qualityRecord("compress-lowrank", 8.0, 70.0, 40, false),
+	}}
+	cur := perfReport{Records: []perfRecord{
+		qualityRecord("compress", 2.39, 59.95, 148, true),
+		qualityRecord("compress-lowrank", 8.0, 70.0, 40, false),
+	}}
+	var out strings.Builder
+	if err := compareBaseline(writeReport(t, t.TempDir(), base), cur, 10, &out); err != nil {
+		t.Fatalf("a change within the quality bounds must pass: %v", err)
+	}
+	if got := strings.Count(out.String(), "quality: "); got != 1 {
+		t.Fatalf("want one quality line, got %d:\n%s", got, out.String())
+	}
+	if !strings.Contains(out.String(), "quality: compress w1 cr 2.4000 -> 2.3900") ||
+		!strings.Contains(out.String(), "k 147 -> 148, standardized false -> true  ok") {
+		t.Fatalf("quality line must name the record and each change:\n%s", out.String())
+	}
+}
+
+// TestGateFailsOnQualityLoss: CR falling by more than 1%, or PSNR by
+// more than 0.1 dB, fails the gate even when no timing regressed.
+func TestGateFailsOnQualityLoss(t *testing.T) {
+	for name, cur := range map[string]perfRecord{
+		"cr":   qualityRecord("compress", 2.37, 60.0, 147, false),
+		"psnr": qualityRecord("compress", 2.40, 59.85, 147, false),
+	} {
+		base := perfReport{Records: []perfRecord{qualityRecord("compress", 2.40, 60.0, 147, false)}}
+		var out strings.Builder
+		err := compareBaseline(writeReport(t, t.TempDir(), base), perfReport{Records: []perfRecord{cur}}, 10, &out)
+		if err == nil {
+			t.Fatalf("%s loss must fail the gate:\n%s", name, out.String())
+		}
+		if !strings.Contains(err.Error(), "compress w1") || !strings.Contains(out.String(), "QUALITY LOSS") {
+			t.Fatalf("%s: error and quality line must name the record: %v\n%s", name, err, out.String())
+		}
+	}
+}
+
+// TestGateSkipsBaselineWithoutQuality: a baseline written before records
+// carried quality gates timing only.
+func TestGateSkipsBaselineWithoutQuality(t *testing.T) {
+	base := perfReport{Records: []perfRecord{benchRecord("compress", 1, 1_000_000_000, nil)}}
+	cur := perfReport{Records: []perfRecord{qualityRecord("compress", 1.0, 10.0, 1, true)}}
+	var out strings.Builder
+	if err := compareBaseline(writeReport(t, t.TempDir(), base), cur, 10, &out); err != nil {
+		t.Fatalf("a baseline without quality must not gate quality: %v", err)
+	}
+	if strings.Contains(out.String(), "quality:") {
+		t.Fatalf("no quality line expected:\n%s", out.String())
+	}
+}

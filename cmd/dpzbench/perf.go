@@ -47,6 +47,33 @@ type perfRecord struct {
 	// BasisDecisions counts the reuse decisions of the representative run
 	// for basis-reuse records.
 	BasisDecisions map[string]int `json:"basis_decisions,omitempty"`
+	// Quality is what the representative run of a single-stream compress
+	// record produced; the -baseline gate holds it.
+	Quality *quality `json:"quality,omitempty"`
+}
+
+// quality is a compressed stream's outcome: its compression ratio, the
+// PSNR of its full decode against the input, its component count and
+// whether Stage 2 standardized the features.
+type quality struct {
+	CR           float64 `json:"cr"`
+	PSNR         float64 `json:"psnr_db"`
+	K            int     `json:"k"`
+	Standardized bool    `json:"standardized"`
+}
+
+// qualityOf decodes res and measures it against data, its input.
+func qualityOf(data []float64, res *dpz.Result) (*quality, error) {
+	out, _, err := dpz.DecompressFloat64(res.Data)
+	if err != nil {
+		return nil, err
+	}
+	return &quality{
+		CR:           res.Stats.CRTotal,
+		PSNR:         dpz.PSNR(data, out),
+		K:            res.Stats.K,
+		Standardized: res.Stats.Standardized,
+	}, nil
 }
 
 // stageNs is a per-stage nanosecond breakdown. Compress records fill the
@@ -222,45 +249,45 @@ func runPerfSuite(scale float64, workers []int, notes []string, baseline string,
 		return &records[len(records)-1]
 	}
 
-	for _, w := range workers {
-		o := dpz.LooseOptions()
-		o.Workers = w
-		rec := add("compress", w, bench(func(b *testing.B) {
-			b.SetBytes(rawBytes)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := dpz.CompressFloat64(f.Data, f.Dims, o); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}))
-		probe, err := dpz.CompressFloat64(f.Data, f.Dims, o)
-		if err != nil {
-			return err
-		}
-		rec.StageNs = stagesOf(probe.Stats)
-	}
-
-	// compress-lowrank measures the k ≪ M regime on a PHIS field of the
-	// same size, where Stage 2 computes only the few vectors kept.
+	// compress is the flat CLDHGH regime (k ≈ M). compress-lowrank
+	// measures the k ≪ M regime on a PHIS field of the same size, where
+	// Stage 2 computes only the few vectors kept. compress-sampled runs
+	// Algorithm 2 on that field: k_e from the sampled subsets, and a
+	// fixed-k fit of their rows. Each records the stage breakdown and the
+	// quality of one representative run.
 	lf := dataset.CESM("PHIS", f.Dims[0], f.Dims[1], 2001)
-	for _, w := range workers {
-		o := dpz.LooseOptions()
-		o.Workers = w
-		rec := add("compress-lowrank", w, bench(func(b *testing.B) {
-			b.SetBytes(rawBytes)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := dpz.CompressFloat64(lf.Data, lf.Dims, o); err != nil {
-					b.Fatal(err)
+	sampled := dpz.LooseOptions()
+	sampled.UseSampling = true
+	for _, c := range []struct {
+		name  string
+		field *dataset.Field
+		opts  dpz.Options
+	}{
+		{"compress", f, dpz.LooseOptions()},
+		{"compress-lowrank", lf, dpz.LooseOptions()},
+		{"compress-sampled", lf, sampled},
+	} {
+		for _, w := range workers {
+			cf, o := c.field, c.opts
+			o.Workers = w
+			rec := add(c.name, w, bench(func(b *testing.B) {
+				b.SetBytes(rawBytes)
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := dpz.CompressFloat64(cf.Data, cf.Dims, o); err != nil {
+						b.Fatal(err)
+					}
 				}
+			}))
+			probe, err := dpz.CompressFloat64(cf.Data, cf.Dims, o)
+			if err != nil {
+				return err
 			}
-		}))
-		probe, err := dpz.CompressFloat64(lf.Data, lf.Dims, o)
-		if err != nil {
-			return err
+			rec.StageNs = stagesOf(probe.Stats)
+			if rec.Quality, err = qualityOf(cf.Data, probe); err != nil {
+				return err
+			}
 		}
-		rec.StageNs = stagesOf(probe.Stats)
 	}
 
 	res, err := dpz.CompressFloat64(f.Data, f.Dims, dpz.LooseOptions())

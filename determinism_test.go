@@ -23,8 +23,12 @@ func TestCompressWorkersByteIdentical(t *testing.T) {
 	// The default options on the flat CLDHGH-like field give k ≈ M = 256,
 	// so the covariance Gram and the projection both split across workers.
 	flat := dataset.CESM("CLDHGH", 256, 512, 2001)
-	// With sampling on, Stage 2 fits the sampled rows with pca.FitK;
-	// knee selection without sampling takes FitExact's knee arm.
+	// With sampling on, Stage 2 fits k_e components on the sampled rows
+	// with FitExact at a fixed K: on the flat field k_e > M/8, so
+	// eigen.TopK takes its dense side; on the Channel field (M=288,
+	// k=14) it runs subspace iteration. Knee selection without sampling
+	// takes FitExact's knee arm.
+	channel := dataset.Channel(48, 1002)
 	loose := func(sampling bool, sel dpz.Selection) dpz.Options {
 		o := dpz.LooseOptions()
 		o.UseSampling = sampling
@@ -41,6 +45,7 @@ func TestCompressWorkersByteIdentical(t *testing.T) {
 		{"default-flat", flat, dpz.DefaultOptions()},
 		{"sampling-tve", flat, loose(true, dpz.TVEThreshold)},
 		{"sampling-knee", flat, loose(true, dpz.KneePoint)},
+		{"sampling-iterate", channel, loose(true, dpz.TVEThreshold)},
 		{"knee", flat, loose(false, dpz.KneePoint)},
 	} {
 		f := mk.field

@@ -262,10 +262,10 @@ type Stats struct {
 	TimePCA       time.Duration
 	// TimeVIF, TimeGram, TimeEig and TimeProject are parts of TimePCA:
 	// the auto-standardize VIF probe (zero when none ran; on the default
-	// exact fit only the probe's correlation scaling and Cholesky, since
-	// it reads the fit's own covariance), the exact fit's covariance
-	// build and eigensolve (zero on the sampling and reuse fits), and
-	// the projection onto the k retained components.
+	// cold fit only the probe's correlation scaling and Cholesky, since
+	// it reads the fit's own covariance), the fit's covariance build and
+	// eigensolve (zero when basis reuse accepts a candidate), and the
+	// projection onto the k retained components.
 	TimeVIF     time.Duration
 	TimeGram    time.Duration
 	TimeEig     time.Duration

@@ -1,7 +1,7 @@
 // Package basiscache provides a bounded, deterministic cache of fitted
 // PCA bases keyed by coarse per-tile statistics. It exists so that the
 // hot path can hand the basis one tile produced to the next similar tile
-// as a warm-start candidate (see pca.FitTVEReuse), turning repeated
+// as a warm-start candidate (see pca.FitReuse), turning repeated
 // O(M³) eigensolves over near-identical tiles into cheap guard checks.
 //
 // # Determinism contract

@@ -52,14 +52,14 @@ type Stats struct {
 	TimeDCT       time.Duration
 	TimePCA       time.Duration
 	// TimeVIF, TimeGram, TimeEig and TimeProject are sub-spans of
-	// TimePCA. TimeVIF is the auto-standardize probe: on the exact fit,
+	// TimePCA. TimeVIF is the auto-standardize probe: on the cold fit,
 	// only scaling its covariance to a correlation matrix and the
 	// Cholesky inverse diagonal, since the covariance itself is
 	// TimeGram's (zero when no probe ran; Algorithm 2's own probe is
-	// inside sampling.Run and not split out). TimeGram is the exact
-	// fit's covariance build and TimeEig its eigensolve, k selection
-	// included; both are zero on the sampling and reuse fits, which are
-	// not split. TimeProject is the projection onto the k retained
+	// inside sampling.Run and not split out). TimeGram is the fit's
+	// covariance build and TimeEig its eigensolve, k selection included;
+	// both are zero when reuse accepts a candidate, which builds no
+	// covariance. TimeProject is the projection onto the k retained
 	// components.
 	TimeVIF     time.Duration
 	TimeGram    time.Duration
@@ -190,8 +190,18 @@ func CompressContext(ctx context.Context, data []float64, dims []int, p Params) 
 	t0 = metrics.Now()
 	x := blocks.T()
 
-	var model *pca.Model
-	var k int
+	// Both arms choose k (or how to select it) and the standardize bit,
+	// then end in the same fit: FitReuse when a basis exchange is active
+	// and k is not a knee of the full spectrum, FitExact otherwise.
+	fitX := x
+	popts := pca.Options{Standardize: p.Standardize == StandardizeOn, Workers: p.Workers, Seed: seed}
+	auto := p.Standardize == StandardizeAuto
+	var kneeK func(curve []float64) int
+	if p.Selection == KneePoint {
+		fit := p.Fit
+		kneeK = func(curve []float64) int { return knee.Detect(curve, fit) }
+	}
+	var sel pca.Selection
 	switch {
 	case p.UseSampling:
 		sp := p.Sampling
@@ -201,98 +211,67 @@ func CompressContext(ctx context.Context, data []float64, dims []int, p Params) 
 		if sp.TVE == 0 && p.Selection == TVEThreshold {
 			sp.TVE = p.TVE
 		}
-		if p.Selection == KneePoint {
-			fit := p.Fit
-			sp.SelectK = func(curve []float64) int { return knee.Detect(curve, fit) }
+		if kneeK != nil {
+			sp.SelectK = kneeK
 		}
 		rep, err := sampling.Run(x, sp)
 		if err != nil {
 			return nil, fmt.Errorf("core: sampling strategy: %w", err)
 		}
 		st.Sampling = rep
-		k = rep.Ke
-		standardize := decideStandardize(p.Standardize, rep.LowLinear)
-		st.Standardized = standardize
-		// Fit the truncated basis on the sampled rows only (Algorithm 2's
-		// Stage 2 saving), then project the full data below.
-		sub := sampleRows(x, sp)
-		popts := pca.Options{Standardize: standardize, Workers: p.Workers}
-		if p.Basis != nil {
-			// The guard can only verify a candidate against an explicit
-			// TVE target, so knee-selected k keeps the warm refine but
-			// never accepts outright.
-			target := 0.0
-			if p.Selection == TVEThreshold {
-				target = sp.TVE
-			}
-			var dec pca.ReuseDecision
-			model, dec, err = pca.FitKReuse(sub, k, target, popts, seed, p.Basis.Candidate)
-			p.Basis.Decision = dec
-			st.BasisDecision = dec
-		} else {
-			model, err = pca.FitK(sub, k, popts, seed)
+		if auto {
+			popts.Standardize = rep.LowLinear
 		}
-		if err != nil {
-			return nil, fmt.Errorf("core: sampled k-PCA: %w", err)
+		// Fit k_e components on the rows the strategy analyzed (Algorithm
+		// 2's Stage 2 saving), then project the full data below. The
+		// reuse guard can only verify a candidate against an explicit TVE
+		// target, so knee-selected k keeps the warm refine but never
+		// accepts outright.
+		fitX = rep.Rows(x)
+		sel = pca.Selection{K: rep.Ke}
+		if p.Selection == TVEThreshold {
+			sel.TVE = sp.TVE
 		}
 	default:
-		standardize := p.Standardize == StandardizeOn
-		auto := p.Standardize == StandardizeAuto
-		// Only the exact fit builds a covariance to probe; TVE reuse runs
-		// the same probe on the correlation matrix of a row sample.
-		exact := p.Selection != TVEThreshold || p.Basis == nil
-		if auto && !exact {
-			tv := metrics.Now()
-			if corr, err := sampling.SampleCorrelation(x, 0.01, 0, seed); err == nil {
-				standardize = pca.LowLinearity(corr)
-			}
-			st.TimeVIF = metrics.Since(tv)
+		// One covariance feeds the standardize probe and the eigensolve;
+		// k is chosen from the eigenvalues, and only the vectors kept
+		// (plus a published basis's margin) are computed. Knee selection
+		// needs the full spectrum, so it runs the cold fit even when
+		// reuse is on; TVE reuse runs the same probe on the correlation
+		// matrix of a row sample.
+		sel = pca.Selection{TVE: p.TVE, Knee: kneeK}
+		if p.Basis != nil {
+			sel.Extra = pca.BasisMargin
 		}
-		popts := pca.Options{Standardize: standardize, Workers: p.Workers}
-		if exact {
-			// The exact spectrum-first fit: one covariance feeds the
-			// standardize probe and the eigensolve, k is chosen from the
-			// eigenvalues, and only the vectors kept (plus a published
-			// basis's margin) are computed. Knee selection needs the full
-			// spectrum, so it lands here even when reuse is on.
-			if p.Basis != nil {
-				p.Basis.Decision = pca.ReuseCold
-				st.BasisDecision = pca.ReuseCold
+		if auto {
+			if p.Basis != nil && sel.Knee == nil {
+				tv := metrics.Now()
+				if corr, err := sampling.SampleCorrelation(x, 0.01, 0, seed); err == nil {
+					popts.Standardize = pca.LowLinearity(corr)
+				}
+				st.TimeVIF = metrics.Since(tv)
+			} else {
+				sel.AutoStandardize = true
 			}
-			sel := pca.Selection{TVE: p.TVE, AutoStandardize: auto}
-			if p.Selection == KneePoint {
-				fit := p.Fit
-				sel.Knee = func(curve []float64) int { return knee.Detect(curve, fit) }
-			}
-			if p.Basis != nil {
-				sel.Extra = pca.BasisMargin
-			}
-			var tr pca.FitTrace
-			model, tr, err = pca.FitExact(x, sel, popts)
-			standardize, k = tr.Standardized, tr.K
-			st.TimeVIF, st.TimeGram, st.TimeEig = tr.TimeVIF, tr.TimeGram, tr.TimeEig
-		} else {
-			var dec pca.ReuseDecision
-			model, dec, err = pca.FitTVEReuse(x, p.TVE, popts, seed, p.Basis.Candidate)
-			p.Basis.Decision = dec
-			st.BasisDecision = dec
-		}
-		if err != nil {
-			return nil, fmt.Errorf("core: k-PCA: %w", err)
-		}
-		st.Standardized = standardize
-		if !exact {
-			k = model.KForTVE(p.TVE)
 		}
 	}
-	if k < 1 {
-		k = 1
+	var model *pca.Model
+	var tr pca.FitTrace
+	if p.Basis != nil && sel.Knee == nil {
+		model, tr, err = pca.FitReuse(fitX, sel, popts, p.Basis.Candidate)
+	} else {
+		model, tr, err = pca.FitExact(fitX, sel, popts)
+		tr.Reuse = pca.ReuseCold
 	}
-	if k > shape.M {
-		k = shape.M
+	if err != nil {
+		return nil, fmt.Errorf("core: k-PCA: %w", err)
 	}
-	st.K = k
+	k := tr.K
+	st.K, st.Standardized = k, tr.Standardized
+	st.TimeVIF += tr.TimeVIF
+	st.TimeGram, st.TimeEig = tr.TimeGram, tr.TimeEig
 	if ex := p.Basis; ex != nil {
+		ex.Decision, st.BasisDecision = tr.Reuse, tr.Reuse
 		ex.Fitted = publishBasis(model, k, st.Standardized)
 	}
 	if err := ctx.Err(); err != nil {
@@ -514,25 +493,9 @@ func CompressContext(ctx context.Context, data []float64, dims []int, p Params) 
 // model when the widths already match and copied otherwise; models are
 // never mutated after fitting, so sharing is safe.
 func publishBasis(model *pca.Model, k int, standardized bool) *pca.Basis {
-	if model == nil || model.Components == nil {
-		return nil
-	}
-	rows, cols := model.Components.Dims()
-	kpub := k + pca.BasisMargin
-	if kpub > cols {
-		kpub = cols
-	}
-	if kpub < 1 {
-		return nil
-	}
 	q := model.Components
-	if kpub != cols {
-		q = mat.NewDense(rows, kpub)
-		for j := 0; j < kpub; j++ {
-			for i := 0; i < rows; i++ {
-				q.Set(i, j, model.Components.At(i, j))
-			}
-		}
+	if kpub := k + pca.BasisMargin; kpub < q.Cols() {
+		q = model.ProjectionMatrix(kpub)
 	}
 	return &pca.Basis{Q: q, Standardized: standardized}
 }
@@ -547,52 +510,4 @@ func workersPer(w, k int) int {
 		k = 1
 	}
 	return (w + k - 1) / k
-}
-
-// decideStandardize resolves the standardization mode against the VIF
-// verdict.
-func decideStandardize(mode StandardizeMode, lowLinear bool) bool {
-	switch mode {
-	case StandardizeOn:
-		return true
-	case StandardizeOff:
-		return false
-	default:
-		return lowLinear
-	}
-}
-
-// sampleRows extracts the rows of the T analyzed subsets (first, middle,
-// last by default) as one matrix, mirroring sampling.Run's subset choice.
-func sampleRows(x *mat.Dense, sp sampling.Params) *mat.Dense {
-	n, m := x.Dims()
-	s := sp.S
-	if s <= 0 {
-		s = 10
-	}
-	rows := n / s
-	// First, middle and last subsets: the strategy's default T=3 choice.
-	idx := []int{0, s / 2, s - 1}
-	var count int
-	for _, si := range idx {
-		hi := (si + 1) * rows
-		if si == s-1 {
-			hi = n
-		}
-		count += hi - si*rows
-	}
-	sub := mat.NewDense(count, m)
-	at := 0
-	for _, si := range idx {
-		lo := si * rows
-		hi := lo + rows
-		if si == s-1 {
-			hi = n
-		}
-		for r := lo; r < hi; r++ {
-			copy(sub.Row(at), x.Row(r))
-			at++
-		}
-	}
-	return sub
 }

@@ -236,6 +236,34 @@ func TestSymEigTopKWorkersBitIdenticalToReference(t *testing.T) {
 	}
 }
 
+// TestTopKDenseAboveHalfIsReference: TopK's dense side at k > n/2 takes
+// SymEigTopK's accumulation route, so its k pairs are the frozen
+// solver's leading pairs bit for bit, at every worker count.
+func TestTopKDenseAboveHalfIsReference(t *testing.T) {
+	for name, a := range oracleCases(t) {
+		n, _ := a.Dims()
+		k := n/2 + 1
+		want, err := refSymEig(a)
+		if err != nil {
+			t.Fatalf("%s: reference: %v", name, err)
+		}
+		for _, w := range []int{1, 2, 8} {
+			got, err := TopK(a, k, 1, w)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if i := sameBits(got.Values, want.Values[:k]); i != -1 {
+				t.Fatalf("%s workers=%d: eigenvalue %d differs from the reference", name, w, i)
+			}
+			for j := 0; j < k; j++ {
+				if i := sameBits(got.Vectors.Col(j, nil), want.Vectors.Col(j, nil)); i != -1 {
+					t.Fatalf("%s workers=%d: column %d differs from the reference at row %d", name, w, j, i)
+				}
+			}
+		}
+	}
+}
+
 // TestSymEigDoesNotModifyInput guards the pooled workspace: every route
 // must touch only it, on one worker and on two.
 func TestSymEigDoesNotModifyInput(t *testing.T) {

@@ -1,6 +1,7 @@
 package eigen
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -14,30 +15,25 @@ import (
 // in one or two.
 const maxSubspaceSweeps = 40
 
-// TopK computes the k leading eigenpairs of the symmetric PSD matrix a via
-// orthogonal (subspace) iteration. This is the O(M²·k)-per-sweep path DPZ
-// takes when the sampling strategy has already fixed k, avoiding the full
-// O(M³) decomposition (Section IV-D: "when k ≪ min(M,N) the complexity of
-// k-PCA can be reduced").
+// TopK computes the k leading eigenpairs of the symmetric PSD matrix a.
+// This is the O(M²·k)-per-sweep path DPZ takes once k is fixed: for a
+// large n and a small fraction k/n it runs orthogonal (subspace)
+// iteration, avoiding the full O(M³) decomposition (Section IV-D: "when
+// k ≪ min(M,N) the complexity of k-PCA can be reduced"). Otherwise it is
+// the dense SymEigTopK at a fixed count, which computes only the k
+// vectors and splits them across workers.
 //
 // seed makes the random starting subspace reproducible; workers bounds
-// the multiplies' parallelism (0 = GOMAXPROCS) and never changes a bit.
+// the parallelism (0 = GOMAXPROCS) and never changes a bit.
 func TopK(a *mat.Dense, k int, seed int64, workers int) (*System, error) {
-	n, c := a.Dims()
-	if n != c {
-		return nil, fmt.Errorf("eigen: non-square input %dx%d", n, c)
-	}
-	if k < 1 || k > n {
-		return nil, fmt.Errorf("eigen: k=%d out of range [1,%d]", k, n)
+	n, err := checkTopK(a, k)
+	if err != nil {
+		return nil, err
 	}
 	// The dense solver's O(n³) beats subspace iteration's O(n²·k·iters)
 	// unless n is large and k a small fraction of it; route accordingly.
 	if n <= 256 || k > n/8 {
-		sys, err := SymEig(a)
-		if err != nil {
-			return nil, err
-		}
-		return truncate(sys, k), nil
+		return leading(a, k, workers)
 	}
 	p := subspaceWidth(n, k)
 	qbuf := scratch.Floats(n * p)
@@ -47,13 +43,8 @@ func TopK(a *mat.Dense, k int, seed int64, workers int) (*System, error) {
 	for i := range q.Data() {
 		q.Data()[i] = rng.NormFloat64()
 	}
-	orthonormalize(q)
-	iterate(a, q, workers)
-	sys, err := rayleighRitz(a, q, workers)
-	if err != nil {
-		return nil, err
-	}
-	return truncate(sys, k), nil
+	sys, _, err := subspace(a, q, k, workers)
+	return sys, err
 }
 
 // TopKWarm is TopK warm-started from the orthonormal basis warm (n × any
@@ -65,16 +56,12 @@ func TopK(a *mat.Dense, k int, seed int64, workers int) (*System, error) {
 // cold start's many. The returned sweep count is the number of
 // double-apply sweeps performed (0 when the dense solver was used).
 func TopKWarm(a *mat.Dense, k int, warm *mat.Dense, seed int64, workers int) (*System, int, error) {
-	n, c := a.Dims()
-	if n != c {
-		return nil, 0, fmt.Errorf("eigen: non-square input %dx%d", n, c)
-	}
-	if k < 1 || k > n {
-		return nil, 0, fmt.Errorf("eigen: k=%d out of range [1,%d]", k, n)
+	n, err := checkTopK(a, k)
+	if err != nil {
+		return nil, 0, err
 	}
 	if warm == nil {
-		sys, err := TopK(a, k, seed, workers)
-		return sys, 0, err
+		return nil, 0, errors.New("eigen: TopKWarm needs a warm basis")
 	}
 	if wr, _ := warm.Dims(); wr != n {
 		return nil, 0, fmt.Errorf("eigen: warm basis has %d rows, matrix is %dx%d", wr, n, n)
@@ -83,11 +70,8 @@ func TopKWarm(a *mat.Dense, k int, warm *mat.Dense, seed int64, workers int) (*S
 	// much smaller matrices than the cold path; only tiny or nearly-full
 	// problems route to the dense solver.
 	if n <= 64 || k > n/2 {
-		sys, err := SymEig(a)
-		if err != nil {
-			return nil, 0, err
-		}
-		return truncate(sys, k), 0, nil
+		sys, err := leading(a, k, workers)
+		return sys, 0, err
 	}
 	p := subspaceWidth(n, k)
 	qbuf := scratch.Floats(n * p)
@@ -109,6 +93,12 @@ func TopKWarm(a *mat.Dense, k int, warm *mat.Dense, seed int64, workers int) (*S
 			}
 		}
 	}
+	return subspace(a, q, k, workers)
+}
+
+// subspace runs the iteration from the starting columns q (overwritten)
+// and returns the k leading Ritz pairs with the sweep count.
+func subspace(a, q *mat.Dense, k, workers int) (*System, int, error) {
 	orthonormalize(q)
 	sweeps := iterate(a, q, workers)
 	sys, err := rayleighRitz(a, q, workers)
@@ -116,6 +106,30 @@ func TopKWarm(a *mat.Dense, k int, warm *mat.Dense, seed int64, workers int) (*S
 		return nil, sweeps, err
 	}
 	return truncate(sys, k), sweeps, nil
+}
+
+// checkTopK validates TopK's arguments and returns the matrix order.
+func checkTopK(a *mat.Dense, k int) (int, error) {
+	n, c := a.Dims()
+	if n != c {
+		return 0, fmt.Errorf("eigen: non-square input %dx%d", n, c)
+	}
+	if k < 1 || k > n {
+		return 0, fmt.Errorf("eigen: k=%d out of range [1,%d]", k, n)
+	}
+	return n, nil
+}
+
+// leading is the dense route: SymEigTopK at the fixed count k, keeping
+// the k leading eigenvalues with their vectors. Above SymEigTopK's
+// crossover (k > n/2) the pairs are SymEig's bit for bit.
+func leading(a *mat.Dense, k, workers int) (*System, error) {
+	sys, err := SymEigTopK(a, func([]float64) int { return k }, workers)
+	if err != nil {
+		return nil, err
+	}
+	sys.Values = sys.Values[:k:k]
+	return sys, nil
 }
 
 // subspaceWidth is the working subspace column count: iterate on a
@@ -184,7 +198,8 @@ func rayleighRitz(a, q *mat.Dense, workers int) (*System, error) {
 			small.Set(j, i, v)
 		}
 	}
-	ssys, err := SymEig(small)
+	// All p pairs: the accumulation route, SymEig's bits.
+	ssys, err := leading(small, p, workers)
 	if err != nil {
 		return nil, err
 	}

@@ -99,7 +99,7 @@ func Fig2(cfg Config) error {
 		return err
 	}
 	x := blocks.T()
-	model, err := pca.Fit(x, pca.Options{})
+	model, err := fullBasis(x)
 	if err != nil {
 		return err
 	}
@@ -139,7 +139,7 @@ func Fig3(cfg Config) error {
 	ecr := stats.ECRCurve(coeff)
 
 	x := blocks.T()
-	model, err := pca.Fit(x, pca.Options{})
+	model, err := fullBasis(x)
 	if err != nil {
 		return err
 	}
@@ -251,7 +251,7 @@ func Fig4(cfg Config) error {
 
 	// (b) PCA only: PCA on raw block data, keep 20% of components.
 	xRaw := rawBlocks.T()
-	mRaw, err := pca.Fit(xRaw, pca.Options{})
+	mRaw, err := fullBasis(xRaw)
 	if err != nil {
 		return err
 	}
@@ -281,7 +281,7 @@ func Fig4(cfg Config) error {
 
 	// (d) PCA on DCT coefficients: DPZ's ordering — the basis is derived
 	// in the same (DCT) domain it selects in.
-	mDct, err := pca.Fit(xDct, pca.Options{})
+	mDct, err := fullBasis(xDct)
 	if err != nil {
 		return err
 	}
@@ -327,4 +327,12 @@ func addMeans(x *mat.Dense, means []float64) {
 			row[j] += means[j]
 		}
 	}
+}
+
+// fullBasis fits every principal component of x. Keeping all M vectors
+// sends the exact fit down the accumulation route, so the basis carries
+// the full dense decomposition's bits.
+func fullBasis(x *mat.Dense) (*pca.Model, error) {
+	m, _, err := pca.FitExact(x, pca.Selection{Knee: func(curve []float64) int { return len(curve) }}, pca.Options{})
+	return m, err
 }

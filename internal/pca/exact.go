@@ -97,14 +97,19 @@ func clipVIF(v float64) float64 {
 	return v
 }
 
-// Selection tells FitExact how to choose k and how much basis to return.
+// Selection tells the Stage 2 fits how to choose k and how much basis to
+// return.
 type Selection struct {
 	// TVE selects the smallest k whose cumulative TVE reaches it (Method
-	// 2); it must lie in (0, 1] unless Knee is set.
+	// 2); it must lie in (0, 1] unless Knee or K is set. With K set it is
+	// only the target FitReuse verifies a candidate against (0: none).
 	TVE float64
 	// Knee, when non-nil, picks k from the cumulative TVE curve instead
 	// (Method 1's knee point).
 	Knee func(curve []float64) int
+	// K, when positive, fixes k (Algorithm 2's k_e): no spectrum is
+	// read, and only the leading min(K+Extra, M) eigenpairs are computed.
+	K int
 	// Extra asks for this many components past k (capped at M): the
 	// margin a published basis keeps.
 	Extra int
@@ -113,10 +118,12 @@ type Selection struct {
 	AutoStandardize bool
 }
 
-// FitTrace reports what FitExact decided and where its time went.
+// FitTrace reports what a Stage 2 fit decided and where its time went.
 type FitTrace struct {
 	K            int  // selected component count, in [1, M]
 	Standardized bool // whether the fit ran on standardized features
+	// Reuse is the path FitReuse took; ReuseOff from FitExact.
+	Reuse ReuseDecision
 	// TimeVIF is the standardize probe: scaling the covariance to a
 	// correlation matrix and LowLinearity's bound-first Cholesky. Zero
 	// when no probe ran.
@@ -124,33 +131,33 @@ type FitTrace struct {
 	// TimeGram builds the covariance: the means, the centered SyrK Gram
 	// and, when standardizing, the scaling to a correlation matrix.
 	TimeGram time.Duration
-	// TimeEig is the spectrum-first eigensolve, k selection included.
+	// TimeEig is the eigensolve, k selection included.
 	TimeEig time.Duration
 }
 
-// FitExact is the exact Stage 2 fit, spectrum first. It builds the
-// feature covariance C once; the auto-standardize probe reads its
-// correlation matrix R = D^-½·C·D^-½ (D = diag C) from it, and a
-// standardized fit eigensolves R in place. All M eigenvalues come first,
-// k is selected from them, and only the leading min(k+Extra, M)
-// eigenvectors are computed (eigen.SymEigTopK).
+// FitExact is the cold Stage 2 fit. It builds the feature covariance C
+// once; the auto-standardize probe reads its correlation matrix
+// R = D^-½·C·D^-½ (D = diag C) from it, and a standardized fit
+// eigensolves R in place.
 //
-// Without standardization the spectrum, TotalVar and k are bit-identical
-// to Fit's; the vectors match Fit's leading columns up to sign and
-// round-off, or bit for bit when k+Extra is past SymEigTopK's crossover.
+// Without a fixed K the fit is spectrum first: all M eigenvalues come
+// first, k is selected from them, and only the leading min(k+Extra, M)
+// eigenvectors are computed (eigen.SymEigTopK). The spectrum, TotalVar
+// and k are then bit-identical to Fit's; the vectors match Fit's leading
+// columns up to sign and round-off, or bit for bit when k+Extra is past
+// SymEigTopK's crossover.
+//
+// With K set the min(K+Extra, M) leading eigenpairs come from
+// eigen.TopK, seeded by Options.Seed, and TotalVar is the covariance
+// trace, so the TVE stays meaningful with a truncated spectrum.
+//
 // A standardized fit uses Scales = √diag(C) (zero-variance features get
 // 1, as in mat.ColStds), which equals Fit's up to round-off.
 func FitExact(x *mat.Dense, sel Selection, opts Options) (*Model, FitTrace, error) {
 	var tr FitTrace
 	r, c := x.Dims()
-	if r < 2 {
-		return nil, tr, fmt.Errorf("pca: need at least 2 samples, got %d", r)
-	}
-	if c < 1 {
-		return nil, tr, errors.New("pca: need at least 1 feature")
-	}
-	if sel.Knee == nil && !(sel.TVE > 0 && sel.TVE <= 1) {
-		return nil, tr, fmt.Errorf("pca: TVE target %v out of (0,1]", sel.TVE)
+	if err := checkFit(r, c, sel); err != nil {
+		return nil, tr, err
 	}
 
 	t0 := metrics.Now()
@@ -183,22 +190,30 @@ func FitExact(x *mat.Dense, sel Selection, opts Options) (*Model, FitTrace, erro
 	tr.Standardized = standardize
 
 	t0 = metrics.Now()
-	sys, err := eigen.SymEigTopK(cov, func(vals []float64) int {
-		spec := slices.Clone(vals)
-		clampNonNegative(spec)
-		var total float64
-		for _, v := range spec {
-			total += v
-		}
-		curve := TVECurveOf(spec, total)
-		if sel.Knee != nil {
-			tr.K = sel.Knee(curve)
-		} else {
-			tr.K = kForTVE(curve, sel.TVE)
-		}
-		tr.K = min(max(tr.K, 1), c)
-		return min(tr.K+max(sel.Extra, 0), c)
-	}, opts.Workers)
+	var sys *eigen.System
+	var err error
+	if sel.K > 0 {
+		tr.K = sel.K
+		m.TotalVar = trace(cov)
+		sys, err = eigen.TopK(cov, min(sel.K+max(sel.Extra, 0), c), opts.Seed, opts.Workers)
+	} else {
+		sys, err = eigen.SymEigTopK(cov, func(vals []float64) int {
+			spec := slices.Clone(vals)
+			clampNonNegative(spec)
+			var total float64
+			for _, v := range spec {
+				total += v
+			}
+			curve := TVECurveOf(spec, total)
+			if sel.Knee != nil {
+				tr.K = sel.Knee(curve)
+			} else {
+				tr.K = kForTVE(curve, sel.TVE)
+			}
+			tr.K = min(max(tr.K, 1), c)
+			return min(tr.K+max(sel.Extra, 0), c)
+		}, opts.Workers)
+	}
 	tr.TimeEig = metrics.Since(t0)
 	if err != nil {
 		return nil, tr, fmt.Errorf("pca: eigendecomposition failed: %w", err)
@@ -206,10 +221,42 @@ func FitExact(x *mat.Dense, sel Selection, opts Options) (*Model, FitTrace, erro
 	clampNonNegative(sys.Values)
 	m.Eigenvalues = sys.Values
 	m.Components = sys.Vectors
-	for _, v := range sys.Values {
-		m.TotalVar += v
+	if sel.K == 0 {
+		for _, v := range sys.Values {
+			m.TotalVar += v
+		}
 	}
 	return m, tr, nil
+}
+
+// checkFit validates the arguments both Stage 2 fits share: an r×c
+// sample matrix, a fixed K in range, or else a rule to select k by.
+func checkFit(r, c int, sel Selection) error {
+	if r < 2 {
+		return fmt.Errorf("pca: need at least 2 samples, got %d", r)
+	}
+	if c < 1 {
+		return errors.New("pca: need at least 1 feature")
+	}
+	if sel.K < 0 || sel.K > c {
+		return fmt.Errorf("pca: k=%d out of range [1,%d]", sel.K, c)
+	}
+	if sel.K == 0 && sel.Knee == nil && !validTVE(sel.TVE) {
+		return fmt.Errorf("pca: TVE target %v out of (0,1]", sel.TVE)
+	}
+	return nil
+}
+
+// validTVE reports whether tve is a usable TVE target, in (0, 1].
+func validTVE(tve float64) bool { return tve > 0 && tve <= 1 }
+
+// trace returns the sum of a's diagonal.
+func trace(a *mat.Dense) float64 {
+	var t float64
+	for i := 0; i < a.Rows(); i++ {
+		t += a.At(i, i)
+	}
+	return t
 }
 
 // covarianceStds returns √diag(cov), with mat.ColStds's guard: a zero

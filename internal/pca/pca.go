@@ -23,16 +23,15 @@ import (
 type Model struct {
 	Means       []float64  // per-feature means subtracted before projection
 	Scales      []float64  // per-feature std devs if standardized, else nil
-	Eigenvalues []float64  // descending; full spectrum for Fit and FitExact, k leading for FitK
+	Eigenvalues []float64  // descending; the full spectrum, or K+Extra leading at a fixed K
 	Components  *mat.Dense // features × s; column j is eigenvector j (s = len(Eigenvalues), or FitExact's k+Extra)
 	// TotalVar is the trace of the analyzed covariance matrix — the TVE
-	// denominator. For a full Fit it equals the eigenvalue sum; for FitK
-	// it is computed directly so TVE stays meaningful with a truncated
-	// spectrum.
+	// denominator. With the full spectrum it is the eigenvalue sum; with
+	// a truncated one it is computed directly so TVE stays meaningful.
 	TotalVar float64
 }
 
-// Options configures Fit.
+// Options configures the fits.
 type Options struct {
 	// Standardize divides each centered feature by its sample standard
 	// deviation before the eigenanalysis. The paper applies this only to
@@ -42,6 +41,9 @@ type Options struct {
 	// Workers bounds the parallelism of the covariance Gram kernel
 	// (0 = GOMAXPROCS). It never changes the result bits.
 	Workers int
+	// Seed makes the random starting subspace of eigen.TopK and
+	// eigen.TopKWarm reproducible (a fixed K, and FitReuse's refine).
+	Seed int64
 }
 
 // Fit computes the PCA basis of x (rows = samples, cols = features).
@@ -53,56 +55,26 @@ func Fit(x *mat.Dense, opts Options) (*Model, error) {
 	if c < 1 {
 		return nil, errors.New("pca: need at least 1 feature")
 	}
-	m := &Model{}
-	cov, release := m.covariance(x, opts)
-	defer release()
+	m := &Model{Means: mat.ColMeans(x)}
+	if opts.Standardize {
+		m.Scales = mat.ColStds(x, m.Means)
+	}
+	buf := scratch.Floats(c * c)
+	defer scratch.PutFloats(buf)
+	cov := mat.NewDenseData(c, c, buf)
+	mat.CovarianceCenteredInto(cov, x, m.Means, m.Scales, opts.Workers)
 	sys, err := eigen.SymEig(cov)
 	if err != nil {
 		return nil, fmt.Errorf("pca: eigendecomposition failed: %w", err)
 	}
 	// Clamp tiny negative eigenvalues caused by round-off: covariance
 	// matrices are PSD by construction.
-	for i, v := range sys.Values {
-		if v < 0 {
-			sys.Values[i] = 0
-		}
-	}
+	clampNonNegative(sys.Values)
 	m.Eigenvalues = sys.Values
 	m.Components = sys.Vectors
 	for _, v := range sys.Values {
 		m.TotalVar += v
 	}
-	return m, nil
-}
-
-// FitK computes only the k leading principal components via subspace
-// iteration — the reduced-cost path DPZ's sampling strategy enables once
-// k_e is known (O(M²k) instead of the full O(M³) eigendecomposition).
-func FitK(x *mat.Dense, k int, opts Options, seed int64) (*Model, error) {
-	r, c := x.Dims()
-	if r < 2 {
-		return nil, fmt.Errorf("pca: need at least 2 samples, got %d", r)
-	}
-	if k < 1 || k > c {
-		return nil, fmt.Errorf("pca: k=%d out of range [1,%d]", k, c)
-	}
-	m := &Model{}
-	cov, release := m.covariance(x, opts)
-	defer release()
-	for i := 0; i < c; i++ {
-		m.TotalVar += cov.At(i, i)
-	}
-	sys, err := eigen.TopK(cov, k, seed, opts.Workers)
-	if err != nil {
-		return nil, fmt.Errorf("pca: truncated eigendecomposition failed: %w", err)
-	}
-	for i, v := range sys.Values {
-		if v < 0 {
-			sys.Values[i] = 0
-		}
-	}
-	m.Eigenvalues = sys.Values
-	m.Components = sys.Vectors
 	return m, nil
 }
 
@@ -150,23 +122,6 @@ func TVECurveOf(vals []float64, totalVar float64) []float64 {
 	return curve
 }
 
-// covariance fills m.Means (and m.Scales when standardizing) and computes
-// the covariance/correlation matrix of x into pooled storage. The caller
-// must invoke release once the matrix is no longer referenced; the
-// eigensolvers copy their input, so releasing after the solve is safe.
-func (m *Model) covariance(x *mat.Dense, opts Options) (cov *mat.Dense, release func()) {
-	_, c := x.Dims()
-	//dpzlint:ignore scratchpair ownership transfers to the returned release closure, which every caller defers
-	buf := scratch.Floats(c * c)
-	cov = mat.NewDenseData(c, c, buf)
-	m.Means = mat.ColMeans(x)
-	if opts.Standardize {
-		m.Scales = mat.ColStds(x, m.Means)
-	}
-	mat.CovarianceCenteredInto(cov, x, m.Means, m.Scales, opts.Workers)
-	return cov, func() { scratch.PutFloats(buf) }
-}
-
 func clampNonNegative(vals []float64) {
 	for i, v := range vals {
 		if v < 0 {
@@ -182,17 +137,7 @@ func (m *Model) NumFeatures() int { return len(m.Means) }
 // 1..len(Eigenvalues): curve[k-1] = Σ_{i<k} λ_i / TotalVar (Eq. 2). If
 // the total variance is zero (constant data) every entry is 1.
 func (m *Model) TVECurve() []float64 {
-	curve := make([]float64, len(m.Eigenvalues))
-	var run float64
-	for i, v := range m.Eigenvalues {
-		run += v
-		if m.TotalVar > 0 {
-			curve[i] = run / m.TotalVar
-		} else {
-			curve[i] = 1
-		}
-	}
-	return curve
+	return TVECurveOf(m.Eigenvalues, m.TotalVar)
 }
 
 // KForTVE returns the smallest k whose cumulative TVE reaches the given

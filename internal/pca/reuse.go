@@ -1,11 +1,13 @@
 package pca
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
 	"dpz/internal/eigen"
 	"dpz/internal/mat"
+	"dpz/internal/metrics"
 	"dpz/internal/scratch"
 )
 
@@ -13,8 +15,8 @@ import (
 // the basis-reuse layer: the leading eigenvector columns a previous fit
 // produced, in descending-eigenvalue order, plus the standardization mode
 // they were fitted under. A Basis carries no means, scales or eigenvalues —
-// those are properties of the data it gets applied to, and the reuse fits
-// recompute them for the new tile.
+// those are properties of the data it gets applied to, and FitReuse
+// recomputes them for the new tile.
 type Basis struct {
 	// Q holds orthonormal columns (features × k).
 	Q *mat.Dense
@@ -31,7 +33,7 @@ func (b *Basis) NumComponents() int {
 	return b.Q.Cols()
 }
 
-// ReuseDecision reports which path a reuse-aware fit took.
+// ReuseDecision reports which path FitReuse took.
 type ReuseDecision int
 
 const (
@@ -85,103 +87,70 @@ func (b *Basis) usable(x *mat.Dense, opts Options) bool {
 	return b.Q.Rows() == c
 }
 
-// FitTVEReuse fits a PCA basis for x targeting the cumulative-TVE
-// threshold, trying the candidate basis before paying for a cold fit:
+// FitReuse is the candidate-aware Stage 2 fit. sel fixes k (K) or sets
+// the cumulative-TVE target; Knee and AutoStandardize are not supported,
+// since the candidate must match a standardization mode known up front.
+// The candidate basis is tried before paying for a cold fit:
 //
-//  1. Guard: a deterministic row sample of x is centered and projected
-//     onto the candidate; if the sampled captured-energy fraction reaches
-//     the target, the candidate's captured variance is verified EXACTLY on
-//     the full data via per-column Rayleigh quotients (cost O(N·M·k),
-//     skipping both the O(N·M²) covariance build and the O(M³)
-//     eigensolve). On success the candidate is adopted (ReuseAccept) with
-//     its columns re-ranked by measured variance.
-//  2. Otherwise the candidate warm-starts subspace iteration on this
-//     tile's covariance, growing the subspace geometrically until the
-//     target is met (ReuseRefine).
-//  3. Without a usable candidate the exact FitExact runs (ReuseCold),
-//     with BasisMargin extra components for the basis it will publish.
-//     Its first k components are those of the reuse-disabled path.
+//  1. Cold: without a usable candidate FitExact(x, sel, opts) runs
+//     (ReuseCold), and the result is the reuse-disabled path's.
+//  2. Accept (only with a TVE target): a deterministic row sample of x
+//     is centered and projected onto the candidate; if the sampled
+//     captured-energy fraction reaches the target, the candidate's
+//     captured variance is verified EXACTLY on the full data via
+//     per-column Rayleigh quotients (cost O(N·M·k), skipping both the
+//     O(N·M²) covariance build and the O(M³) eigensolve). On success the
+//     candidate is adopted (ReuseAccept) with its columns re-ranked by
+//     measured variance: K of them at a fixed K, otherwise all.
+//  3. Refine: otherwise the candidate warm-starts subspace iteration on
+//     this tile's covariance (ReuseRefine). At a fixed K it runs once at
+//     K; for a TVE target the subspace grows geometrically until the
+//     target is met.
 //
-// The decision is a pure function of x, target, opts and the candidate —
-// nothing timing- or worker-dependent enters it. The adopted basis
-// captures at least target of x's total variance in every case, exactly
-// the guarantee the cold fit provides.
-func FitTVEReuse(x *mat.Dense, target float64, opts Options, seed int64, cand *Basis) (*Model, ReuseDecision, error) {
-	r, _ := x.Dims()
-	if r < 2 {
-		return nil, ReuseCold, fmt.Errorf("pca: need at least 2 samples, got %d", r)
-	}
-	if target <= 0 || target > 1 {
-		return nil, ReuseCold, fmt.Errorf("pca: TVE target %v out of (0,1]", target)
-	}
-	if !cand.usable(x, opts) {
-		m, _, err := FitExact(x, Selection{TVE: target, Extra: BasisMargin}, opts)
-		return m, ReuseCold, err
-	}
-
-	m := &Model{}
-	m.Means = mat.ColMeans(x)
-	if opts.Standardize {
-		m.Scales = mat.ColStds(x, m.Means)
-	}
-	if guardSample(x, m.Means, m.Scales, cand.Q, target, opts.Workers) {
-		if ok := acceptExact(m, x, cand.Q, cand.Q.Cols(), target, opts.Workers); ok {
-			return m, ReuseAccept, nil
-		}
-	}
-	if err := refineTVE(m, x, target, opts, seed, cand.Q); err != nil {
-		return nil, ReuseRefine, err
-	}
-	return m, ReuseRefine, nil
-}
-
-// FitKReuse is the sampling-path analogue of FitTVEReuse: k is already
-// fixed (Algorithm 2 estimated it), so the candidate is either adopted
-// after the guard verifies its top-k columns still capture the TVE target
-// (target > 0), warm-refined into the true top-k subspace, or ignored in
-// favour of the cold FitK. A target of 0 (knee-point selection combined
-// with sampling) disables the accept path — there is no threshold to
-// verify against — but keeps the warm refine.
-func FitKReuse(x *mat.Dense, k int, target float64, opts Options, seed int64, cand *Basis) (*Model, ReuseDecision, error) {
+// sel.Extra widens only the cold fit; accept and refine return the
+// columns they adopted.
+//
+// The decision is a pure function of x, sel, opts and the candidate —
+// nothing timing- or worker-dependent enters it. With a TVE target the
+// adopted basis captures at least the target of x's total variance in
+// every case, exactly the guarantee the cold fit provides.
+func FitReuse(x *mat.Dense, sel Selection, opts Options, cand *Basis) (*Model, FitTrace, error) {
 	r, c := x.Dims()
-	if r < 2 {
-		return nil, ReuseCold, fmt.Errorf("pca: need at least 2 samples, got %d", r)
+	if err := checkFit(r, c, sel); err != nil {
+		return nil, FitTrace{}, err
 	}
-	if k < 1 || k > c {
-		return nil, ReuseCold, fmt.Errorf("pca: k=%d out of range [1,%d]", k, c)
+	if sel.Knee != nil || sel.AutoStandardize {
+		return nil, FitTrace{}, errors.New("pca: FitReuse takes a fixed K or a TVE target, and the standardize mode from opts")
 	}
 	if !cand.usable(x, opts) {
-		m, err := FitK(x, k, opts, seed)
-		return m, ReuseCold, err
+		m, tr, err := FitExact(x, sel, opts)
+		tr.Reuse = ReuseCold
+		return m, tr, err
 	}
 
-	m := &Model{}
-	m.Means = mat.ColMeans(x)
+	tr := FitTrace{Standardized: opts.Standardize, Reuse: ReuseAccept}
+	m := &Model{Means: mat.ColMeans(x)}
 	if opts.Standardize {
 		m.Scales = mat.ColStds(x, m.Means)
 	}
-	if target > 0 && target <= 1 && cand.Q.Cols() >= k && guardSample(x, m.Means, m.Scales, cand.Q, target, opts.Workers) {
-		if ok := acceptExact(m, x, cand.Q, k, target, opts.Workers); ok {
-			return m, ReuseAccept, nil
+	keep := cand.Q.Cols()
+	if sel.K > 0 {
+		keep = sel.K
+	}
+	accepted := validTVE(sel.TVE) && keep <= cand.Q.Cols() &&
+		guardSample(x, m.Means, m.Scales, cand.Q, sel.TVE, opts.Workers) &&
+		acceptExact(m, x, cand.Q, keep, sel.TVE, opts.Workers)
+	if !accepted {
+		tr.Reuse = ReuseRefine
+		if err := refine(m, &tr, x, sel, opts, cand.Q); err != nil {
+			return nil, tr, err
 		}
 	}
-	// Warm refine at the fixed k: the candidate subspace starts the
-	// iteration on this tile's covariance.
-	covBuf := scratch.Floats(c * c)
-	defer scratch.PutFloats(covBuf)
-	cov := mat.NewDenseData(c, c, covBuf)
-	mat.CovarianceCenteredInto(cov, x, m.Means, m.Scales, opts.Workers)
-	for i := 0; i < c; i++ {
-		m.TotalVar += cov.At(i, i)
+	tr.K = sel.K
+	if tr.K == 0 {
+		tr.K = m.KForTVE(sel.TVE)
 	}
-	sys, _, err := eigen.TopKWarm(cov, k, cand.Q, seed, opts.Workers)
-	if err != nil {
-		return nil, ReuseRefine, fmt.Errorf("pca: warm truncated eigendecomposition failed: %w", err)
-	}
-	clampNonNegative(sys.Values)
-	m.Eigenvalues = sys.Values
-	m.Components = sys.Vectors
-	return m, ReuseRefine, nil
+	return m, tr, nil
 }
 
 // guardSample is the cheap pre-filter: center a deterministic, evenly
@@ -205,16 +174,9 @@ func guardSample(x *mat.Dense, means, scales []float64, q *mat.Dense, target flo
 	defer scratch.PutFloats(sbuf)
 	sample := mat.NewDenseData(rs, c, sbuf)
 	for i := 0; i < rs; i++ {
-		src := x.Row(i * r / rs)
-		dst := sample.Row(i)
-		for j := 0; j < c; j++ {
-			v := src[j] - means[j]
-			if scales != nil {
-				v /= scales[j]
-			}
-			dst[j] = v
-		}
+		copy(sample.Row(i), x.Row(i*r/rs))
 	}
+	centerInto(sample, sample, means, scales)
 	var total float64
 	for _, v := range sbuf {
 		total += v * v
@@ -323,42 +285,44 @@ func acceptExact(m *Model, x *mat.Dense, q *mat.Dense, keep int, target float64,
 	return true
 }
 
-// refineTVE warm-starts subspace iteration on x's covariance from warm,
-// growing the computed subspace geometrically (doubling from the warm
-// basis's width) until the cumulative TVE target is met. There is no
-// small-matrix fall-through: the caller already decided reuse is
-// worthwhile.
-func refineTVE(m *Model, x *mat.Dense, target float64, opts Options, seed int64, warm *mat.Dense) error {
+// refine warm-starts subspace iteration on x's covariance from warm. At
+// a fixed sel.K it takes one step, at K. For a TVE target it starts at
+// warm's width and doubles until the target is met, ending in the dense
+// solve once the width reaches M. There is no small-matrix fall-through:
+// the caller already decided reuse is worthwhile.
+func refine(m *Model, tr *FitTrace, x *mat.Dense, sel Selection, opts Options, warm *mat.Dense) error {
 	_, c := x.Dims()
+	t0 := metrics.Now()
 	covBuf := scratch.Floats(c * c)
 	defer scratch.PutFloats(covBuf)
 	cov := mat.NewDenseData(c, c, covBuf)
 	mat.CovarianceCenteredInto(cov, x, m.Means, m.Scales, opts.Workers)
-	m.TotalVar = 0
-	for i := 0; i < c; i++ {
-		m.TotalVar += cov.At(i, i)
+	m.TotalVar = trace(cov)
+	tr.TimeGram = metrics.Since(t0)
+
+	t0 = metrics.Now()
+	defer func() { tr.TimeEig = metrics.Since(t0) }()
+	k := warm.Cols()
+	if sel.K > 0 {
+		k = sel.K
 	}
-	for k := warm.Cols(); ; k *= 2 {
+	for ; ; k *= 2 {
+		var sys *eigen.System
+		var err error
 		if k >= c {
-			sys, err := eigen.SymEigTopK(cov, func([]float64) int { return c }, opts.Workers)
-			if err != nil {
-				return fmt.Errorf("pca: eigendecomposition failed: %w", err)
-			}
-			clampNonNegative(sys.Values)
-			m.Eigenvalues = sys.Values
-			m.Components = sys.Vectors
-			return nil
+			sys, err = eigen.SymEigTopK(cov, func([]float64) int { return c }, opts.Workers)
+		} else {
+			sys, _, err = eigen.TopKWarm(cov, k, warm, opts.Seed, opts.Workers)
 		}
-		sys, _, err := eigen.TopKWarm(cov, k, warm, seed, opts.Workers)
 		if err != nil {
-			return fmt.Errorf("pca: warm truncated eigendecomposition failed: %w", err)
+			return fmt.Errorf("pca: warm eigendecomposition failed: %w", err)
 		}
 		clampNonNegative(sys.Values)
 		var cum float64
 		for _, v := range sys.Values {
 			cum += v
 		}
-		if m.TotalVar <= 0 || cum/m.TotalVar >= target {
+		if sel.K > 0 || k >= c || m.TotalVar <= 0 || cum/m.TotalVar >= sel.TVE {
 			m.Eigenvalues = sys.Values
 			m.Components = sys.Vectors
 			return nil

@@ -61,7 +61,7 @@ func achievedTVE(x *mat.Dense, m *Model, k int) float64 {
 func TestFitTVEReuseColdWithoutCandidate(t *testing.T) {
 	x := lowRankField(300, 48, 4, 1e-3, 1)
 	opts := Options{}
-	m, dec, err := FitTVEReuse(x, 0.999, opts, 1, nil)
+	m, dec, err := fitReuseTVE(x, 0.999, opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestFitTVEReuseAcceptsOwnBasis(t *testing.T) {
 	}
 	k := ref.KForTVE(target)
 	cand := &Basis{Q: ref.ProjectionMatrix(min(k+4, len(ref.Eigenvalues)))}
-	m, dec, err := FitTVEReuse(x, target, Options{}, 1, cand)
+	m, dec, err := fitReuseTVE(x, target, Options{}, cand)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestFitTVEReuseAcceptOnSimilarTile(t *testing.T) {
 	}
 	kA := mA.KForTVE(target)
 	cand := &Basis{Q: mA.ProjectionMatrix(min(kA+8, len(mA.Eigenvalues)))}
-	m, dec, err := FitTVEReuse(b, target, Options{}, 1, cand)
+	m, dec, err := fitReuseTVE(b, target, Options{}, cand)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestFitTVEReuseRefinesUselessCandidate(t *testing.T) {
 	q := mat.NewDense(60, 2)
 	q.Set(59, 0, 1)
 	q.Set(58, 1, 1)
-	m, dec, err := FitTVEReuse(x, target, Options{}, 1, &Basis{Q: q})
+	m, dec, err := fitReuseTVE(x, target, Options{}, &Basis{Q: q})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestFitTVEReuseRefinesUselessCandidate(t *testing.T) {
 func TestFitTVEReuseRejectsMismatchedCandidate(t *testing.T) {
 	x := lowRankField(200, 32, 3, 1e-3, 6)
 	// Wrong feature count → cold.
-	_, dec, err := FitTVEReuse(x, 0.999, Options{}, 1, &Basis{Q: mat.NewDense(31, 3)})
+	_, dec, err := fitReuseTVE(x, 0.999, Options{}, &Basis{Q: mat.NewDense(31, 3)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestFitTVEReuseRejectsMismatchedCandidate(t *testing.T) {
 		t.Fatalf("shape-mismatched candidate: decision = %v, want cold", dec)
 	}
 	// Standardization mode mismatch → cold.
-	_, dec, err = FitTVEReuse(x, 0.999, Options{}, 1, &Basis{Q: mat.NewDense(32, 3), Standardized: true})
+	_, dec, err = fitReuseTVE(x, 0.999, Options{}, &Basis{Q: mat.NewDense(32, 3), Standardized: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,10 +172,17 @@ func TestFitTVEReuseRejectsMismatchedCandidate(t *testing.T) {
 	}
 }
 
+// fitReuseTVE is FitReuse at a TVE target, returning its decision.
+func fitReuseTVE(x *mat.Dense, target float64, opts Options, cand *Basis) (*Model, ReuseDecision, error) {
+	m, tr, err := FitReuse(x, Selection{TVE: target}, opts, cand)
+	return m, tr.Reuse, err
+}
+
 func TestFitKReusePaths(t *testing.T) {
 	const target = 0.99
 	x := lowRankField(300, 48, 4, 1e-3, 7)
-	ref, err := FitK(x, 6, Options{}, 1)
+	opts := Options{Seed: 1}
+	ref, _, err := FitExact(x, Selection{K: 6}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,24 +190,25 @@ func TestFitKReusePaths(t *testing.T) {
 
 	// Accept: the fit's own top-k basis passes the guard at a reachable
 	// target.
-	m, dec, err := FitKReuse(x, 6, target, Options{}, 1, cand)
+	m, tr, err := FitReuse(x, Selection{K: 6, TVE: target}, opts, cand)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dec != ReuseAccept {
-		t.Fatalf("decision = %v, want accept", dec)
+	if tr.Reuse != ReuseAccept || tr.K != 6 {
+		t.Fatalf("decision = %v, k = %d; want accept at 6", tr.Reuse, tr.K)
 	}
 	if got := achievedTVE(x, m, 6); got < target {
 		t.Fatalf("accepted basis achieves TVE %v < target %v", got, target)
 	}
 
-	// No target (knee-selected k): accept is off, warm refine runs.
-	m, dec, err = FitKReuse(x, 6, 0, Options{}, 1, cand)
+	// No target (knee-selected k): accept is off, one warm refine step
+	// runs at K.
+	m, tr, err = FitReuse(x, Selection{K: 6}, opts, cand)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dec != ReuseRefine {
-		t.Fatalf("no-target decision = %v, want refine", dec)
+	if tr.Reuse != ReuseRefine || tr.K != 6 {
+		t.Fatalf("no-target decision = %v, k = %d; want refine at 6", tr.Reuse, tr.K)
 	}
 	if len(m.Eigenvalues) != 6 {
 		t.Fatalf("refined model has %d eigenvalues, want 6", len(m.Eigenvalues))
@@ -211,19 +219,48 @@ func TestFitKReusePaths(t *testing.T) {
 		}
 	}
 
-	// Nil candidate → cold, bit-identical to FitK.
-	m, dec, err = FitKReuse(x, 6, target, Options{}, 1, nil)
+	// A candidate narrower than K cannot be accepted at K.
+	_, tr, err = FitReuse(x, Selection{K: 6, TVE: target}, opts, &Basis{Q: ref.ProjectionMatrix(4)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dec != ReuseCold {
-		t.Fatalf("nil candidate decision = %v, want cold", dec)
+	if tr.Reuse != ReuseRefine {
+		t.Fatalf("narrow-candidate decision = %v, want refine", tr.Reuse)
+	}
+
+	// Nil candidate → cold, bit-identical to FitExact at K.
+	m, tr, err = FitReuse(x, Selection{K: 6, TVE: target}, opts, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr.Reuse != ReuseCold {
+		t.Fatalf("nil candidate decision = %v, want cold", tr.Reuse)
 	}
 	for i := range m.Eigenvalues {
 		//dpzlint:ignore floateq bit-identity to the cold fit is the contract under test
 		if m.Eigenvalues[i] != ref.Eigenvalues[i] {
-			t.Fatalf("cold FitKReuse diverged from FitK at eigenvalue %d", i)
+			t.Fatalf("cold FitReuse diverged from FitExact at eigenvalue %d", i)
 		}
+	}
+}
+
+func TestFitReuseValidation(t *testing.T) {
+	x := lowRankField(60, 8, 3, 1e-3, 9)
+	for name, sel := range map[string]Selection{
+		"no target":   {},
+		"target > 1":  {TVE: 1.5},
+		"k > c":       {K: 9, TVE: 0.99},
+		"negative k":  {K: -1, TVE: 0.99},
+		"knee":        {Knee: func([]float64) int { return 2 }},
+		"auto":        {TVE: 0.99, AutoStandardize: true},
+		"knee with k": {K: 2, Knee: func([]float64) int { return 2 }},
+	} {
+		if _, _, err := FitReuse(x, sel, Options{}, nil); err == nil {
+			t.Errorf("%s: expected an error", name)
+		}
+	}
+	if _, _, err := FitReuse(mat.NewDense(1, 8), Selection{TVE: 0.9}, Options{}, nil); err == nil {
+		t.Fatal("expected single-sample rejection")
 	}
 }
 
@@ -272,19 +309,23 @@ func tiltedTile(coef, basis *mat.Dense, tilt float64, rng *rand.Rand) *mat.Dense
 	return y
 }
 
-// Every fit path meets the TVE target: FitTVEReuse, offered the exact
-// fit's basis (with the published margin) from a tilted copy of the tile,
-// must adopt a basis that reaches the target on the tile itself, whether
-// the guard accepts the candidate or the warm refine replaces it. Its
-// component count sits in the window the Ky Fan inequality allows —
-// never below the exact minimum (up to rounding), and at most a few
-// verified extras above it.
-func FuzzFitTVEReuseMeetsTarget(f *testing.F) {
-	f.Add(int64(1), 0.99, 0.0)
-	f.Add(int64(7), 0.999, 0.05)
-	f.Add(int64(19), 0.9, 0.9)
-	f.Add(int64(23), 0.99999, 0.3)
-	f.Fuzz(func(t *testing.T, seed int64, target, tilt float64) {
+// Every fit path meets the TVE target: FitReuse, offered the exact fit's
+// basis (with the published margin) from a tilted copy of the tile, must
+// adopt a basis that reaches the target on the tile itself, whether the
+// guard accepts the candidate or the warm refine replaces it. With a TVE
+// selection its component count sits in the window the Ky Fan inequality
+// allows — never below the exact minimum (up to rounding), and at most a
+// few verified extras above it. With K fixed at that minimum, as the
+// sampled path fixes k_e, the K adopted columns reach the target too.
+func FuzzFitReuseMeetsTarget(f *testing.F) {
+	f.Add(int64(1), 0.99, 0.0, false)
+	f.Add(int64(7), 0.999, 0.05, false)
+	f.Add(int64(19), 0.9, 0.9, false)
+	f.Add(int64(23), 0.99999, 0.3, false)
+	f.Add(int64(1), 0.99, 0.0, true)
+	f.Add(int64(7), 0.999, 0.05, true)
+	f.Add(int64(19), 0.9, 0.9, true)
+	f.Fuzz(func(t *testing.T, seed int64, target, tilt float64, fixedK bool) {
 		if math.IsNaN(target) || math.IsInf(target, 0) || math.IsNaN(tilt) || math.IsInf(tilt, 0) {
 			t.Skip()
 		}
@@ -309,24 +350,33 @@ func FuzzFitTVEReuseMeetsTarget(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, dec, err := FitTVEReuse(x, target, Options{Workers: 2}, seed, &Basis{Q: prev.Components})
-		if err != nil {
-			t.Fatal(err)
-		}
 		_, exact, err := FitExact(x, Selection{TVE: target}, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
+		sel := Selection{TVE: target}
+		if fixedK {
+			sel.K = exact.K
+		}
+		got, tr, err := FitReuse(x, sel, Options{Workers: 2, Seed: seed}, &Basis{Q: prev.Components})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fixedK {
+			if len(got.Eigenvalues) != exact.K || tr.K != exact.K {
+				t.Fatalf("fixed K=%d (decision %v) adopted %d columns, traced k=%d", exact.K, tr.Reuse, len(got.Eigenvalues), tr.K)
+			}
+		}
 		if tve := adoptedTVE(got); tve < target-1e-9 {
-			t.Fatalf("reuse (decision %v) reached %.9f < target %v", dec, tve, target)
+			t.Fatalf("reuse (decision %v) reached %.9f < target %v", tr.Reuse, tve, target)
 		}
 		k := got.KForTVE(target)
 		if k < exact.K-1 {
-			t.Fatalf("reuse (decision %v) claims %d components reach %.6f but the exact minimum is %d — an unverified accept", dec, k, target, exact.K)
+			t.Fatalf("reuse (decision %v) claims %d components reach %.6f but the exact minimum is %d — an unverified accept", tr.Reuse, k, target, exact.K)
 		}
 		if k > exact.K+16 {
-			t.Fatalf("reuse (decision %v) needed %d components for %.6f, exact needs %d — basis quality collapsed", dec, k, target, exact.K)
+			t.Fatalf("reuse (decision %v) needed %d components for %.6f, exact needs %d — basis quality collapsed", tr.Reuse, k, target, exact.K)
 		}
-		t.Logf("decision=%v k=%d exact=%d", dec, k, exact.K)
+		t.Logf("fixedK=%v decision=%v k=%d exact=%d", fixedK, tr.Reuse, k, exact.K)
 	})
 }

@@ -139,21 +139,59 @@ func TestFitTVEValidation(t *testing.T) {
 func TestFitKValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(308))
 	x := lowRankData(30, 6, 3, 0.1, rng)
-	if _, err := FitK(x, 0, Options{}, 1); err == nil {
-		t.Fatal("expected k=0 rejection")
+	if _, _, err := FitExact(x, Selection{K: -1}, Options{Seed: 1}); err == nil {
+		t.Fatal("expected k<0 rejection")
 	}
-	if _, err := FitK(x, 7, Options{}, 1); err == nil {
+	if _, _, err := FitExact(x, Selection{K: 7}, Options{Seed: 1}); err == nil {
 		t.Fatal("expected k>c rejection")
 	}
-	if _, err := FitK(mat.NewDense(1, 6), 2, Options{}, 1); err == nil {
+	if _, _, err := FitExact(mat.NewDense(1, 6), Selection{K: 2}, Options{Seed: 1}); err == nil {
 		t.Fatal("expected single-sample rejection")
 	}
-	m, err := FitK(x, 3, Options{Standardize: true}, 1)
+	m, tr, err := FitExact(x, Selection{K: 3}, Options{Standardize: true, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Scales == nil || len(m.Eigenvalues) != 3 {
-		t.Fatalf("standardized FitK model: %+v", m)
+	if m.Scales == nil || len(m.Eigenvalues) != 3 || tr.K != 3 || !tr.Standardized {
+		t.Fatalf("standardized fixed-K model: %+v, trace %+v", m, tr)
+	}
+	// A fixed K ignores the TVE target, and Extra widens the basis.
+	m, _, err = FitExact(x, Selection{K: 2, Extra: 2, TVE: 7}, Options{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(m.Eigenvalues) != 4 || m.Components.Cols() != 4 {
+		t.Fatalf("K=2 Extra=2 fit kept %d values, %d columns", len(m.Eigenvalues), m.Components.Cols())
+	}
+}
+
+// TestFitExactFixedKMatchesSpectrum: at a fixed K the leading eigenvalues
+// and the TVE denominator agree with the spectrum-first fit's, through
+// TopK's dense side (M ≤ 256) and through its subspace iteration
+// (M > 256, K ≤ M/8).
+func TestFitExactFixedKMatchesSpectrum(t *testing.T) {
+	rng := rand.New(rand.NewSource(310))
+	for _, c := range []int{40, 300} {
+		x := lowRankData(2*c, c, 6, 1e-3, rng)
+		ref, _, err := FitExact(x, Selection{TVE: 0.999}, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, tr, err := FitExact(x, Selection{K: 8}, Options{Seed: 1, Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tr.TimeGram <= 0 || tr.TimeEig <= 0 {
+			t.Fatalf("M=%d: fixed-K trace has no Gram/Eig time: %+v", c, tr)
+		}
+		if math.Abs(m.TotalVar-ref.TotalVar) > 1e-9*ref.TotalVar {
+			t.Fatalf("M=%d: TotalVar %v, spectrum sum %v", c, m.TotalVar, ref.TotalVar)
+		}
+		for i, v := range m.Eigenvalues {
+			if math.Abs(v-ref.Eigenvalues[i]) > 1e-6*ref.Eigenvalues[0] {
+				t.Fatalf("M=%d: eigenvalue %d = %v, want %v", c, i, v, ref.Eigenvalues[i])
+			}
+		}
 	}
 }
 

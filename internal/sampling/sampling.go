@@ -20,17 +20,18 @@ import (
 // applied and poor DPZ compressibility is expected).
 const VIFCutoff = pca.VIFCutoff
 
+// maxVIFFeatures caps the number of feature columns entering Run's VIF
+// correlation matrix (inverting M×M is O(M³)); columns are sampled
+// uniformly when M exceeds it.
+const maxVIFFeatures = 192
+
 // Params configures the strategy. Zero values select the paper defaults.
 type Params struct {
-	S   int     // number of row subsets (default 10)
-	T   int     // subsets actually analyzed (default 3: first, middle, last)
-	SR  float64 // row sampling rate for the VIF estimate (default 0.01)
-	TVE float64 // variance-explained target used for per-subset k (default 0.999)
-	// MaxVIFFeatures caps the number of feature columns entering the VIF
-	// correlation matrix (inverting M×M is O(M³)); columns are sampled
-	// uniformly when M exceeds it. Default 192.
-	MaxVIFFeatures int
-	Seed           int64 // randomness seed (default 1)
+	S    int     // number of row subsets (default 10)
+	T    int     // subsets actually analyzed (default 3: first, middle, last)
+	SR   float64 // row sampling rate for the VIF estimate (default 0.01)
+	TVE  float64 // variance-explained target used for per-subset k (default 0.999)
+	Seed int64   // randomness seed (default 1)
 	// SelectK, when non-nil, overrides the TVE-threshold rule for picking
 	// each subset's k from its cumulative TVE curve — DPZ plugs in
 	// knee-point detection here when Method 1 is combined with sampling.
@@ -53,9 +54,6 @@ func (p Params) withDefaults() Params {
 	if p.TVE <= 0 || p.TVE > 1 {
 		p.TVE = 0.999
 	}
-	if p.MaxVIFFeatures <= 0 {
-		p.MaxVIFFeatures = 192
-	}
 	if p.Seed == 0 {
 		p.Seed = 1
 	}
@@ -64,7 +62,11 @@ func (p Params) withDefaults() Params {
 
 // Report is the output of Run.
 type Report struct {
-	Ke        int       // estimated component count (mean of subset ks)
+	Ke int // estimated component count (mean of subset ks)
+	// S is the number of equal row slices x was split into, and Subsets
+	// the indices of the analyzed ones, in analysis order.
+	S         int
+	Subsets   []int
 	SubsetKs  []int     // per-analyzed-subset k
 	VIF       []float64 // per-sampled-feature VIF
 	MeanVIF   float64
@@ -81,10 +83,10 @@ func Run(x *mat.Dense, p Params) (*Report, error) {
 	if n < 2*p.S || m < 2 {
 		return nil, fmt.Errorf("sampling: matrix %dx%d too small for S=%d subsets", n, m, p.S)
 	}
-	rep := &Report{}
+	rep := &Report{S: p.S, Subsets: subsetIndices(p.S, p.T, p.Seed)}
 
 	// Step 1-2: VIF of a row sample (compressibility indicator).
-	vif, err := VIF(x, p.SR, p.MaxVIFFeatures, p.Seed)
+	vif, err := VIF(x, p.SR, maxVIFFeatures, p.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -100,15 +102,9 @@ func Run(x *mat.Dense, p Params) (*Report, error) {
 	// block data the first, middle and last subsets estimate best (they
 	// span the data's locality); extra subsets beyond 3 are drawn
 	// randomly.
-	idx := subsetIndices(p.S, p.T, p.Seed)
-	rows := n / p.S
-	ks := make([]int, 0, len(idx))
-	for _, si := range idx {
-		lo := si * rows
-		hi := lo + rows
-		if si == p.S-1 {
-			hi = n
-		}
+	ks := make([]int, 0, len(rep.Subsets))
+	for _, si := range rep.Subsets {
+		lo, hi := subsetRange(n, p.S, si)
 		sub := mat.NewDense(hi-lo, m)
 		for r := lo; r < hi; r++ {
 			copy(sub.Row(r-lo), x.Row(r))
@@ -133,26 +129,14 @@ func Run(x *mat.Dense, p Params) (*Report, error) {
 				}
 			}
 		}
-		if k < 1 {
-			k = 1
-		}
-		if k > m {
-			k = m
-		}
-		ks = append(ks, k)
+		ks = append(ks, min(max(k, 1), m))
 	}
 	rep.SubsetKs = ks
 	var ksum int
 	for _, k := range ks {
 		ksum += k
 	}
-	rep.Ke = int(math.Round(float64(ksum) / float64(len(ks))))
-	if rep.Ke < 1 {
-		rep.Ke = 1
-	}
-	if rep.Ke > m {
-		rep.Ke = m
-	}
+	rep.Ke = min(max(int(math.Round(float64(ksum)/float64(len(ks)))), 1), m)
 
 	// Step 6: preliminary CR range. CR_stage1&2 counts the stored
 	// artifacts against the float32 original (scores N×k, projection
@@ -160,6 +144,37 @@ func Run(x *mat.Dense, p Params) (*Report, error) {
 	// the paper's empirical bands (1.9–2.5× and ~1.1–1.4×).
 	rep.CRpLow, rep.CRpHigh = CRpRange(n, m, rep.Ke)
 	return rep, nil
+}
+
+// Rows returns the rows of x that Run analyzed, each once: the subsets
+// in Subsets, in analysis order, stacked into one matrix. x must be the
+// matrix the report came from. Algorithm 2's Stage 2 fits these rows.
+func (r *Report) Rows(x *mat.Dense) *mat.Dense {
+	n, m := x.Dims()
+	var idx []int
+	for _, si := range r.Subsets {
+		lo, hi := subsetRange(n, r.S, si)
+		for i := lo; i < hi; i++ {
+			idx = append(idx, i)
+		}
+	}
+	out := mat.NewDense(len(idx), m)
+	for at, i := range idx {
+		copy(out.Row(at), x.Row(i))
+	}
+	return out
+}
+
+// subsetRange is the row range [lo, hi) of subset si when n rows are cut
+// into s equal slices; the last slice also takes the remainder.
+func subsetRange(n, s, si int) (lo, hi int) {
+	rows := n / s
+	lo = si * rows
+	hi = lo + rows
+	if si == s-1 {
+		hi = n
+	}
+	return lo, hi
 }
 
 // CRpRange predicts the total compression-ratio band for an N×M block

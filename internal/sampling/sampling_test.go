@@ -176,3 +176,43 @@ func TestSubsetIndicesFirstMiddleLast(t *testing.T) {
 		}
 	}
 }
+
+// TestReportRowsAreAnalyzedSubsets: Rows stacks exactly the subsets Run
+// analyzed, in analysis order, each row once.
+func TestReportRowsAreAnalyzedSubsets(t *testing.T) {
+	const n = 100
+	x := collinearMatrix(n, 6, 2, 0.05, 109)
+	for _, c := range []struct{ s, t, analyzed int }{
+		{1, 0, 1}, {2, 0, 2}, {10, 0, 3}, {10, 1, 1}, {10, 5, 5}, {7, 3, 3},
+	} {
+		rep, err := Run(x, Params{S: c.s, T: c.t})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.S != c.s || len(rep.Subsets) != c.analyzed || len(rep.SubsetKs) != c.analyzed {
+			t.Fatalf("S=%d T=%d: report S=%d subsets %v ks %v", c.s, c.t, rep.S, rep.Subsets, rep.SubsetKs)
+		}
+		var want []int
+		for _, si := range rep.Subsets {
+			lo, hi := si*(n/c.s), (si+1)*(n/c.s)
+			if si == c.s-1 {
+				hi = n
+			}
+			for r := lo; r < hi; r++ {
+				want = append(want, r)
+			}
+		}
+		rows := rep.Rows(x)
+		if rows.Rows() != len(want) {
+			t.Fatalf("S=%d T=%d: %d rows, want %d", c.s, c.t, rows.Rows(), len(want))
+		}
+		for i, r := range want {
+			for j, v := range rows.Row(i) {
+				//dpzlint:ignore floateq the rows are copies of x's rows
+				if v != x.At(r, j) {
+					t.Fatalf("S=%d T=%d: row %d is not x's row %d", c.s, c.t, i, r)
+				}
+			}
+		}
+	}
+}
