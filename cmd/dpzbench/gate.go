@@ -115,10 +115,11 @@ func droppedRecords(base, cur *perfReport) []string {
 }
 
 // qualityLosses prints a "quality:" line for every record whose CR,
-// PSNR, k or standardize bit differs from the baseline's, and returns
-// "<name> w<workers>" for each one whose CR or PSNR fell beyond the
-// quality bounds. Records without quality on either side (baselines
-// written before records carried it) are skipped.
+// PSNR, output bytes, k or standardize bit differs from the baseline's,
+// and returns "<name> w<workers>" for each one whose CR or PSNR fell
+// beyond the quality bounds. Records without quality on either side
+// (baselines written before records carried it) are skipped, and so are
+// the byte counts of a baseline written before quality carried them.
 func qualityLosses(base, cur *perfReport, out io.Writer) []string {
 	old := make(map[recordKey]*quality, len(base.Records))
 	for _, r := range base.Records {
@@ -127,7 +128,14 @@ func qualityLosses(base, cur *perfReport, out io.Writer) []string {
 	var lost []string
 	for _, r := range cur.Records {
 		b, q := old[recordKey{r.Name, r.Workers}], r.Quality
-		if b == nil || q == nil || *b == *q {
+		if b == nil || q == nil {
+			continue
+		}
+		same := *b
+		if same.BytesOut == 0 { // a baseline without byte counts
+			same.BytesIn, same.BytesOut = q.BytesIn, q.BytesOut
+		}
+		if same == *q {
 			continue
 		}
 		id := fmt.Sprintf("%s w%d", r.Name, r.Workers)
@@ -136,8 +144,8 @@ func qualityLosses(base, cur *perfReport, out io.Writer) []string {
 			status = "QUALITY LOSS"
 			lost = append(lost, id)
 		}
-		fmt.Fprintf(out, "quality: %s cr %.4f -> %.4f, psnr %.3f -> %.3f dB, k %d -> %d, standardized %v -> %v  %s\n",
-			id, b.CR, q.CR, b.PSNR, q.PSNR, b.K, q.K, b.Standardized, q.Standardized, status)
+		fmt.Fprintf(out, "quality: %s cr %.4f -> %.4f, psnr %.3f -> %.3f dB, bytes_out %d -> %d, k %d -> %d, standardized %v -> %v  %s\n",
+			id, b.CR, q.CR, b.PSNR, q.PSNR, b.BytesOut, q.BytesOut, b.K, q.K, b.Standardized, q.Standardized, status)
 	}
 	return lost
 }

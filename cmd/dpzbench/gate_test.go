@@ -238,3 +238,64 @@ func TestGateSkipsBaselineWithoutQuality(t *testing.T) {
 		t.Fatalf("no quality line expected:\n%s", out.String())
 	}
 }
+
+// TestGateQualityBytes: a record whose output bytes changed at the same
+// CR, PSNR and k is named with its bytes_out; a baseline written before
+// quality carried byte counts prints no line for them alone.
+func TestGateQualityBytes(t *testing.T) {
+	withBytes := func(in, out int) perfRecord {
+		r := qualityRecord("compress", 2.40, 60.0, 147, false)
+		r.Quality.BytesIn, r.Quality.BytesOut = in, out
+		return r
+	}
+	base := perfReport{Records: []perfRecord{withBytes(6_480_000, 2_700_000)}}
+	cur := perfReport{Records: []perfRecord{withBytes(6_480_000, 2_690_000)}}
+	var out strings.Builder
+	if err := compareBaseline(writeReport(t, t.TempDir(), base), cur, 10, &out); err != nil {
+		t.Fatalf("a smaller stream must pass: %v", err)
+	}
+	if !strings.Contains(out.String(), "quality: compress w1 cr 2.4000 -> 2.4000, psnr 60.000 -> 60.000 dB, bytes_out 2700000 -> 2690000") {
+		t.Fatalf("quality line must name the byte change:\n%s", out.String())
+	}
+
+	old := perfReport{Records: []perfRecord{withBytes(0, 0)}}
+	out.Reset()
+	if err := compareBaseline(writeReport(t, t.TempDir(), old), cur, 10, &out); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(out.String(), "quality:") {
+		t.Fatalf("byte counts the baseline lacks are not a change:\n%s", out.String())
+	}
+}
+
+// TestGateHoldsArchiveQuality: the tiled and batch records carry
+// archive-wide quality, and the gate holds it like a stream's: a CR or
+// PSNR loss beyond the bounds fails, naming the record.
+func TestGateHoldsArchiveQuality(t *testing.T) {
+	archive := func(name string, workers int, cr, psnr float64) perfRecord {
+		r := qualityRecord(name, cr, psnr, 1200, false)
+		r.Workers = workers
+		return r
+	}
+	base := perfReport{Records: []perfRecord{
+		archive("tiled", 2, 2.30, 58.0),
+		archive("batch", 1, 9.50, 70.0),
+		archive("batch-reuse", 1, 9.40, 69.9),
+	}}
+	for _, c := range []struct {
+		lost string
+		cur  []perfRecord
+	}{
+		{"tiled w2", []perfRecord{archive("tiled", 2, 2.20, 58.0), archive("batch", 1, 9.50, 70.0), archive("batch-reuse", 1, 9.40, 69.9)}},
+		{"batch-reuse w1", []perfRecord{archive("tiled", 2, 2.30, 58.0), archive("batch", 1, 9.50, 70.0), archive("batch-reuse", 1, 9.40, 69.7)}},
+	} {
+		var out strings.Builder
+		err := compareBaseline(writeReport(t, t.TempDir(), base), perfReport{Records: c.cur}, 10, &out)
+		if err == nil || !strings.Contains(err.Error(), c.lost) {
+			t.Fatalf("%s: archive quality loss must fail the gate naming the record: %v\n%s", c.lost, err, out.String())
+		}
+		if got := strings.Count(out.String(), "QUALITY LOSS"); got != 1 {
+			t.Fatalf("%s: want one QUALITY LOSS line, got %d:\n%s", c.lost, got, out.String())
+		}
+	}
+}

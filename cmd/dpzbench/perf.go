@@ -47,19 +47,24 @@ type perfRecord struct {
 	// BasisDecisions counts the reuse decisions of the representative run
 	// for basis-reuse records.
 	BasisDecisions map[string]int `json:"basis_decisions,omitempty"`
-	// Quality is what the representative run of a single-stream compress
-	// record produced; the -baseline gate holds it.
+	// Quality is what the representative run of a compress, tiled or
+	// batch record produced; the -baseline gate holds it.
 	Quality *quality `json:"quality,omitempty"`
 }
 
-// quality is a compressed stream's outcome: its compression ratio, the
-// PSNR of its full decode against the input, its component count and
-// whether Stage 2 standardized the features.
+// quality is a compressed stream's or archive's outcome: its compression
+// ratio, the PSNR of its full decode against the input, its component
+// count and whether Stage 2 standardized the features, with the bytes in
+// (4 per value) and out. For an archive, CR and the bytes cover the
+// whole archive, PSNR all of its decoded values, K is summed over its
+// streams and Standardized is set when any stream is.
 type quality struct {
 	CR           float64 `json:"cr"`
 	PSNR         float64 `json:"psnr_db"`
 	K            int     `json:"k"`
 	Standardized bool    `json:"standardized"`
+	BytesIn      int     `json:"bytes_in"`
+	BytesOut     int     `json:"bytes_out"`
 }
 
 // qualityOf decodes res and measures it against data, its input.
@@ -73,7 +78,76 @@ func qualityOf(data []float64, res *dpz.Result) (*quality, error) {
 		PSNR:         dpz.PSNR(data, out),
 		K:            res.Stats.K,
 		Standardized: res.Stats.Standardized,
+		BytesIn:      res.Stats.OrigBytes,
+		BytesOut:     len(res.Data),
 	}, nil
+}
+
+// archiveQuality measures an archive of len(data) values whose streams
+// have stats sts and whose full decode is out.
+func archiveQuality(data, out []float64, archiveBytes int, sts []dpz.Stats) *quality {
+	q := &quality{
+		CR:       float64(4*len(data)) / float64(archiveBytes),
+		PSNR:     dpz.PSNR(data, out),
+		BytesIn:  4 * len(data),
+		BytesOut: archiveBytes,
+	}
+	for _, st := range sts {
+		q.K += st.K
+		q.Standardized = q.Standardized || st.Standardized
+	}
+	return q
+}
+
+// tiledQuality writes the float32 field raw as a tiled archive and
+// measures the archive against data, the same values in float64.
+func tiledQuality(data []float64, raw []byte, dims []int, tileRows int, o dpz.Options) (*quality, error) {
+	var buf bytes.Buffer
+	sts, err := dpz.CompressTiled(bytes.NewReader(raw), dims, tileRows, o, &buf)
+	if err != nil {
+		return nil, err
+	}
+	tr, err := dpz.OpenTiled(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
+	if err != nil {
+		return nil, err
+	}
+	out, _, err := tr.ReadAll()
+	if err != nil {
+		return nil, err
+	}
+	return archiveQuality(data, out, buf.Len(), sts), nil
+}
+
+// batchQuality writes fields as one archive with CompressBatch and
+// measures the archive against the fields' values in order. It also
+// returns the per-field stats.
+func batchQuality(fields []dpz.ArchiveField, o dpz.Options) (*quality, []dpz.Stats, error) {
+	var buf bytes.Buffer
+	aw, err := dpz.NewArchiveWriter(&buf)
+	if err != nil {
+		return nil, nil, err
+	}
+	sts, err := aw.CompressBatch(fields, o)
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := aw.Close(); err != nil {
+		return nil, nil, err
+	}
+	ar, err := dpz.OpenArchive(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
+	if err != nil {
+		return nil, nil, err
+	}
+	var data, out []float64
+	for _, f := range fields {
+		dec, _, err := ar.DecompressFloat64(f.Name)
+		if err != nil {
+			return nil, nil, err
+		}
+		data = append(data, f.Data...)
+		out = append(out, dec...)
+	}
+	return archiveQuality(data, out, buf.Len(), sts), sts, nil
 }
 
 // stageNs is a per-stage nanosecond breakdown. Compress records fill the
@@ -382,7 +456,7 @@ func runPerfSuite(scale float64, workers []int, notes []string, baseline string,
 	for _, w := range workers {
 		o := dpz.LooseOptions()
 		o.Workers = w
-		add("tiled", w, bench(func(b *testing.B) {
+		rec := add("tiled", w, bench(func(b *testing.B) {
 			b.SetBytes(rawBytes)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -391,6 +465,9 @@ func runPerfSuite(scale float64, workers []int, notes []string, baseline string,
 				}
 			}
 		}))
+		if rec.Quality, err = tiledQuality(f.Data, raw, f.Dims, tileRows, o); err != nil {
+			return err
+		}
 	}
 
 	// Repeated-tile batch workload: the basis-reuse target case. The
@@ -439,15 +516,8 @@ func runPerfSuite(scale float64, workers []int, notes []string, baseline string,
 					}
 				}
 			}))
-			aw, err := dpz.NewArchiveWriter(io.Discard)
-			if err != nil {
-				return err
-			}
-			bstats, err := aw.CompressBatch(bfields, o)
-			if err != nil {
-				return err
-			}
-			if err := aw.Close(); err != nil {
+			var bstats []dpz.Stats
+			if rec.Quality, bstats, err = batchQuality(bfields, o); err != nil {
 				return err
 			}
 			rec.StageNs = stagesOf(bstats...)

@@ -375,8 +375,8 @@ func CompressContext(ctx context.Context, data []float64, dims []int, p Params) 
 		if p.RawProjection {
 			projSecs[j] = float32Bytes(pc)
 		} else {
-			colMat := mat.NewDenseData(shape.M, 1, append([]float64(nil), pc...))
-			projSecs[j] = encodeProjection(colMat, colScale[j:j+1], paCol)
+			// encodeProjection reads the column and keeps nothing of it.
+			projSecs[j] = encodeProjection(mat.NewDenseData(shape.M, 1, pc), colScale[j:j+1], paCol)
 		}
 		scratch.PutFloats(pc)
 	}); err != nil {

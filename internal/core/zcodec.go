@@ -6,7 +6,9 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"hash/adler32"
 	"io"
+	"math"
 	"sync"
 
 	"dpz/internal/parallel"
@@ -15,10 +17,12 @@ import (
 
 // This file is the zlib add-on stage's codec: pooled writers/readers so
 // the per-section deflate calls do not allocate a new flate state (over
-// 640 KiB of hash tables) each time, and a shard framing that splits large sections into
-// independently-deflated chunks so a single big section can use every
-// worker. Shard boundaries depend only on the raw section length, never
-// on the worker count, so streams are byte-identical for any parallelism.
+// 640 KiB of hash tables) each time, a stored-block writer for units an
+// entropy estimate says deflate cannot shrink, and a shard framing that
+// splits large sections into independently-compressed chunks so a single
+// big section can use every worker. Shard boundaries depend only on the
+// raw section length, never on the worker count, so streams are
+// byte-identical for any parallelism.
 
 // zwPools pools zlib writers per compression level; index is level+2 so
 // levels -2 (HuffmanOnly) through 9 all map into the array.
@@ -27,14 +31,99 @@ var zwPools [12]sync.Pool
 // zrPool pools zlib readers (all readers reset identically).
 var zrPool sync.Pool
 
+// packUnit zlib-encodes one deflate unit (a section or a shard): stored
+// blocks when deflate cannot shrink it (see entropyBytes), deflate at
+// level otherwise. Any zlib reader inflates either form.
+func packUnit(buf []byte, level int) []byte {
+	est := entropyBytes(buf)
+	if len(buf) > 0 && est >= float64(len(buf)) {
+		return storedZlib(buf)
+	}
+	// The estimate sizes the output buffer: deflate lands within a few
+	// percent of it on quantized scores, and a miss costs one regrowth.
+	return deflate(buf, level, 64+int(est)+int(est)/16)
+}
+
+// entropyBytes is the size an ideal order-0 code would give buf, plus a
+// quarter byte per distinct byte value for its code table:
+// Σ c_i·log2(n/c_i)/8 + d/4 over the byte counts c_i, with d values used.
+// When it reaches len(buf), deflate's Huffman stage has nothing to gain;
+// on the bit-packed quantizer codes of projection sections, the common
+// case, LZ77 finds no matches either, and flate would end in stored
+// blocks after paying for a failed Huffman build. Repetitive data (a
+// constant field's columns) has few distinct bytes and stays on deflate.
+func entropyBytes(buf []byte) float64 {
+	if len(buf) == 0 {
+		return 0
+	}
+	var counts [256]int
+	for _, b := range buf {
+		counts[b]++
+	}
+	// Σ c_i·log2(n/c_i) = n·log2(n) − Σ c_i·log2(c_i); the second sum
+	// reads small counts from a table, which saves a logarithm per
+	// distinct byte on the small sections of a stream.
+	var sum float64
+	distinct := 0
+	for _, c := range counts {
+		switch {
+		case c == 0:
+			continue
+		case c < len(cLog2c):
+			sum += cLog2c[c]
+		default:
+			sum += float64(c) * math.Log2(float64(c))
+		}
+		distinct++
+	}
+	n := float64(len(buf))
+	return (n*math.Log2(n)-sum)/8 + float64(distinct)/4
+}
+
+// cLog2c[c] is c·log2(c) for the byte counts entropyBytes meets most.
+var cLog2c = func() []float64 {
+	t := make([]float64, 1<<12)
+	for c := 2; c < len(t); c++ {
+		t[c] = float64(c) * math.Log2(float64(c))
+	}
+	return t
+}()
+
+// maxStoredBlock is the largest payload of one stored deflate block.
+const maxStoredBlock = 1<<16 - 1
+
+// storedZlib wraps buf in an RFC 1950 zlib stream of stored (BTYPE=00)
+// deflate blocks: header 0x78 0x01, blocks of at most maxStoredBlock
+// bytes (the last one final), and the big-endian Adler-32 of buf. It is
+// len(buf) + 6 + 5·max(1, ⌈len(buf)/65535⌉) bytes. Flate's own stored
+// output for a unit under 64 KiB is 5 bytes longer: it closes with an
+// extra empty final block.
+func storedZlib(buf []byte) []byte {
+	nblk := max(1, (len(buf)+maxStoredBlock-1)/maxStoredBlock)
+	out := make([]byte, 0, len(buf)+6+5*nblk)
+	out = append(out, 0x78, 0x01)
+	for i := 0; i < nblk; i++ {
+		blk := buf[i*maxStoredBlock : min((i+1)*maxStoredBlock, len(buf))]
+		var final byte
+		if i == nblk-1 {
+			final = 1
+		}
+		n := uint16(len(blk))
+		out = append(out, final, byte(n), byte(n>>8), byte(^n), byte(^n>>8))
+		out = append(out, blk...)
+	}
+	return binary.BigEndian.AppendUint32(out, adler32.Checksum(buf))
+}
+
 // deflate zlib-compresses buf at the given level (zlib.DefaultCompression
-// through zlib.BestCompression) using a pooled writer.
-func deflate(buf []byte, level int) []byte {
+// through zlib.BestCompression) using a pooled writer. sizeHint is the
+// expected output size, used to pre-size the output buffer.
+func deflate(buf []byte, level, sizeHint int) []byte {
 	if level < -2 || level > 9 {
 		panic(fmt.Sprintf("core: invalid zlib level %d", level))
 	}
 	var out bytes.Buffer
-	out.Grow(64 + len(buf)/2)
+	out.Grow(sizeHint)
 	var w *zlib.Writer
 	if v := zwPools[level+2].Get(); v != nil {
 		w = v.(*zlib.Writer)

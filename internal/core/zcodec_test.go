@@ -19,16 +19,17 @@ func codecPayload(n int) []byte {
 }
 
 // deflateSection is the test-side reference encoder for the section
-// payload framing: one section at a time, sharding large sections
-// exactly as encodeContainer's flattened job list does.
+// payload framing: one section at a time, sharding large sections and
+// choosing stored or deflated units exactly as encodeContainer's
+// flattened job list does.
 func deflateSection(sec []byte, level, workers int) []byte {
 	spans := shardSpans(len(sec))
 	if spans == nil {
-		return deflate(sec, level)
+		return packUnit(sec, level)
 	}
 	comp := make([][]byte, len(spans))
 	parallel.For(len(spans), workers, func(i int) {
-		comp[i] = deflate(sec[spans[i].off:spans[i].end], level)
+		comp[i] = packUnit(sec[spans[i].off:spans[i].end], level)
 	})
 	return assembleShards(spans, comp)
 }
