@@ -6,6 +6,7 @@ package dpz_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -108,7 +109,7 @@ func BenchmarkDecompress(b *testing.B) {
 			b.SetBytes(int64(4 * f.Len()))
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := core.Decompress(res.Data, w); err != nil {
+				if _, _, err := core.Decompress(context.Background(), res.Data, w, 0, nil); err != nil {
 					b.Fatal(err)
 				}
 			}

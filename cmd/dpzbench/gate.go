@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
 )
 
@@ -59,11 +60,18 @@ func loadBaseline(path string) (*perfReport, error) {
 // current report are not gated (suites grow across revisions); records
 // the current report dropped are not gated either, but each is named on
 // a "dropped: <name> w<workers>" line so a removal never passes
-// unnoticed. The returned error lists every offender.
+// unnoticed. Reports of different size are not compared at all: a scale
+// or dims that differs from the baseline's is an error naming both. The
+// returned error lists every offender.
 func compareBaseline(path string, report perfReport, maxRegress float64, out io.Writer) error {
 	base, err := loadBaseline(path)
 	if err != nil {
 		return err
+	}
+	//dpzlint:ignore floateq both scales are the parsed -scale flag, so equal runs compare equal exactly
+	if base.Scale != report.Scale || !slices.Equal(base.Dims, report.Dims) {
+		return fmt.Errorf("report is scale %g dims %v, baseline %s is scale %g dims %v: records of different size are not comparable",
+			report.Scale, report.Dims, path, base.Scale, base.Dims)
 	}
 	for _, id := range droppedRecords(base, &report) {
 		fmt.Fprintf(out, "dropped: %s\n", id)

@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -297,5 +298,32 @@ func TestGateHoldsArchiveQuality(t *testing.T) {
 		if got := strings.Count(out.String(), "QUALITY LOSS"); got != 1 {
 			t.Fatalf("%s: want one QUALITY LOSS line, got %d:\n%s", c.lost, got, out.String())
 		}
+	}
+}
+
+// TestGateRefusesReportsOfDifferentSize: a scale-0.1 report gated
+// against a scale-1 baseline would print its timings as huge speedups;
+// the gate fails instead, naming both scales and dims.
+func TestGateRefusesReportsOfDifferentSize(t *testing.T) {
+	rec := benchRecord("compress", 1, 1_000_000_000, nil)
+	base := perfReport{Scale: 1, Dims: []int{900, 1800}, Records: []perfRecord{rec}}
+	for name, cur := range map[string]perfReport{
+		"scale": {Scale: 0.1, Dims: []int{90, 180}, Records: []perfRecord{rec}},
+		"dims":  {Scale: 1, Dims: []int{1800, 900}, Records: []perfRecord{rec}},
+	} {
+		var out strings.Builder
+		err := compareBaseline(writeReport(t, t.TempDir(), base), cur, 10, &out)
+		if err == nil {
+			t.Fatalf("%s: a report of different size passed the gate:\n%s", name, out.String())
+		}
+		for _, want := range []string{"[900 1800]", fmt.Sprint(cur.Dims), fmt.Sprintf("scale %g", cur.Scale), "scale 1 "} {
+			if !strings.Contains(err.Error(), want) {
+				t.Fatalf("%s: error %q does not name %q", name, err, want)
+			}
+		}
+	}
+	var out strings.Builder
+	if err := compareBaseline(writeReport(t, t.TempDir(), base), base, 10, &out); err != nil {
+		t.Fatalf("a report of the baseline's size must be gated: %v", err)
 	}
 }

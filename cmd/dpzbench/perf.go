@@ -389,13 +389,13 @@ func runPerfSuite(scale float64, workers []int, notes []string, baseline string,
 				b.SetBytes(rawBytes)
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if _, _, err := core.Decompress(stream, w); err != nil {
+					if _, _, err := core.Decompress(context.Background(), stream, w, 0, nil); err != nil {
 						b.Fatal(err)
 					}
 				}
 			}))
-			_, _, dst, err := core.DecompressStats(stream, w, 0)
-			if err != nil {
+			var dst core.DecodeStats
+			if _, _, err := core.Decompress(context.Background(), stream, w, 0, &dst); err != nil {
 				return err
 			}
 			rec.StageNs = decodeStagesOf(dst)
@@ -422,14 +422,14 @@ func runPerfSuite(scale float64, workers []int, notes []string, baseline string,
 			b.SetBytes(rawBytes)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, _, _, err := core.DecompressRanks(lres.Data, rk, pw); err != nil {
+				if _, _, err := core.Decompress(context.Background(), lres.Data, pw, rk, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
 		}))
 		prevNs[name] = rec.NsPerOp
-		_, _, dst, err := core.DecompressStats(lres.Data, pw, rk)
-		if err != nil {
+		var dst core.DecodeStats
+		if _, _, err := core.Decompress(context.Background(), lres.Data, pw, rk, &dst); err != nil {
 			return err
 		}
 		rec.StageNs = decodeStagesOf(dst)
@@ -438,7 +438,7 @@ func runPerfSuite(scale float64, workers []int, notes []string, baseline string,
 		b.SetBytes(rawBytes)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := core.Decompress(lres.Data, pw); err != nil {
+			if _, _, err := core.Decompress(context.Background(), lres.Data, pw, 0, nil); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -6,6 +6,7 @@ package dpz_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -67,12 +68,12 @@ func TestCompressWorkersByteIdentical(t *testing.T) {
 				}
 			}
 			// Decoding must not depend on the worker count either.
-			base, _, err := core.Decompress(ref, 1)
+			base, _, err := core.Decompress(context.Background(), ref, 1, 0, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, w := range detWorkers[1:] {
-				got, _, err := core.Decompress(ref, w)
+				got, _, err := core.Decompress(context.Background(), ref, w, 0, nil)
 				if err != nil {
 					t.Fatalf("decompress workers=%d: %v", w, err)
 				}

@@ -406,13 +406,13 @@ func DecompressContext(ctx context.Context, buf []byte, workers int) ([]float32,
 // DecompressFloat64 reconstructs double-precision values from a DPZ
 // stream.
 func DecompressFloat64(buf []byte) ([]float64, []int, error) {
-	return core.Decompress(buf, 0)
+	return core.Decompress(context.Background(), buf, 0, 0, nil)
 }
 
 // DecompressFloat64Context is DecompressFloat64 with cooperative
 // cancellation and an explicit worker bound (0 = GOMAXPROCS).
 func DecompressFloat64Context(ctx context.Context, buf []byte, workers int) ([]float64, []int, error) {
-	return core.DecompressContext(ctx, buf, workers)
+	return core.Decompress(ctx, buf, workers, 0, nil)
 }
 
 // DecompressRank reconstructs from only the `rank` leading principal
@@ -429,7 +429,7 @@ func DecompressRank(buf []byte, rank int) ([]float32, []int, error) {
 
 // DecompressRankFloat64 is DecompressRank with double-precision output.
 func DecompressRankFloat64(buf []byte, rank int) ([]float64, []int, error) {
-	return core.DecompressRank(buf, 0, rank)
+	return core.Decompress(context.Background(), buf, 0, rank, nil)
 }
 
 // StreamInfo is the cheap header/section-table metadata of a DPZ stream;

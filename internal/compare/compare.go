@@ -5,6 +5,7 @@
 package compare
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -114,7 +115,7 @@ func (d DPZCodec) Compress(data []float64, dims []int) ([]byte, error) {
 }
 
 func (d DPZCodec) Decompress(buf []byte) ([]float64, []int, error) {
-	return core.Decompress(buf, d.Workers)
+	return core.Decompress(context.Background(), buf, d.Workers, 0, nil)
 }
 
 // NewDPZ builds a DPZ codec: scheme "l" or "s", TVE target in nines.

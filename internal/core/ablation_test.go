@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"dpz/internal/dataset"
@@ -16,7 +17,7 @@ func TestSkipDCTRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, dims, err := Decompress(c.Bytes, 0)
+	out, dims, err := Decompress(context.Background(), c.Bytes, 0, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,8 +46,8 @@ func TestMultiStageBeatsSingleStage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	outW, _, _ := Decompress(cw.Bytes, 0)
-	outO, _, _ := Decompress(co.Bytes, 0)
+	outW, _, _ := Decompress(context.Background(), cw.Bytes, 0, 0, nil)
+	outO, _, _ := Decompress(context.Background(), co.Bytes, 0, 0, nil)
 	pW := stats.PSNR(f.Data, outW)
 	pO := stats.PSNR(f.Data, outO)
 	// DCT must not lose: either better CR at comparable PSNR or better
@@ -71,8 +72,8 @@ func TestCoeffTruncateTradesAccuracyForCR(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out0, _, _ := Decompress(c0.Bytes, 0)
-	out1, _, _ := Decompress(c1.Bytes, 0)
+	out0, _, _ := Decompress(context.Background(), c0.Bytes, 0, 0, nil)
+	out1, _, _ := Decompress(context.Background(), c1.Bytes, 0, 0, nil)
 	p0 := stats.PSNR(f.Data, out0)
 	p1 := stats.PSNR(f.Data, out1)
 	if p1 > p0+1e-6 {
@@ -116,11 +117,11 @@ func TestRawProjectionRoundTripAndSize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	outP, _, err := Decompress(cp.Bytes, 0)
+	outP, _, err := Decompress(context.Background(), cp.Bytes, 0, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	outR, _, err := Decompress(cr.Bytes, 0)
+	outR, _, err := Decompress(context.Background(), cr.Bytes, 0, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +168,7 @@ func TestDCT2DRoundTripMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, dims, err := Decompress(c.Bytes, 0)
+	out, dims, err := Decompress(context.Background(), c.Bytes, 0, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +199,7 @@ func TestWaveletRoundTripMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, _, err := Decompress(c.Bytes, 0)
+	out, _, err := Decompress(context.Background(), c.Bytes, 0, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +230,7 @@ func TestHuffmanIndicesRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, _, err := Decompress(c.Bytes, 0)
+	out, _, err := Decompress(context.Background(), c.Bytes, 0, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +241,7 @@ func TestHuffmanIndicesRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	outP, _, err := Decompress(cp.Bytes, 0)
+	outP, _, err := Decompress(context.Background(), cp.Bytes, 0, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

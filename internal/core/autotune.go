@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -36,7 +37,7 @@ func TuneForPSNR(data []float64, dims []int, targetPSNR float64, base Params) (P
 		if err != nil {
 			return base, 0, err
 		}
-		out, _, err := Decompress(c.Bytes, p.Workers)
+		out, _, err := Decompress(context.Background(), c.Bytes, p.Workers, 0, nil)
 		if err != nil {
 			return base, 0, err
 		}

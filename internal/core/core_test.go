@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -20,7 +21,7 @@ func roundTrip(t *testing.T, f *dataset.Field, p Params) (*Compressed, []float64
 	if err != nil {
 		t.Fatalf("compress: %v", err)
 	}
-	out, dims, err := Decompress(c.Bytes, 0)
+	out, dims, err := Decompress(context.Background(), c.Bytes, 0, 0, nil)
 	if err != nil {
 		t.Fatalf("decompress: %v", err)
 	}
@@ -240,13 +241,13 @@ func TestDecompressRejectsCorrupt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := Decompress(nil, 0); err == nil {
+	if _, _, err := Decompress(context.Background(), nil, 0, 0, nil); err == nil {
 		t.Fatal("expected error for empty stream")
 	}
-	if _, _, err := Decompress([]byte("NOPE1234"), 0); err == nil {
+	if _, _, err := Decompress(context.Background(), []byte("NOPE1234"), 0, 0, nil); err == nil {
 		t.Fatal("expected error for bad magic")
 	}
-	if _, _, err := Decompress(c.Bytes[:len(c.Bytes)/2], 0); err == nil {
+	if _, _, err := Decompress(context.Background(), c.Bytes[:len(c.Bytes)/2], 0, 0, nil); err == nil {
 		t.Fatal("expected error for truncated stream")
 	}
 	// v3 streams treat any trailing-region anomaly as a damaged index:
@@ -254,7 +255,7 @@ func TestDecompressRejectsCorrupt(t *testing.T) {
 	// reports the framing problem instead.
 	tail := make([]byte, len(c.Bytes)+4)
 	copy(tail, c.Bytes)
-	if _, _, err := Decompress(tail, 0); err != nil {
+	if _, _, err := Decompress(context.Background(), tail, 0, 0, nil); err != nil {
 		t.Fatalf("v3 trailing bytes should degrade to no-index, got %v", err)
 	}
 	if err := Verify(tail); err == nil {
@@ -268,13 +269,13 @@ func TestDecompressRejectsCorrupt(t *testing.T) {
 	}
 	tail2 := make([]byte, len(c2.Bytes)+4)
 	copy(tail2, c2.Bytes)
-	if _, _, err := Decompress(tail2, 0); err == nil {
+	if _, _, err := Decompress(context.Background(), tail2, 0, 0, nil); err == nil {
 		t.Fatal("expected error for trailing bytes on a v2 stream")
 	}
 	ver := make([]byte, len(c.Bytes))
 	copy(ver, c.Bytes)
 	ver[4] = 99
-	if _, _, err := Decompress(ver, 0); err == nil {
+	if _, _, err := Decompress(context.Background(), ver, 0, 0, nil); err == nil {
 		t.Fatal("expected error for bad version")
 	}
 }
@@ -355,7 +356,7 @@ func TestConstantDataRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, _, err := Decompress(c.Bytes, 0)
+	out, _, err := Decompress(context.Background(), c.Bytes, 0, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,7 +388,7 @@ func TestDecompressRankProgressive(t *testing.T) {
 	}
 	var prev float64 = -1
 	for _, rank := range []int{1, k / 2, k} {
-		out, dims, err := DecompressRank(c.Bytes, 0, rank)
+		out, dims, err := Decompress(context.Background(), c.Bytes, 0, rank, nil)
 		if err != nil {
 			t.Fatalf("rank %d: %v", rank, err)
 		}
@@ -401,11 +402,11 @@ func TestDecompressRankProgressive(t *testing.T) {
 		prev = psnr
 	}
 	// rank 0 == full rank.
-	full, _, err := DecompressRank(c.Bytes, 0, 0)
+	full, _, err := Decompress(context.Background(), c.Bytes, 0, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fullK, _, err := DecompressRank(c.Bytes, 0, k)
+	fullK, _, err := Decompress(context.Background(), c.Bytes, 0, k, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -415,10 +416,10 @@ func TestDecompressRankProgressive(t *testing.T) {
 		}
 	}
 	// Out-of-range ranks rejected.
-	if _, _, err := DecompressRank(c.Bytes, 0, k+1); err == nil {
+	if _, _, err := Decompress(context.Background(), c.Bytes, 0, k+1, nil); err == nil {
 		t.Fatal("expected error for rank > k")
 	}
-	if _, _, err := DecompressRank(c.Bytes, 0, -1); err == nil {
+	if _, _, err := Decompress(context.Background(), c.Bytes, 0, -1, nil); err == nil {
 		t.Fatal("expected error for negative rank")
 	}
 }
@@ -449,7 +450,7 @@ func TestTuneForPSNR(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, _, err := Decompress(c.Bytes, 0)
+	out, _, err := Decompress(context.Background(), c.Bytes, 0, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,15 @@
 package core
 
 import (
+	"context"
 	"errors"
+	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"dpz/internal/dataset"
 	"dpz/internal/integrity"
 )
 
@@ -37,7 +42,7 @@ func TestDecompressNeverPanicsOnCorruption(t *testing.T) {
 				t.Fatalf("Decompress panicked on %s: %v", label, r)
 			}
 		}()
-		out, dims, err := Decompress(buf, 1)
+		out, dims, err := Decompress(context.Background(), buf, 1, 0, nil)
 		if err == nil {
 			checkShape(t, label, out, dims)
 		}
@@ -138,4 +143,88 @@ func TestVerifyNeverPanicsOnCorruption(t *testing.T) {
 		}()
 		_ = Verify(corrupted)
 	})
+}
+
+// sameDecode reports whether two decode outcomes agree: both failed, or
+// both returned bit-identical values.
+func sameDecode(a []float64, aerr error, b []float64, berr error) bool {
+	if (aerr != nil) != (berr != nil) {
+		return false
+	}
+	if aerr != nil {
+		return true
+	}
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestDamageVerdictsAgreeAcrossEntryPoints sweeps the fault harness over
+// a v2 and a v3 stream. Every decode entry point is the same map from
+// the leading rank sections to values, so for each fault:
+//   - the full decode, the rank-k decode and Progressive.Decode(k) all
+//     fail or all return the same bits, and so do the rank-r preview and
+//     Progressive.Decode(r) (after which Decode(k) extends the same
+//     Progressive);
+//   - DecompressBestEffort names exactly the sections Verify names;
+//   - a nil from Verify means Decompress succeeds.
+func TestDamageVerdictsAgreeAcrossEntryPoints(t *testing.T) {
+	// An eighth of smoothField's size keeps the sweep cheap under -race
+	// while k stays well above 2.
+	f := dataset.CESM("FLDSC", 32, 64, 11)
+	for _, noIndex := range []bool{true, false} {
+		p := DPZS()
+		p.TVE = NinesTVE(7)
+		p.NoIndex = noIndex
+		c, err := Compress(f.Data, f.Dims, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		k := c.Stats.K
+		r := max(1, k/2)
+		version := c.Bytes[4]
+		integrity.ForEach(c.Bytes, 64, func(fault integrity.Fault, buf []byte) {
+			label := fmt.Sprintf("v%d %s", version, fault)
+			full, _, fullErr := Decompress(context.Background(), buf, 1, 0, nil)
+			rankK, _, rankKErr := Decompress(context.Background(), buf, 2, k, nil)
+			prev, _, prevErr := Decompress(context.Background(), buf, 1, r, nil)
+			var progR, progK []float64
+			progRErr, progKErr := error(nil), error(nil)
+			if pr, err := NewProgressive(buf, 1); err != nil {
+				progRErr, progKErr = err, err
+			} else {
+				progR, _, _, progRErr = pr.Decode(r)
+				progK, _, _, progKErr = pr.Decode(k)
+			}
+			if !sameDecode(full, fullErr, rankK, rankKErr) {
+				t.Errorf("%s: Decompress (%v) and rank-%d decode (%v) disagree", label, fullErr, k, rankKErr)
+			}
+			if !sameDecode(full, fullErr, progK, progKErr) {
+				t.Errorf("%s: Decompress (%v) and Progressive.Decode(%d) (%v) disagree", label, fullErr, k, progKErr)
+			}
+			if !sameDecode(prev, prevErr, progR, progRErr) {
+				t.Errorf("%s: rank-%d decode (%v) and Progressive.Decode(%d) (%v) disagree", label, r, prevErr, r, progRErr)
+			}
+
+			verr := Verify(buf)
+			if verr == nil && fullErr != nil {
+				t.Errorf("%s: Verify passed a stream Decompress rejects (%v)", label, fullErr)
+			}
+			_, _, berr := DecompressBestEffort(buf, 1)
+			var vce, bce *CorruptionError
+			vc, bc := errors.As(verr, &vce), errors.As(berr, &bce)
+			switch {
+			case (verr == nil) != (berr == nil) || vc != bc:
+				t.Errorf("%s: Verify = %v, DecompressBestEffort = %v", label, verr, berr)
+			case vc && !slices.Equal(vce.Sections, bce.Sections):
+				t.Errorf("%s: Verify names %v, DecompressBestEffort names %v", label, vce.Sections, bce.Sections)
+			}
+		})
+	}
 }

@@ -6,10 +6,12 @@ import (
 	"time"
 
 	"dpz/internal/blockio"
+	"dpz/internal/integrity"
 	"dpz/internal/mat"
 	"dpz/internal/metrics"
 	"dpz/internal/parallel"
 	"dpz/internal/quant"
+	"dpz/internal/scratch"
 	"dpz/internal/transform"
 )
 
@@ -33,157 +35,239 @@ type DecodeStats struct {
 	RanksUsed int
 }
 
-// Decompress reverses Compress: it parses the container, dequantizes and
-// inverse-transforms each component's scores, recomposes the blocks from
-// them and the projection, and restores the original order and length.
-// It returns the reconstructed values and the logical dimensions recorded
-// at compression time.
-func Decompress(buf []byte, workers int) ([]float64, []int, error) {
-	return DecompressRank(buf, workers, 0)
-}
-
-// DecompressContext is Decompress with cooperative cancellation: section
-// inflation, per-component decode and the stage-boundary transitions all
-// observe ctx, so an abandoned request stops early with ctx.Err().
-func DecompressContext(ctx context.Context, buf []byte, workers int) ([]float64, []int, error) {
-	return DecompressRankContext(ctx, buf, workers, 0)
-}
-
-// DecompressRank reconstructs from only the `rank` leading principal
-// components of the stored k (0 means all). An information-oriented stream
-// is consistent at any reconstruction level (the paper's Section IV-C
-// note), so this acts as progressive decompression: a cheap preview from a
-// few components, full fidelity from all of them. For v2/v3 streams the
-// trailing rank sections are neither checksummed nor inflated, so the cost
-// scales with the requested rank, not the stored one.
-func DecompressRank(buf []byte, workers, rank int) ([]float64, []int, error) {
-	return DecompressRankContext(context.Background(), buf, workers, rank)
-}
-
-// DecompressRankContext is DecompressRank with cooperative cancellation.
-func DecompressRankContext(ctx context.Context, buf []byte, workers, rank int) ([]float64, []int, error) {
-	return decompressRankStats(ctx, buf, workers, rank, nil)
-}
-
-// DecompressStats is Decompress plus the per-stage timing breakdown.
-// rank follows DecompressRank semantics (0 means all components).
-func DecompressStats(buf []byte, workers, rank int) ([]float64, []int, DecodeStats, error) {
-	return DecompressStatsContext(context.Background(), buf, workers, rank)
-}
-
-// DecompressStatsContext is DecompressStats with cooperative cancellation.
-func DecompressStatsContext(ctx context.Context, buf []byte, workers, rank int) ([]float64, []int, DecodeStats, error) {
-	var st DecodeStats
-	data, dims, err := decompressRankStats(ctx, buf, workers, rank, &st)
-	return data, dims, st, err
-}
-
-// decompressRankStats is the shared rank-decode driver. st may be nil;
-// when set, stage boundaries are timed into it.
-func decompressRankStats(ctx context.Context, buf []byte, workers, rank int, st *DecodeStats) ([]float64, []int, error) {
+// Decompress reverses Compress from the `rank` leading principal
+// components of the stored k (0 means all; a rank outside [0, k] is an
+// error): it walks the container, checksums and inflates the sections
+// those ranks need, dequantizes and inverse-transforms each component's
+// scores, recomposes the blocks from them and the projection, and
+// restores the original order and length. It returns the reconstructed
+// values and the logical dimensions recorded at compression time.
+//
+// An information-oriented stream is consistent at any reconstruction
+// level (the paper's Section IV-C note), so a partial rank is a preview:
+// for v2/v3 streams the trailing rank sections are neither checksummed
+// nor inflated, and the cost scales with the requested rank, not the
+// stored one. Progressive is the same decode, resumable and clamping
+// the rank instead of failing. Section inflation, per-component decode
+// and the stage boundaries observe ctx, so an abandoned request stops
+// early with ctx.Err(). st may be nil; when set, it receives the
+// per-stage timing breakdown.
+func Decompress(ctx context.Context, buf []byte, workers, rank int, st *DecodeStats) ([]float64, []int, error) {
 	if ctx == nil {
 		ctx = context.Background()
+	}
+	if st == nil {
+		st = new(DecodeStats)
 	}
 	tStart := metrics.Now()
-	c, err := decodeContainerLimit(ctx, buf, workers, rank)
+	d, err := newDecoder(buf, workers)
+	if err == nil {
+		err = d.dataErr()
+	}
 	if err != nil {
 		return nil, nil, err
 	}
-	if st != nil {
-		st.TimeInflate = metrics.Since(tStart)
+	if rank < 0 || rank > d.h.k {
+		return nil, nil, fmt.Errorf("core: rank %d out of [0,%d]", rank, d.h.k)
 	}
-	data, dims, err := decompressParsed(ctx, c, workers, rank, st)
-	// The inflated sections are pooled and fully copied out of by the
-	// decode above, so they go back to the scratch pool here. The caller's
-	// stream (c.index aliases it) is never pooled.
-	c.release()
-	if err != nil {
-		return nil, nil, err
+	if rank == 0 {
+		rank = d.h.k
 	}
-	if st != nil {
-		st.TimeTotal = metrics.Since(tStart)
-	}
-	return data, dims, nil
-}
-
-// DecompressRanks is the preview entry point: it reconstructs from the
-// `ranks` leading components, clamping a request beyond the stored k
-// instead of failing, and reports the rank actually used. ranks <= 0
-// means a full decode. It is DecompressRank plus the clamp — previews ask
-// for "about this much fidelity" and should not have to know k first.
-func DecompressRanks(buf []byte, ranks, workers int) ([]float64, []int, int, error) {
-	return DecompressRanksContext(context.Background(), buf, ranks, workers)
-}
-
-// DecompressRanksContext is DecompressRanks with cooperative cancellation.
-func DecompressRanksContext(ctx context.Context, buf []byte, ranks, workers int) ([]float64, []int, int, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	h, _, _, err := parseFixedHeader(buf)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	used := h.k
-	if ranks > 0 && ranks < h.k {
-		used = ranks
-	}
-	data, dims, err := DecompressRankContext(ctx, buf, workers, used)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	return data, dims, used, nil
-}
-
-// decompressParsed reconstructs from an already-parsed container. It is
-// shared by DecompressRank and DecompressBestEffort (which hands in a
-// container whose damaged trailing rank sections were dropped). st may be
-// nil; when set, the dequant and recompose stages are timed into it.
-//
-// Every decode — any rank, transform mode or format version — takes the
-// one rank-space path: the decoded components become inverse-transformed
-// rank rows, and recomposeRankSpace maps them to value space.
-func decompressParsed(ctx context.Context, c container, workers, rank int, st *DecodeStats) ([]float64, []int, error) {
-	h := c.h
-	if rank < 0 || rank > h.k {
-		return nil, nil, fmt.Errorf("core: rank %d out of [0,%d]", rank, h.k)
-	}
-	useK := h.k
-	if rank != 0 {
-		useK = rank
-	}
-	if st != nil {
-		st.RanksUsed = useK
-	}
-
-	t0 := metrics.Now()
-	means, scales, err := decodeSideData(h, c.means, c.scales)
-	if err != nil {
-		return nil, nil, err
-	}
-	mode := h.mode()
-	var zt, projT *mat.Dense
-	if c.version == formatV1 {
-		zt, projT, err = assembleRankSpaceV1(c, useK, mode, workers)
-	} else {
-		zt, projT, err = assembleRankSpaceV2(ctx, c, useK, mode, workers)
-	}
-	if err != nil {
+	st.RanksUsed = rank
+	st.TimeInflate = metrics.Since(tStart)
+	if err := d.extend(ctx, rank, st); err != nil {
 		return nil, nil, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
-	if st != nil {
-		st.TimeDequant = metrics.Since(t0)
-	}
-
-	shape := blockio.Shape{M: h.m, N: h.n, Padded: h.m * h.n}
-	data, err := recomposeRankSpace(zt, projT, means, scales, shape, h.origLen, mode, workers, st)
+	data, err := d.recompose(rank, st)
 	if err != nil {
 		return nil, nil, err
 	}
-	return data, h.dims, nil
+	st.TimeTotal = metrics.Since(tStart)
+	return data, d.h.dims, nil
+}
+
+// decoder turns the leading rank sections of one walked stream into
+// rank space: the side data once, then any rank range [done, hi) on
+// request, each v2/v3 rank through decodeRank. Decompress, Progressive
+// and DecompressBestEffort all decode through it, so they produce
+// identical bits at equal rank.
+type decoder struct {
+	*stream
+	mode          xformMode
+	workers       int
+	means, scales []float64 // nil until the side data is decoded
+	zt            []float64 // rank rows of N values; [0, done) decoded
+	projT         []float64 // projection columns of M values; [0, done) decoded
+	done          int
+}
+
+// newDecoder walks buf. A data decode then checks dataErr; the
+// damage-tolerant scan does not.
+func newDecoder(buf []byte, workers int) (*decoder, error) {
+	s, err := walk(buf)
+	if err != nil {
+		return nil, err
+	}
+	return &decoder{stream: s, mode: s.h.mode(), workers: workers}, nil
+}
+
+// inflate checksums (v2 and later) and inflates data sections [lo, hi)
+// in parallel, splitting the worker budget between the sections and the
+// shards inside each, so a stream dominated by one big section still
+// scales. raw[s] holds section s from the scratch byte pool (hand it
+// back with release) and errs[s] its damage; sections outside [lo, hi)
+// stay nil. Only a cancelled ctx fails the call itself.
+func (d *decoder) inflate(ctx context.Context, lo, hi int) (raw [][]byte, errs []error, err error) {
+	raw, errs = make([][]byte, d.ndata()), make([]error, d.ndata())
+	need := hi - lo
+	w := d.workers
+	if w <= 0 {
+		w = parallel.DefaultWorkers()
+	}
+	inner := (w + need - 1) / max(need, 1)
+	err = parallel.ForCtx(ctx, need, d.workers, func(i int) {
+		s := lo + i
+		sec := d.secs[s]
+		if sec.err != nil {
+			errs[s] = sec.err
+			return
+		}
+		if d.version >= formatV2 {
+			if got := integrity.Checksum(sec.comp); got != sec.crc {
+				errs[s] = fmt.Errorf("core: section %d (%s) %w (stored %08x, computed %08x)",
+					s, d.sectionName(s), integrity.ErrCRC, sec.crc, got)
+				return
+			}
+		}
+		if raw[s], errs[s] = inflateSection(ctx, sec.comp, sec.rawLen, inner); errs[s] != nil {
+			errs[s] = fmt.Errorf("core: section %d: %w", s, errs[s])
+		}
+	})
+	return raw, errs, err
+}
+
+// release hands inflated sections back to the scratch byte pool. Every
+// decode copies out of its sections (quant.Unmarshal, decodeProjection
+// and float32FromBytes allocate fresh storage), so they are free once
+// decoded.
+func release(raw [][]byte) {
+	for _, b := range raw {
+		scratch.PutBytes(b)
+	}
+}
+
+// firstErr returns the lowest-index error, so failures are deterministic.
+func firstErr(errs []error) error {
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// extend decodes ranks [done, hi), and the side data on first use,
+// checksumming and inflating only their sections. Any damage to those
+// sections fails it. st may be nil; when set, the inflate and dequant
+// times are added to it.
+func (d *decoder) extend(ctx context.Context, hi int, st *DecodeStats) error {
+	if d.means != nil && hi <= d.done {
+		return nil
+	}
+	lo := 0
+	if d.means != nil {
+		lo = d.sectionsThrough(d.done)
+	}
+	t0 := metrics.Now()
+	raw, errs, err := d.inflate(ctx, lo, d.sectionsThrough(hi))
+	defer release(raw)
+	if err == nil {
+		err = firstErr(errs)
+	}
+	if err != nil {
+		return err
+	}
+	t1 := metrics.Now()
+	err = d.decode(ctx, raw, hi)
+	if st != nil {
+		st.TimeInflate += t1.Sub(t0)
+		st.TimeDequant += metrics.Since(t1)
+	}
+	return err
+}
+
+// decode fills ranks [done, hi) from their inflated sections, decoding
+// the side data first when it is still missing. A v1 stream decodes all
+// k ranks at once.
+func (d *decoder) decode(ctx context.Context, raw [][]byte, hi int) error {
+	h := d.h
+	if d.means == nil {
+		meansAt := 0
+		if d.version == formatV1 {
+			meansAt = 2
+		}
+		var scalesSec []byte
+		if h.flags&flagStandardized != 0 {
+			scalesSec = raw[meansAt+1]
+		}
+		means, scales, err := decodeSideData(h, raw[meansAt], scalesSec)
+		if err != nil {
+			return err
+		}
+		d.means, d.scales = means, scales
+	}
+	if d.version == formatV1 {
+		return d.decodeV1(raw)
+	}
+	d.grow(hi)
+	lo := d.done
+	errs := make([]error, hi-lo)
+	if err := parallel.ForCtx(ctx, hi-lo, d.workers, func(i int) {
+		j := lo + i
+		s := d.sectionsThrough(j)
+		errs[i] = decodeRank(h, d.mode, j, raw[s], raw[s+1], d.zt[j*h.n:(j+1)*h.n], d.projT[j*h.m:(j+1)*h.m])
+	}); err != nil {
+		return err
+	}
+	if err := firstErr(errs); err != nil {
+		return err
+	}
+	d.done = hi
+	return nil
+}
+
+// grow makes room for r rank rows plus the means carrier, keeping the
+// ranks already decoded.
+func (d *decoder) grow(r int) {
+	h := d.h
+	if len(d.zt) >= (r+1)*h.n {
+		return
+	}
+	zt := make([]float64, (r+1)*h.n)
+	copy(zt, d.zt[:d.done*h.n])
+	projT := make([]float64, r*h.m)
+	copy(projT, d.projT[:d.done*h.m])
+	d.zt, d.projT = zt, projT
+}
+
+// recompose maps the leading r decoded ranks to values. The means
+// carrier takes rank row r; when that row holds a decoded rank (a
+// Progressive stepping back down), the leading rows are copied out
+// first so the decoded ranks survive.
+func (d *decoder) recompose(r int, st *DecodeStats) ([]float64, error) {
+	h := d.h
+	zt := d.zt[:(r+1)*h.n]
+	if r < d.done {
+		zt = make([]float64, (r+1)*h.n)
+		copy(zt, d.zt[:r*h.n])
+	}
+	meansCarrier(d.mode, zt[r*h.n:])
+	shape := blockio.Shape{M: h.m, N: h.n, Padded: h.m * h.n}
+	return recomposeRankSpace(mat.NewDenseData(r+1, h.n, zt), mat.NewDenseData(r, h.m, d.projT[:r*h.m]),
+		d.means, d.scales, shape, h.origLen, d.mode, d.workers, st)
 }
 
 // decodeSideData decodes the feature means and, for a standardized
@@ -207,73 +291,47 @@ func decodeSideData(h header, meansSec, scalesSec []byte) (means, scales []float
 	return means, scales, nil
 }
 
-// assembleRankSpaceV1 decodes the joint v1 score stream and projection
-// matrix and moves their leading useK components into rank space.
-func assembleRankSpaceV1(c container, useK int, mode xformMode, workers int) (*mat.Dense, *mat.Dense, error) {
-	h := c.h
-	enc, err := quant.Unmarshal(c.scores[0])
+// decodeV1 is the monolithic v1 arm: one quant stream over all N·K
+// scores and the whole packed M×K projection, moved into rank space for
+// all k ranks at once.
+func (d *decoder) decodeV1(raw [][]byte) error {
+	h := d.h
+	enc, err := quant.Unmarshal(raw[0])
 	if err != nil {
-		return nil, nil, err
+		return err
 	}
 	if enc.Count != h.n*h.k {
-		return nil, nil, fmt.Errorf("core: score count %d != N·K = %d", enc.Count, h.n*h.k)
+		return fmt.Errorf("core: score count %d != N·K = %d", enc.Count, h.n*h.k)
 	}
 	scores, err := enc.Decode()
 	if err != nil {
-		return nil, nil, err
+		return err
 	}
 
 	var proj *mat.Dense
 	if h.flags&flagRawProj != 0 {
-		projF32, err := float32FromBytes(c.proj[0])
+		projF32, err := float32FromBytes(raw[1])
 		if err != nil {
-			return nil, nil, err
+			return err
 		}
 		if len(projF32) != h.m*h.k {
-			return nil, nil, fmt.Errorf("core: projection size %d != M·K = %d", len(projF32), h.m*h.k)
+			return fmt.Errorf("core: projection size %d != M·K = %d", len(projF32), h.m*h.k)
 		}
 		proj = mat.NewDenseData(h.m, h.k, projF32)
 	} else {
-		proj, err = decodeProjection(c.proj[0], h.m, h.k)
+		proj, err = decodeProjection(raw[1], h.m, h.k)
 		if err != nil {
-			return nil, nil, err
+			return err
 		}
 	}
 	y := mat.NewDenseData(h.n, h.k, scores)
-	return rankRows(y, useK, mode, workers), projRows(proj, useK), nil
+	d.zt = rankRows(y, h.k, d.mode, d.workers).Data()
+	d.projT = projRows(proj, h.k).Data()
+	d.done = h.k
+	return nil
 }
 
-// assembleRankSpaceV2 decodes the leading useK components of a v2/v3
-// container into rank space, in parallel across components: row j of the
-// (useK+1)×N result is component j's inverse-transformed scores and row
-// useK the means carrier; row j of the useK×M projection result is
-// component j's projection column. The N×useK score matrix never
-// materializes.
-func assembleRankSpaceV2(ctx context.Context, c container, useK int, mode xformMode, workers int) (*mat.Dense, *mat.Dense, error) {
-	h := c.h
-	zt := mat.NewDense(useK+1, h.n)
-	projT := mat.NewDense(useK, h.m)
-	errs := make([]error, useK)
-	err := parallel.ForCtx(ctx, useK+1, workers, func(j int) {
-		if j == useK {
-			meansCarrier(mode, zt.Row(j))
-			return
-		}
-		errs[j] = decodeRank(h, mode, j, c.scores[j], c.proj[j], zt.Row(j), projT.Row(j))
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	return zt, projT, nil
-}
-
-// decodeRank is the per-rank decoder of every v2/v3 decode (the fused
-// assembly above and Progressive): component j's quantized scores
+// decodeRank is the per-rank decoder of every v2/v3 decode: component j's quantized scores
 // dequantize straight into its rank-space row, which is inverse-
 // transformed in place while cache-hot, and its projection column decodes
 // into pcol (length M).
@@ -364,7 +422,7 @@ func meansCarrier(mode xformMode, row []float64) {
 // rankRows moves the leading r score columns of y (N×k) into rank space:
 // row j of the (r+1)×N result is column j, inverse-transformed, and row r
 // is the means carrier. Each row passes through the same inverseRow
-// kernel as in the fused v2 assembly.
+// kernel as decodeRank's.
 func rankRows(y *mat.Dense, r int, mode xformMode, workers int) *mat.Dense {
 	zt := mat.NewDense(r+1, y.Rows())
 	parallel.ForChunks(r+1, workers, func(lo, hi int) {
@@ -412,8 +470,8 @@ func reconstructRankSpace(y, projT *mat.Dense, means, scales []float64, shape bl
 // projection columns as rows. For 2-D DCT streams the M-point inverse DCT
 // runs down the r+1 columns of C, since IDCT2D(C·Z) = IDCT_M(C)·IDCT_N(Z).
 // GemmInto gives each output row to one worker, so the bits do not depend
-// on the worker count, and every entry point — full or partial,
-// DecompressRank, DecompressRanks, DecompressBestEffort, Progressive —
+// on the worker count, and every entry point — Decompress at any rank,
+// Progressive and DecompressBestEffort, all through decoder.recompose —
 // produces identical bytes at equal rank.
 func recomposeRankSpace(zt, projT *mat.Dense, means, scales []float64, shape blockio.Shape, origLen int, mode xformMode, workers int, st *DecodeStats) ([]float64, error) {
 	k := projT.Rows()

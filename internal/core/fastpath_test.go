@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"testing"
@@ -56,8 +57,9 @@ func entryPointStreams(t *testing.T) []entryPointStream {
 }
 
 // TestPartialDecodeByteIdentityAcrossEntryPoints pins the one rank-space
-// decode path: every entry point — DecompressRank, DecompressRanks,
-// DecompressBestEffort and Progressive — must produce bit-identical output
+// decode path: every entry point — Decompress at a rank, the one-shot
+// clamped preview, DecompressBestEffort and Progressive — must produce
+// bit-identical output
 // at equal rank, partial or full, for every worker count, in every Stage 1
 // transform mode and on a v1 stream. v1 streams carry no per-section
 // checksums, so best-effort is checked on them at r=k only. Run under
@@ -77,7 +79,7 @@ func TestPartialDecodeByteIdentityAcrossEntryPoints(t *testing.T) {
 
 func checkEntryPoints(t *testing.T, s entryPointStream, rank int) {
 	t.Helper()
-	ref, refDims, err := DecompressRank(s.bytes, 1, rank)
+	ref, refDims, err := Decompress(context.Background(), s.bytes, 1, rank, nil)
 	if err != nil {
 		t.Fatalf("%s rank %d reference decode: %v", s.name, rank, err)
 	}
@@ -112,20 +114,20 @@ func checkEntryPoints(t *testing.T, s entryPointStream, rank int) {
 	}
 
 	for _, w := range decodeWorkerCounts {
-		data, dims, err := DecompressRank(s.bytes, w, rank)
+		data, dims, err := Decompress(context.Background(), s.bytes, w, rank, nil)
 		if err != nil {
-			t.Fatalf("%s DecompressRank workers=%d rank=%d: %v", s.name, w, rank, err)
+			t.Fatalf("%s rank decode workers=%d rank=%d: %v", s.name, w, rank, err)
 		}
-		check(fmt.Sprintf("DecompressRank/w=%d", w), data, dims)
+		check(fmt.Sprintf("rank decode/w=%d", w), data, dims)
 
-		data, dims, used, err := DecompressRanks(s.bytes, rank, w)
+		data, dims, used, err := decompressRanks(s.bytes, rank, w)
 		if err != nil {
-			t.Fatalf("%s DecompressRanks workers=%d rank=%d: %v", s.name, w, rank, err)
+			t.Fatalf("%s one-shot preview workers=%d rank=%d: %v", s.name, w, rank, err)
 		}
 		if used != rank {
-			t.Fatalf("%s DecompressRanks workers=%d rank=%d used %d", s.name, w, rank, used)
+			t.Fatalf("%s one-shot preview workers=%d rank=%d used %d", s.name, w, rank, used)
 		}
-		check(fmt.Sprintf("DecompressRanks/w=%d", w), data, dims)
+		check(fmt.Sprintf("one-shot preview/w=%d", w), data, dims)
 
 		if rank == s.k || !v1 {
 			data, dims, err = DecompressBestEffort(bestEffort, w)
@@ -161,12 +163,12 @@ func checkEntryPoints(t *testing.T, s entryPointStream, rank int) {
 // identical no matter how the rows are partitioned.
 func TestFullDecodeWorkerIndependence(t *testing.T) {
 	c, _ := compressedV2(t, 1)
-	ref, _, err := Decompress(c.Bytes, 1)
+	ref, _, err := Decompress(context.Background(), c.Bytes, 1, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range decodeWorkerCounts[1:] {
-		data, _, err := Decompress(c.Bytes, w)
+		data, _, err := Decompress(context.Background(), c.Bytes, w, 0, nil)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}
@@ -189,20 +191,21 @@ func TestDecompressStatsBreakdown(t *testing.T) {
 	k := c.Stats.K
 
 	for _, rank := range []int{0, 1} {
-		want, _, err := DecompressRank(c.Bytes, 0, rank)
+		want, _, err := Decompress(context.Background(), c.Bytes, 0, rank, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		data, dims, st, err := DecompressStats(c.Bytes, 0, rank)
+		var st DecodeStats
+		data, dims, err := Decompress(context.Background(), c.Bytes, 0, rank, &st)
 		if err != nil {
-			t.Fatalf("DecompressStats rank=%d: %v", rank, err)
+			t.Fatalf("Decompress with stats rank=%d: %v", rank, err)
 		}
 		if len(dims) != 2 {
 			t.Fatalf("rank %d: dims %v", rank, dims)
 		}
 		for i := range data {
 			if data[i] != want[i] {
-				t.Fatalf("rank %d: DecompressStats value %d differs from Decompress", rank, i)
+				t.Fatalf("rank %d: value %d with stats differs from Decompress without", rank, i)
 			}
 		}
 		wantUsed := k

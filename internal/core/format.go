@@ -9,7 +9,6 @@ import (
 
 	"dpz/internal/integrity"
 	"dpz/internal/parallel"
-	"dpz/internal/scratch"
 )
 
 // Container format ("DPZ1" magic, version byte 2):
@@ -51,8 +50,8 @@ import (
 //
 // Version 1 (the seed format) remains readable: one quant stream over
 // all N·K scores, the whole packed M×K projection, means, and optional
-// scales — no checksums, nsec as u8. decodeContainer dispatches on the
-// version byte.
+// scales — no checksums, nsec as u8. walk reads every version's section
+// table, and the decoder dispatches on the version byte.
 
 var magic = [4]byte{'D', 'P', 'Z', '1'}
 
@@ -82,38 +81,6 @@ type header struct {
 	dims    []int
 	origLen int
 	m, n, k int
-}
-
-// container is a parsed stream in a version-independent layout. For v1,
-// scores and proj hold a single element each (the joint quant stream and
-// the packed M×K matrix); for v2 they hold one element per component.
-type container struct {
-	version int
-	h       header
-	scores  [][]byte
-	proj    [][]byte
-	means   []byte
-	scales  []byte // nil unless standardized
-	index   []byte // raw retrieval-index payload (v3 only, nil when absent)
-}
-
-// release returns the container's inflated section buffers to the scratch
-// byte pool. Only safe once nothing derived from the container aliases
-// them: every decode path copies out of the sections (quant.Unmarshal,
-// decodeProjection and float32FromBytes all allocate fresh storage), so
-// decompressRankStats releases after reconstruction. Holders that cache a
-// container across calls (Progressive) simply never release. c.index is a
-// subslice of the caller's stream and is never pooled.
-func (c *container) release() {
-	for _, s := range c.scores {
-		scratch.PutBytes(s)
-	}
-	for _, s := range c.proj {
-		scratch.PutBytes(s)
-	}
-	scratch.PutBytes(c.means)
-	scratch.PutBytes(c.scales)
-	c.scores, c.proj, c.means, c.scales = nil, nil, nil, nil
 }
 
 // float32Bytes encodes a float64 slice as little-endian float32.
@@ -428,188 +395,148 @@ func readSectionHeader(buf []byte, pos, version int) (rawLen, compLen int, crc u
 	return rawLen, compLen, crc, pos, nil
 }
 
-// secRef locates one section's compressed payload inside a stream.
-type secRef struct {
+// section is one section of a walked stream: where its payload lies and
+// what the walk found wrong with its framing. Nothing in it has been
+// checksummed or inflated.
+type section struct {
 	rawLen int
-	crc    uint32
-	comp   []byte
+	crc    uint32 // stored CRC-32C of the payload (v2 and later)
+	comp   []byte // the payload; nil when the walk could not reach it
+	err    error  // a bad section header, or unreachable past one
 }
 
-// parsedStream is the outcome of a strict header walk: the data-section
-// references (in layout order, not yet checksummed or inflated) and, for
-// v3 streams, the raw retrieval-index payload.
-type parsedStream struct {
-	version int
-	h       header
-	refs    []secRef // data sections only, layout order
-	index   []byte   // raw index payload (v3, nil when absent or damaged)
+// stream is a walked container: its fixed header and every section in
+// stream order (for v3, the data sections and then the index).
+type stream struct {
+	version  int
+	h        header
+	secs     []section
+	trailing int // bytes after the last section; 0 when the walk derailed
 }
 
-// parseSections walks a stream's header and section table without
-// checksumming or inflating any payload. Structural damage to the fixed
-// header or a data section is an error; the v3 index section is
-// tolerated in every way — a damaged index header (or trailing garbage
-// around it) simply yields a nil index, so data decoding never fails
-// because of index damage. Verify is the strict integrity scan.
-func parseSections(buf []byte) (parsedStream, error) {
-	var ps parsedStream
+// walk is the one reader of a stream's section table; every decode,
+// Verify, DecompressBestEffort, Inspect and IndexSection start from it.
+// Damage to the fixed header, the section count or (v2 and later) the
+// header CRC is an error, since without a trusted shape nothing is
+// decodable. A bad section header is recorded in its section, and every
+// later section is unreachable: the walk cannot resync past a corrupted
+// size field. Each caller applies its own policy to what the walk found
+// (dataErr, index, scan, Inspect).
+func walk(buf []byte) (*stream, error) {
 	h, version, pos, err := parseFixedHeader(buf)
 	if err != nil {
-		return ps, err
+		return nil, err
 	}
-	ps.h, ps.version = h, version
-
-	var ndata int
+	var nsec int
 	switch version {
 	case formatV1:
 		if pos >= len(buf) {
-			return ps, fmt.Errorf("core: missing section table")
+			return nil, fmt.Errorf("core: missing section table")
 		}
-		nsec := int(buf[pos])
+		nsec = int(buf[pos])
 		pos++
-		ndata = 3
+		want := len(v1SectionNames) - 1
 		if h.flags&flagStandardized != 0 {
-			ndata = 4
+			want++
 		}
-		if nsec != ndata {
-			return ps, fmt.Errorf("core: %d sections, want %d", nsec, ndata)
+		if nsec != want {
+			return nil, fmt.Errorf("core: %d sections, want %d", nsec, want)
 		}
 	default:
 		if pos+6 > len(buf) {
-			return ps, fmt.Errorf("core: missing section table")
+			return nil, fmt.Errorf("core: missing section table")
 		}
-		nsec := int(binary.LittleEndian.Uint16(buf[pos:]))
+		nsec = int(binary.LittleEndian.Uint16(buf[pos:]))
 		want := binary.LittleEndian.Uint32(buf[pos+2:])
 		if got := integrity.Checksum(buf[:pos+2]); got != want {
-			return ps, fmt.Errorf("core: header %w (stored %08x, computed %08x)", integrity.ErrCRC, want, got)
+			return nil, fmt.Errorf("core: header %w (stored %08x, computed %08x)", integrity.ErrCRC, want, got)
 		}
 		pos += 6
 		if nsec != sectionCount(h, version) {
-			return ps, fmt.Errorf("core: %d sections, want %d", nsec, sectionCount(h, version))
+			return nil, fmt.Errorf("core: %d sections, want %d", nsec, sectionCount(h, version))
 		}
-		ndata = sectionLayout(h)
 	}
 
-	// Walk the data-section headers serially (each offset depends on the
-	// previous compLen).
-	ps.refs = make([]secRef, 0, ndata)
-	for s := 0; s < ndata; s++ {
+	s := &stream{version: version, h: h, secs: make([]section, nsec)}
+	var derail error
+	for i := range s.secs {
+		sec := &s.secs[i]
+		if derail != nil {
+			sec.err = fmt.Errorf("unreachable: %w", derail)
+			continue
+		}
 		rawLen, compLen, crc, at, err := readSectionHeader(buf, pos, version)
 		if err != nil {
-			return ps, err
+			derail, sec.err = err, err
+			continue
 		}
-		ps.refs = append(ps.refs, secRef{rawLen, crc, buf[at : at+compLen]})
+		sec.rawLen, sec.crc, sec.comp = rawLen, crc, buf[at:at+compLen]
 		pos = at + compLen
 	}
-	if version >= formatV3 {
-		// The trailing index section is best-effort: any anomaly (bad
-		// header, raw/comp length mismatch, trailing bytes) degrades to
-		// "no index" rather than failing the stream.
-		rawLen, compLen, _, at, err := readSectionHeader(buf, pos, version)
-		if err == nil && rawLen == compLen && at+compLen == len(buf) {
-			ps.index = buf[at : at+compLen]
-		}
-		return ps, nil
+	if derail == nil {
+		s.trailing = len(buf) - pos
 	}
-	if pos != len(buf) {
-		return ps, fmt.Errorf("core: %d trailing bytes", len(buf)-pos)
-	}
-	return ps, nil
+	return s, nil
 }
 
-// inflateParsed checksums and inflates a parsed stream's data sections in
-// parallel (and across shards within a sharded section), returning the
-// version-independent container. For v2/v3 streams a non-zero limit
-// restricts the work to the leading `limit` rank regions (plus the side
-// data): trailing sections are neither checksummed nor inflated, which is
-// what makes rank-r preview decoding cheap. The raw index payload, when
-// present, is attached without any processing here — its integrity is the
-// retrieval codec's concern. A cancelled ctx aborts with ctx.Err().
-func inflateParsed(ctx context.Context, ps parsedStream, workers, limit int) (container, error) {
-	c := container{version: ps.version, h: ps.h, index: ps.index}
-	h := ps.h
-	nsec := len(ps.refs)
-	need := nsec
-	if ps.version >= formatV2 && limit > 0 && limit < h.k {
-		need = nsec - 2*(h.k-limit)
-	}
-	sections := make([][]byte, nsec)
-	errs := make([]error, nsec)
-	w := workers
-	if w <= 0 {
-		w = parallel.DefaultWorkers()
-	}
-	// Split the worker budget between sections and the shards inside a
-	// large section, so a stream dominated by one big section still scales.
-	inner := (w + need - 1) / need
-	if err := parallel.ForCtx(ctx, need, workers, func(s int) {
-		ref := ps.refs[s]
-		if ps.version >= formatV2 {
-			if got := integrity.Checksum(ref.comp); got != ref.crc {
-				errs[s] = fmt.Errorf("core: section %d (%s) %w (stored %08x, computed %08x)",
-					s, v2SectionName(h, s), integrity.ErrCRC, ref.crc, got)
-				return
-			}
-		}
-		raw, err := inflateSection(ctx, ref.comp, ref.rawLen, inner)
-		if err != nil {
-			errs[s] = fmt.Errorf("core: section %d: %w", s, err)
-			return
-		}
-		sections[s] = raw
-	}); err != nil {
-		return c, err
-	}
-	// Report the lowest-index failure so errors are deterministic.
-	for _, err := range errs {
-		if err != nil {
-			return c, err
-		}
-	}
+// v1SectionNames labels a v1 stream's sections in stream order.
+var v1SectionNames = [...]string{"scores", "projection", "means", "scales"}
 
-	switch ps.version {
-	case formatV1:
-		c.scores = sections[0:1]
-		c.proj = sections[1:2]
-		c.means = sections[2]
-		if len(sections) == 4 {
-			c.scales = sections[3]
-		}
-	default:
-		c.means = sections[0]
-		at := 1
-		if h.flags&flagStandardized != 0 {
-			c.scales = sections[1]
-			at = 2
-		}
-		c.scores = make([][]byte, h.k)
-		c.proj = make([][]byte, h.k)
-		for j := 0; j < h.k; j++ {
-			c.scores[j] = sections[at+2*j]
-			c.proj[j] = sections[at+2*j+1]
-		}
+// sectionName labels section i for reports and Inspect.
+func (s *stream) sectionName(i int) string {
+	if s.version == formatV1 {
+		return v1SectionNames[i]
 	}
-	return c, nil
+	return v2SectionName(s.h, i)
 }
 
-// decodeContainer parses a stream of any supported version, returning
-// the header and inflated sections in the version-independent layout.
-// Every structural or checksum problem in the data sections is an error;
-// see walkV2 for the damage-tolerant walk used by Verify and
-// DecompressBestEffort. A cancelled ctx aborts with ctx.Err().
-func decodeContainer(ctx context.Context, buf []byte, workers int) (container, error) {
-	return decodeContainerLimit(ctx, buf, workers, 0)
+// ndata is the number of data sections: every section but a v3 index.
+func (s *stream) ndata() int {
+	if s.version == formatV1 {
+		return len(s.secs)
+	}
+	return sectionLayout(s.h)
 }
 
-// decodeContainerLimit is decodeContainer restricted to the leading
-// `limit` rank regions (0 = all): for v2/v3 streams the trailing rank
-// sections are neither checksummed nor inflated, and their entries in
-// the returned container stay nil. v1 streams are monolithic, so the
-// limit is ignored and the caller truncates after decoding.
-func decodeContainerLimit(ctx context.Context, buf []byte, workers, limit int) (container, error) {
-	ps, err := parseSections(buf)
-	if err != nil {
-		return container{}, err
+// sectionsThrough is the number of leading data sections that ranks
+// [0, r) need: the side data and r (scores, projection) pairs. A v1
+// stream is monolithic, so every rank needs all of its sections.
+func (s *stream) sectionsThrough(r int) int {
+	if s.version == formatV1 {
+		return len(s.secs)
 	}
-	return inflateParsed(ctx, ps, workers, limit)
+	if s.h.flags&flagStandardized != 0 {
+		return 2 + 2*r
+	}
+	return 1 + 2*r
+}
+
+// dataErr is the data decode's verdict on the walk: the first framing
+// error among the data sections, or bytes after a v1/v2 stream's last
+// section. Damage to a v3 index never fails a data decode; see index.
+func (s *stream) dataErr() error {
+	for _, sec := range s.secs[:s.ndata()] {
+		if sec.err != nil {
+			return sec.err
+		}
+	}
+	if s.version < formatV3 && s.trailing != 0 {
+		return fmt.Errorf("core: %d trailing bytes", s.trailing)
+	}
+	return nil
+}
+
+// index returns a v3 stream's raw retrieval-index payload, or nil when
+// the stream has none or its framing is damaged: a bad section header,
+// raw and stored lengths that differ, or bytes after it. The payload's
+// own CRC is the retrieval codec's concern.
+func (s *stream) index() []byte {
+	if s.version < formatV3 {
+		return nil
+	}
+	sec := s.secs[s.ndata()]
+	if sec.err != nil || sec.rawLen != len(sec.comp) || s.trailing != 0 {
+		return nil
+	}
+	return sec.comp
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 )
 
@@ -23,7 +24,7 @@ func FuzzDecompress(f *testing.F) {
 	f.Add(half)
 
 	f.Fuzz(func(t *testing.T, buf []byte) {
-		out, dims, err := Decompress(buf, 1)
+		out, dims, err := Decompress(context.Background(), buf, 1, 0, nil)
 		if err != nil {
 			return
 		}

@@ -10,14 +10,18 @@ import (
 // (index damage degrades to "no index" — it never fails a data decode).
 // Structural damage to the stream itself is still an error.
 func IndexSection(buf []byte) ([]byte, error) {
-	ps, err := parseSections(buf)
+	s, err := walk(buf)
 	if err != nil {
 		return nil, err
 	}
-	if ps.index == nil {
+	if err := s.dataErr(); err != nil {
+		return nil, err
+	}
+	ix := s.index()
+	if ix == nil {
 		return nil, retrieval.ErrNoIndex
 	}
-	return ps.index, nil
+	return ix, nil
 }
 
 // ReadIndex extracts and decodes the retrieval index of a stream. The

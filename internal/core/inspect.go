@@ -1,10 +1,8 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
 
-	"dpz/internal/integrity"
 	"dpz/internal/retrieval"
 	"dpz/internal/stats"
 )
@@ -75,12 +73,13 @@ type StreamInfo struct {
 // the v2 header CRC) but does not checksum or inflate section payloads;
 // use Verify for an integrity scan.
 func Inspect(buf []byte) (*StreamInfo, error) {
-	h, version, pos, err := parseFixedHeader(buf)
+	st, err := walk(buf)
 	if err != nil {
 		return nil, err
 	}
+	h := st.h
 	info := &StreamInfo{
-		Version:       version,
+		Version:       st.version,
 		Dims:          append([]int(nil), h.dims...),
 		Values:        h.origLen,
 		Blocks:        h.m,
@@ -102,68 +101,31 @@ func Inspect(buf []byte) (*StreamInfo, error) {
 		info.Transform = "dct"
 	}
 
-	var nsec int
-	var names func(i int) string
-	switch version {
-	case formatV1:
-		if pos >= len(buf) {
-			return nil, fmt.Errorf("core: missing section table")
+	info.Sections = make([]SectionInfo, 0, len(st.secs))
+	for i, sec := range st.secs {
+		if sec.err != nil {
+			return nil, sec.err
 		}
-		nsec = int(buf[pos])
-		pos++
-		want := 3
-		if info.Standardized {
-			want = 4
-		}
-		if nsec != want {
-			return nil, fmt.Errorf("core: %d sections, want %d", nsec, want)
-		}
-		v1names := []string{"scores", "projection", "means", "scales"}
-		names = func(i int) string { return v1names[i] }
-	default:
-		if pos+6 > len(buf) {
-			return nil, fmt.Errorf("core: missing section table")
-		}
-		nsec = int(binary.LittleEndian.Uint16(buf[pos:]))
-		want := binary.LittleEndian.Uint32(buf[pos+2:])
-		if got := integrity.Checksum(buf[:pos+2]); got != want {
-			return nil, fmt.Errorf("core: header %w (stored %08x, computed %08x)", integrity.ErrCRC, want, got)
-		}
-		pos += 6
-		if nsec != sectionCount(h, version) {
-			return nil, fmt.Errorf("core: %d sections, want %d", nsec, sectionCount(h, version))
-		}
-		names = func(i int) string { return v2SectionName(h, i) }
-	}
-
-	info.Sections = make([]SectionInfo, 0, nsec)
-	for s := 0; s < nsec; s++ {
-		rawLen, compLen, crc, at, err := readSectionHeader(buf, pos, version)
-		if err != nil {
-			return nil, err
-		}
-		payload := buf[at : at+compLen]
 		info.Sections = append(info.Sections, SectionInfo{
-			Name:            names(s),
-			RawBytes:        rawLen,
-			CompressedBytes: compLen,
-			Sharded:         isSharded(payload),
-			CRC:             crc,
+			Name:            st.sectionName(i),
+			RawBytes:        sec.rawLen,
+			CompressedBytes: len(sec.comp),
+			Sharded:         isSharded(sec.comp),
+			CRC:             sec.crc,
 		})
-		info.PayloadRawBytes += rawLen
-		pos = at + compLen
-		if version >= formatV3 && s == sectionLayout(h) && rawLen == compLen {
+		info.PayloadRawBytes += sec.rawLen
+		if i == st.ndata() && sec.rawLen == len(sec.comp) {
 			// Decode the raw index payload for the summary fields; damage
 			// degrades to "no index" rather than failing inspection.
-			if ix, err := retrieval.DecodePayload(payload); err == nil {
+			if ix, err := retrieval.DecodePayload(sec.comp); err == nil {
 				info.HasIndex = true
 				info.IndexTiles = len(ix.Tiles)
 				info.RankCumulativeEnergy = cumulativeEnergy(ix)
 			}
 		}
 	}
-	if pos != len(buf) {
-		return nil, fmt.Errorf("core: %d trailing bytes", len(buf)-pos)
+	if st.trailing != 0 {
+		return nil, fmt.Errorf("core: %d trailing bytes", st.trailing)
 	}
 	info.CompressionRatio = stats.CompressionRatio(4*info.Values, len(buf))
 	info.BitRate = stats.BitRate(info.CompressionRatio, 32)

@@ -124,8 +124,8 @@ func TestDecompressContextPreCancelled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := DecompressContext(ctx, c.Bytes, 0); !errors.Is(err, context.Canceled) {
-		t.Fatalf("DecompressContext err = %v, want context.Canceled", err)
+	if _, _, err := Decompress(ctx, c.Bytes, 0, 0, nil); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Decompress err = %v, want context.Canceled", err)
 	}
 }
 

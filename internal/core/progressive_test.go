@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -14,6 +15,16 @@ import (
 	"dpz/internal/mat"
 	"dpz/internal/retrieval"
 )
+
+// decompressRanks is the one-shot preview the public DecompressRanks
+// runs: a fresh Progressive decoding once, with the rank clamped to k.
+func decompressRanks(buf []byte, ranks, workers int) ([]float64, []int, int, error) {
+	p, err := NewProgressive(buf, workers)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	return p.Decode(ranks)
+}
 
 // indexRegion returns the offset of the v3 index section (header
 // included) within a stream, and the stream's data prefix length.
@@ -117,11 +128,11 @@ func TestNoIndexWritesV2(t *testing.T) {
 	if diff > 6 {
 		t.Fatalf("%d bytes differ between v2 and v3-minus-index, want <= 6", diff)
 	}
-	d2, _, err := Decompress(c.Bytes, 0)
+	d2, _, err := Decompress(context.Background(), c.Bytes, 0, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d3, _, err := Decompress(c3.Bytes, 0)
+	d3, _, err := Decompress(context.Background(), c3.Bytes, 0, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,14 +146,14 @@ func TestNoIndexWritesV2(t *testing.T) {
 func TestDecompressRanksMatchesDecompressRank(t *testing.T) {
 	c, _ := compressedV2(t, 3)
 	k := c.Stats.K
-	full, dims, err := Decompress(c.Bytes, 0)
+	full, dims, err := Decompress(context.Background(), c.Bytes, 0, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, r := range []int{1, 2, k - 1, k, k + 5, 0, -1} {
-		got, gdims, used, err := DecompressRanks(c.Bytes, r, 0)
+		got, gdims, used, err := decompressRanks(c.Bytes, r, 0)
 		if err != nil {
-			t.Fatalf("DecompressRanks(%d): %v", r, err)
+			t.Fatalf("decompressRanks(%d): %v", r, err)
 		}
 		wantUsed := k
 		if r > 0 && r < k {
@@ -153,7 +164,7 @@ func TestDecompressRanksMatchesDecompressRank(t *testing.T) {
 		}
 		want := full
 		if wantUsed < k {
-			want, _, err = DecompressRank(c.Bytes, 0, wantUsed)
+			want, _, err = Decompress(context.Background(), c.Bytes, 0, wantUsed, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -163,7 +174,7 @@ func TestDecompressRanksMatchesDecompressRank(t *testing.T) {
 		}
 		for i := range got {
 			if got[i] != want[i] {
-				t.Fatalf("ranks=%d differs from DecompressRank at %d", r, i)
+				t.Fatalf("ranks=%d differs from the rank decode at %d", r, i)
 			}
 		}
 		if len(gdims) != len(dims) {
@@ -179,7 +190,7 @@ func TestDecompressRanksMatchesDecompressRank(t *testing.T) {
 func TestPartialInflationSkipsTrailingSections(t *testing.T) {
 	c, _ := compressedV2(t, 3)
 	k := c.Stats.K
-	intact, _, _, err := DecompressRanks(c.Bytes, 1, 0)
+	intact, _, _, err := decompressRanks(c.Bytes, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,10 +199,10 @@ func TestPartialInflationSkipsTrailingSections(t *testing.T) {
 	// final data bytes before the index section).
 	bad := append([]byte(nil), c.Bytes...)
 	bad[cut-8] ^= 0x10
-	if _, _, err := Decompress(bad, 0); err == nil {
+	if _, _, err := Decompress(context.Background(), bad, 0, 0, nil); err == nil {
 		t.Fatal("full decode accepted a damaged trailing section")
 	}
-	got, _, used, err := DecompressRanks(bad, 1, 0)
+	got, _, used, err := decompressRanks(bad, 1, 0)
 	if err != nil {
 		t.Fatalf("rank-1 preview touched a trailing section: %v", err)
 	}
@@ -204,7 +215,7 @@ func TestPartialInflationSkipsTrailingSections(t *testing.T) {
 		}
 	}
 	if k >= 3 {
-		if _, _, _, err := DecompressRanks(bad, k-1, 0); err != nil {
+		if _, _, _, err := decompressRanks(bad, k-1, 0); err != nil {
 			t.Fatalf("rank-%d preview touched the damaged last rank: %v", k-1, err)
 		}
 	}
@@ -230,7 +241,7 @@ func TestProgressiveMatchesDecompressRank(t *testing.T) {
 		if used != r && !(r >= k && used == k) {
 			t.Fatalf("Decode(%d) used %d", r, used)
 		}
-		want, wdims, err := DecompressRank(c.Bytes, 0, used)
+		want, wdims, err := Decompress(context.Background(), c.Bytes, 0, used, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -239,7 +250,7 @@ func TestProgressiveMatchesDecompressRank(t *testing.T) {
 		}
 		for i := range got {
 			if got[i] != want[i] {
-				t.Fatalf("Decode(%d) differs from DecompressRank at %d", r, i)
+				t.Fatalf("Decode(%d) differs from the rank decode at %d", r, i)
 			}
 		}
 		if len(dims) != len(wdims) {
@@ -256,7 +267,7 @@ func TestProgressiveMatchesDecompressRank(t *testing.T) {
 // return exactly the intact index. Verify must flag every flip.
 func TestIndexDamageDegradesToNoIndex(t *testing.T) {
 	c, _ := compressedV2(t, 2)
-	intact, _, err := Decompress(c.Bytes, 0)
+	intact, _, err := Decompress(context.Background(), c.Bytes, 0, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +284,7 @@ func TestIndexDamageDegradesToNoIndex(t *testing.T) {
 		}
 		buf := append([]byte(nil), c.Bytes[:start]...)
 		buf = append(buf, corrupted...)
-		data, _, err := Decompress(buf, 0)
+		data, _, err := Decompress(context.Background(), buf, 0, 0, nil)
 		if err != nil {
 			t.Fatalf("fault %d: index damage failed the data decode: %v", fault, err)
 		}
@@ -300,7 +311,7 @@ func TestIndexDamageDegradesToNoIndex(t *testing.T) {
 
 	// Truncations inside the index region degrade the same way.
 	for cut := start; cut < len(c.Bytes); cut += 7 {
-		data, _, err := Decompress(c.Bytes[:cut], 0)
+		data, _, err := Decompress(context.Background(), c.Bytes[:cut], 0, 0, nil)
 		if err != nil {
 			t.Fatalf("truncation at %d failed the data decode: %v", cut, err)
 		}
@@ -331,7 +342,7 @@ func TestBestEffortRecoversFullRankOnIndexDamage(t *testing.T) {
 	if len(ce.Sections) != 1 || ce.Sections[0] != "index" {
 		t.Fatalf("damaged sections = %v, want [index]", ce.Sections)
 	}
-	intact, _, err2 := Decompress(c.Bytes, 0)
+	intact, _, err2 := Decompress(context.Background(), c.Bytes, 0, 0, nil)
 	if err2 != nil {
 		t.Fatal(err2)
 	}
@@ -400,12 +411,12 @@ func TestPreviewSpeedup(t *testing.T) {
 		return d
 	}
 	fullT := best(func() {
-		if _, _, err := Decompress(c.Bytes, 1); err != nil {
+		if _, _, err := Decompress(context.Background(), c.Bytes, 1, 0, nil); err != nil {
 			t.Fatal(err)
 		}
 	})
 	prevT := best(func() {
-		if _, _, _, err := DecompressRanks(c.Bytes, 1, 1); err != nil {
+		if _, _, _, err := decompressRanks(c.Bytes, 1, 1); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -14,7 +14,55 @@ import (
 	"testing"
 
 	"dpz/internal/dataset"
+	"dpz/internal/integrity"
 )
+
+// inflatedSections walks a v2/v3 stream and inflates every data section
+// through the decoder's inflate, failing the test on any damage,
+// including to a v3 index section. The walked stream is returned with
+// the inflated sections in stream order.
+func inflatedSections(t testing.TB, buf []byte) (*stream, [][]byte) {
+	t.Helper()
+	s, err := walk(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := &decoder{stream: s}
+	raw, errs, err := d.inflate(context.Background(), 0, s.ndata())
+	if err == nil {
+		err = firstErr(errs)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sec := range s.secs[s.ndata():] {
+		if sec.err != nil || integrity.Checksum(sec.comp) != sec.crc {
+			t.Fatalf("index section damaged: %v", sec.err)
+		}
+	}
+	return s, raw
+}
+
+// rawSections holds a v2/v3 stream's inflated sections as
+// encodeContainer takes them, so a test can re-encode them.
+type rawSections struct {
+	h                    header
+	scores, proj         [][]byte
+	means, scales, index []byte
+}
+
+func splitSections(s *stream, raw [][]byte) rawSections {
+	rs := rawSections{h: s.h, means: raw[0], index: s.index()}
+	base := s.sectionsThrough(0)
+	if base == 2 {
+		rs.scales = raw[1]
+	}
+	for j := 0; j < s.h.k; j++ {
+		rs.scores = append(rs.scores, raw[base+2*j])
+		rs.proj = append(rs.proj, raw[base+2*j+1])
+	}
+	return rs
+}
 
 // randomBytes returns n bytes no entropy coder can shrink.
 func randomBytes(n int, seed int64) []byte {
@@ -153,9 +201,9 @@ func sectionClass(name string) string {
 // {off, on}: every unit the encoder stored would not have deflated
 // smaller at the stream's level. It also pins that the flat 256×512
 // CLDHGH stream stores every projection section, and logs per level and
-// section class how many units were stored, the bytes storing won, and
-// the bytes it missed on units that stayed deflated although storing
-// them would have been smaller. The level reaches nothing before the
+// section class how many units were stored and the bytes storing won.
+// No unit may stay deflated when storing it would have been smaller:
+// the missed column must read zero in every row. The level reaches nothing before the
 // container, so each field compresses once per scheme and projection
 // mode, and the other levels re-encode its sections.
 func TestStoredSectionsNeverLoseToDeflate(t *testing.T) {
@@ -190,6 +238,9 @@ func TestStoredSectionsNeverLoseToDeflate(t *testing.T) {
 	for _, key := range keys {
 		tl := tallies[key]
 		t.Logf("%s units %5d  stored %5d  bytes won %6d  missed %6d", key, tl.units, tl.stored, tl.won, tl.missed)
+		if tl.missed != 0 {
+			t.Errorf("%s: deflated units are %d bytes larger than stored blocks", key, tl.missed)
+		}
 	}
 }
 
@@ -210,46 +261,36 @@ func checkStoredRule(t *testing.T, f *dataset.Field, report func(key string, sto
 			if err != nil {
 				t.Fatalf("%s %s: %v", f.Name, scheme.name, err)
 			}
-			cont, err := decodeContainer(context.Background(), c.Bytes, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
+			walked0, raw0 := inflatedSections(t, c.Bytes)
+			cont := splitSections(walked0, raw0)
 			pinned := f.Name == "CLDHGH-256x512" && scheme.name == "DPZL" && !rawProj
 			for _, zl := range []int{0, 1, 9} {
 				id := fmt.Sprintf("%s %s zlevel %d raw-projection %v", f.Name, scheme.name, zl, rawProj)
-				stream := c.Bytes
+				walked, raw := walked0, raw0
 				if zl != 0 {
 					p.ZLevel = zl
-					stream, _, err = encodeContainer(context.Background(), cont.h, cont.scores, cont.proj,
+					stream, _, err := encodeContainer(context.Background(), cont.h, cont.scores, cont.proj,
 						cont.means, cont.scales, cont.index, p.zlibLevel(), 0)
 					if err != nil {
 						t.Fatal(err)
 					}
+					walked, raw = inflatedSections(t, stream)
 				}
-				_, secs, err := walkV2(stream, true)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, s := range secs {
-					if s.err != nil {
-						t.Fatalf("%s: section %s: %v", id, s.name, s.err)
-					}
-					if s.name == "index" {
-						continue
-					}
-					key := fmt.Sprintf("zlevel %d raw-projection %-5v %-10s", zl, rawProj, sectionClass(s.name))
-					for _, u := range sectionUnits(t, s.comp, s.raw) {
+				for i, s := range walked.secs[:walked.ndata()] {
+					name := walked.sectionName(i)
+					key := fmt.Sprintf("zlevel %d raw-projection %-5v %-10s", zl, rawProj, sectionClass(name))
+					for _, u := range sectionUnits(t, s.comp, raw[i]) {
 						stored := storedZlib(u.raw)
 						if !bytes.Equal(u.payload, stored) {
-							if pinned && sectionClass(s.name) == "projection" {
-								t.Fatalf("%s: %s was deflated", id, s.name)
+							if pinned && sectionClass(name) == "projection" {
+								t.Fatalf("%s: %s was deflated", id, name)
 							}
 							report(key, false, 0, max(0, len(u.payload)-len(stored)))
 							continue
 						}
 						d := deflate(u.raw, p.zlibLevel(), 0)
 						if len(d) < len(stored) {
-							t.Fatalf("%s: %s stored in %d bytes, deflate gives %d", id, s.name, len(stored), len(d))
+							t.Fatalf("%s: %s stored in %d bytes, deflate gives %d", id, name, len(stored), len(d))
 						}
 						report(key, true, len(d)-len(stored), 0)
 					}
@@ -292,13 +333,10 @@ func FuzzStoredZlib(f *testing.F) {
 		if err := Verify(stream); err != nil {
 			t.Fatalf("Verify: %v", err)
 		}
-		_, walked, err := walkV2(stream, true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, s := range walked {
-			if s.err != nil || !bytes.Equal(s.raw, raw) {
-				t.Fatalf("section %s: %v", s.name, s.err)
+		walked, inflated := inflatedSections(t, stream)
+		for i := range walked.secs {
+			if !bytes.Equal(inflated[i], raw) {
+				t.Fatalf("section %s does not inflate back", walked.sectionName(i))
 			}
 		}
 	})
@@ -316,10 +354,7 @@ func BenchmarkEncodeContainer256x512(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cont, err := decodeContainer(context.Background(), c.Bytes, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
+	cont := splitSections(inflatedSections(b, c.Bytes))
 	for _, w := range []int{1, 2} {
 		b.Run(fmt.Sprintf("w%d", w), func(b *testing.B) {
 			b.SetBytes(int64(c.Stats.OrigBytes))

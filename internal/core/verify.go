@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
 	"strings"
 
@@ -32,199 +31,111 @@ func (e *CorruptionError) Error() string {
 	return fmt.Sprintf("core: corrupt stream (%s)", what)
 }
 
-// sectionState is one section's outcome from a lenient v2 walk.
-type sectionState struct {
-	name string
-	raw  []byte // inflated payload; nil unless walked with doInflate
-	comp []byte // checksummed payload bytes
-	off  int    // payload offset within the stream (0 when unreachable)
-	err  error  // nil when intact
+// scan is the damage-tolerant pass behind Verify and
+// DecompressBestEffort. On a walked v2/v3 stream it checksums and
+// inflates every data section, returning the inflated sections (nil
+// where damaged; release them), the damaged sections' names in stream
+// order and the number of leading ranks that are intact along with the
+// side data. A section whose checksum fails, whose declared sizes derail
+// the walk, or whose payload does not inflate to its declared length is
+// damaged; bytes after the last section add "container framing". The
+// v3 index is checksummed and its lengths compared but, being stored
+// raw, never inflated.
+func (d *decoder) scan() (raw [][]byte, bad []string, intact int) {
+	// A Background context never cancels, so inflate cannot fail as a
+	// whole; damage is reported per section in errs.
+	raw, errs, _ := d.inflate(context.Background(), 0, d.ndata())
+	for s, sec := range d.secs {
+		damaged := sec.err != nil
+		if s < len(errs) {
+			damaged = errs[s] != nil
+		} else if !damaged {
+			damaged = integrity.Checksum(sec.comp) != sec.crc || sec.rawLen != len(sec.comp)
+		}
+		if damaged {
+			bad = append(bad, d.sectionName(s))
+		}
+	}
+	if d.trailing != 0 {
+		bad = append(bad, "container framing")
+	}
+	if firstErr(errs[:d.sectionsThrough(0)]) != nil {
+		return raw, bad, 0
+	}
+	for intact < d.h.k {
+		s := d.sectionsThrough(intact)
+		if errs[s] != nil || errs[s+1] != nil {
+			break
+		}
+		intact++
+	}
+	return raw, bad, intact
 }
 
-// walkV2 walks a v2/v3 stream's section table tolerantly: a section
-// whose checksum fails, whose declared sizes derail the walk, or (when
-// doInflate is set) whose zlib payload fails to decode is marked damaged
-// instead of aborting. The fixed header and its checksum must be intact
-// — without a trusted shape nothing downstream is decodable. A final
-// pseudo-section flags trailing garbage after the section table. The v3
-// index section is checksummed like any other but — being stored raw —
-// never inflated; its raw field is the payload itself.
-func walkV2(buf []byte, doInflate bool) (header, []sectionState, error) {
-	h, version, pos, err := parseFixedHeader(buf)
-	if err != nil {
-		return h, nil, err
-	}
-	if version == formatV1 {
-		return h, nil, fmt.Errorf("core: version %d stream has no section checksums", version)
-	}
-	if pos+6 > len(buf) {
-		return h, nil, fmt.Errorf("core: missing section table")
-	}
-	nsec := int(binary.LittleEndian.Uint16(buf[pos:]))
-	want := binary.LittleEndian.Uint32(buf[pos+2:])
-	if got := integrity.Checksum(buf[:pos+2]); got != want {
-		return h, nil, fmt.Errorf("core: header %w (stored %08x, computed %08x)", integrity.ErrCRC, want, got)
-	}
-	pos += 6
-	if nsec != sectionCount(h, version) {
-		return h, nil, fmt.Errorf("core: %d sections, want %d", nsec, sectionCount(h, version))
-	}
-
-	secs := make([]sectionState, nsec)
-	derailed := false
-	var derailErr error
-	for s := 0; s < nsec; s++ {
-		secs[s].name = v2SectionName(h, s)
-		isIndex := version >= formatV3 && s == sectionLayout(h)
-		if derailed {
-			secs[s].err = fmt.Errorf("unreachable: %w", derailErr)
-			continue
-		}
-		rawLen, compLen, crc, at, err := readSectionHeader(buf, pos, version)
-		if err != nil {
-			// The walk cannot resync past a corrupted size field; this and
-			// every later section are lost.
-			derailed, derailErr = true, err
-			secs[s].err = err
-			continue
-		}
-		comp := buf[at : at+compLen]
-		pos = at + compLen
-		secs[s].comp = comp
-		secs[s].off = at
-		if got := integrity.Checksum(comp); got != crc {
-			secs[s].err = fmt.Errorf("%w (stored %08x, computed %08x)", integrity.ErrCRC, crc, got)
-			continue
-		}
-		if isIndex {
-			// Stored raw; the length fields must agree.
-			if rawLen != compLen {
-				secs[s].err = fmt.Errorf("raw index section declares %d raw vs %d stored bytes", rawLen, compLen)
-				continue
-			}
-			secs[s].raw = comp
-			continue
-		}
-		if doInflate {
-			raw, err := inflateSection(context.Background(), comp, rawLen, 1)
-			if err != nil {
-				secs[s].err = err
-				continue
-			}
-			secs[s].raw = raw
-		}
-	}
-	if !derailed && pos != len(buf) {
-		secs = append(secs, sectionState{
-			name: "container framing",
-			err:  fmt.Errorf("%d trailing bytes", len(buf)-pos),
-		})
-	}
-	return h, secs, nil
-}
-
-// Verify checks a stream's structure and checksums without decoding any
-// data. For v2 streams it validates the header CRC and every section
-// CRC (no zlib inflation, no reconstruction) and returns a
-// *CorruptionError naming the damaged sections. v1 streams carry no
-// checksums; they get a full container parse (the zlib layer's own
-// framing is the only integrity signal available).
+// Verify checks a stream's structure and checksums without
+// reconstructing any data. For v2/v3 streams it validates the header CRC
+// and every section CRC and inflates every data section, so a section
+// header whose declared raw length no longer matches its payload — which
+// no CRC covers — is caught too. It returns a *CorruptionError naming
+// the damaged sections, the ones DecompressBestEffort would name. v1
+// streams carry no checksums; they are walked, inflated and dequantized
+// (the zlib layer's own framing is the only integrity signal available)
+// and any failure is returned as is. A nil from Verify therefore means
+// every section Decompress reads is intact.
 func Verify(buf []byte) error {
-	_, version, _, err := parseFixedHeader(buf)
+	d, err := newDecoder(buf, 0)
 	if err != nil {
 		return err
 	}
-	if version == formatV1 {
-		_, err := decodeContainer(context.Background(), buf, 0)
-		return err
-	}
-	h, secs, err := walkV2(buf, false)
-	if err != nil {
-		return err
-	}
-	var bad []string
-	for _, s := range secs {
-		if s.err != nil {
-			bad = append(bad, s.name)
+	if d.version == formatV1 {
+		if err := d.dataErr(); err != nil {
+			return err
 		}
+		return d.extend(context.Background(), d.h.k, nil)
 	}
+	raw, bad, _ := d.scan()
+	release(raw)
 	if len(bad) == 0 {
 		return nil
 	}
-	return &CorruptionError{Sections: bad, StoredRank: h.k}
+	return &CorruptionError{Sections: bad, StoredRank: d.h.k}
 }
 
 // DecompressBestEffort decompresses buf, degrading gracefully when parts
 // of a v2 stream are damaged: as long as the header, the means (and
 // scales, when standardized) and a leading run of rank sections pass
-// their checksums, it reconstructs from the highest intact rank — the
-// progressive-decode property of rank-ordered PCA sections — and returns
-// the partial data together with a *CorruptionError describing what was
-// lost. A fully intact stream returns a nil error; an unrecoverable one
-// returns nil data and the error. v1 streams have no per-section
-// checksums, so they either decode fully or fail.
+// their checksums and inflate, it reconstructs from the highest intact
+// rank — the progressive-decode property of rank-ordered PCA sections —
+// and returns the partial data together with a *CorruptionError naming
+// what Verify names and the rank recovered. A fully intact stream
+// returns a nil error; an unrecoverable one returns nil data and the
+// error. v1 streams have no per-section checksums, so they either decode
+// fully or fail.
 func DecompressBestEffort(buf []byte, workers int) ([]float64, []int, error) {
-	_, version, _, err := parseFixedHeader(buf)
+	d, err := newDecoder(buf, workers)
 	if err != nil {
 		return nil, nil, err
 	}
-	if version == formatV1 {
-		return Decompress(buf, workers)
+	ctx := context.Background()
+	if d.version == formatV1 {
+		return Decompress(ctx, buf, workers, 0, nil)
 	}
-	h, secs, err := walkV2(buf, true)
-	if err != nil {
+	raw, bad, rank := d.scan()
+	defer release(raw)
+	if rank == 0 {
+		return nil, nil, &CorruptionError{Sections: bad, StoredRank: d.h.k}
+	}
+	// A section that passed its checksum but fails to decode points at a
+	// malformed stream, not recoverable storage damage.
+	if err := d.decode(ctx, raw, rank); err != nil {
 		return nil, nil, err
 	}
-	var bad []string
-	for _, s := range secs {
-		if s.err != nil {
-			bad = append(bad, s.name)
-		}
-	}
-	std := h.flags&flagStandardized != 0
-	base := 1
-	if std {
-		base = 2
-	}
-	c := container{version: formatV2, h: h, means: secs[0].raw}
-	if std {
-		c.scales = secs[1].raw
+	data, err := d.recompose(rank, nil)
+	if err != nil {
+		return nil, nil, err
 	}
 	if len(bad) == 0 {
-		c.scores = make([][]byte, h.k)
-		c.proj = make([][]byte, h.k)
-		for j := 0; j < h.k; j++ {
-			c.scores[j] = secs[base+2*j].raw
-			c.proj[j] = secs[base+2*j+1].raw
-		}
-		return decompressParsed(context.Background(), c, workers, 0, nil)
+		return data, d.h.dims, nil
 	}
-	// The side-data sections are required for any reconstruction.
-	if secs[0].err != nil || (std && secs[1].err != nil) {
-		return nil, nil, &CorruptionError{Sections: bad, StoredRank: h.k}
-	}
-	// Recover the longest intact leading run of rank regions.
-	rank := h.k
-	for j := 0; j < h.k; j++ {
-		if secs[base+2*j].err != nil || secs[base+2*j+1].err != nil {
-			rank = j
-			break
-		}
-	}
-	if rank == 0 {
-		return nil, nil, &CorruptionError{Sections: bad, StoredRank: h.k}
-	}
-	c.scores = make([][]byte, h.k)
-	c.proj = make([][]byte, h.k)
-	for j := 0; j < rank; j++ {
-		c.scores[j] = secs[base+2*j].raw
-		c.proj[j] = secs[base+2*j+1].raw
-	}
-	data, dims, derr := decompressParsed(context.Background(), c, workers, rank, nil)
-	if derr != nil {
-		// A section that passed its checksum but fails to decode points at
-		// a malformed stream, not recoverable storage damage.
-		return nil, nil, derr
-	}
-	return data, dims, &CorruptionError{Sections: bad, RecoveredRank: rank, StoredRank: h.k}
+	return data, d.h.dims, &CorruptionError{Sections: bad, RecoveredRank: rank, StoredRank: d.h.k}
 }

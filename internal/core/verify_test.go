@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -31,14 +32,15 @@ func compressedV2(t *testing.T, minK int) (*Compressed, []float64) {
 // damage flips one byte inside the payload of the named v2 section.
 func damage(t *testing.T, buf []byte, name string) []byte {
 	t.Helper()
-	_, secs, err := walkV2(buf, false)
+	walked, err := walk(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range secs {
-		if s.name == name {
+	offs := sectionHeaderOffsets(t, buf)
+	for i, s := range walked.secs {
+		if walked.sectionName(i) == name {
 			out := append([]byte(nil), buf...)
-			out[s.off+len(s.comp)/2] ^= 0x40
+			out[offs[i]+20+len(s.comp)/2] ^= 0x40
 			return out
 		}
 	}
@@ -77,7 +79,7 @@ func TestGoldenV1StreamDecodesByteIdentically(t *testing.T) {
 	}
 	want := readGoldenOut(t, "testdata/golden_v1_rankspace.out")
 	old := readGoldenOut(t, "testdata/golden_v1.out")
-	out, dims, err := Decompress(stream, 0)
+	out, dims, err := Decompress(context.Background(), stream, 0, 0, nil)
 	if err != nil {
 		t.Fatalf("v1 stream no longer decodes: %v", err)
 	}
@@ -177,14 +179,14 @@ func TestBestEffortRecoversLeadingRanks(t *testing.T) {
 	if total != len(data) {
 		t.Fatalf("best-effort output shape-inconsistent: dims %v, %d values", dims, len(data))
 	}
-	// The reduced-rank reconstruction must match DecompressRank exactly.
-	want, _, err := DecompressRank(c.Bytes, 0, k-1)
+	// The reduced-rank reconstruction must match the rank decode exactly.
+	want, _, err := Decompress(context.Background(), c.Bytes, 0, k-1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range want {
 		if data[i] != want[i] {
-			t.Fatalf("best-effort differs from DecompressRank(%d) at %d", k-1, i)
+			t.Fatalf("best-effort differs from the rank-%d decode at %d", k-1, i)
 		}
 	}
 	// And it should still resemble the original field.
@@ -223,18 +225,18 @@ func TestDecompressRankBoundaries(t *testing.T) {
 	c, _ := compressedV2(t, 2)
 	k := c.Stats.K
 
-	full, dims, err := Decompress(c.Bytes, 0)
+	full, dims, err := Decompress(context.Background(), c.Bytes, 0, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// rank 0 = all components: identical to Decompress.
-	r0, _, err := DecompressRank(c.Bytes, 0, 0)
+	r0, _, err := Decompress(context.Background(), c.Bytes, 0, 0, nil)
 	if err != nil {
 		t.Fatalf("rank 0: %v", err)
 	}
 	// rank k = all components, explicitly.
-	rk, _, err := DecompressRank(c.Bytes, 0, k)
+	rk, _, err := Decompress(context.Background(), c.Bytes, 0, k, nil)
 	if err != nil {
 		t.Fatalf("rank k=%d: %v", k, err)
 	}
@@ -253,7 +255,7 @@ func TestDecompressRankBoundaries(t *testing.T) {
 		if rank < 1 {
 			continue
 		}
-		out, gotDims, err := DecompressRank(c.Bytes, 0, rank)
+		out, gotDims, err := Decompress(context.Background(), c.Bytes, 0, rank, nil)
 		if err != nil {
 			t.Fatalf("rank %d: %v", rank, err)
 		}
@@ -269,8 +271,63 @@ func TestDecompressRankBoundaries(t *testing.T) {
 
 	// Out-of-contract ranks must error, not panic or mis-decode.
 	for _, rank := range []int{-1, -99, k + 1, k + 1000} {
-		if _, _, err := DecompressRank(c.Bytes, 0, rank); err == nil {
+		if _, _, err := Decompress(context.Background(), c.Bytes, 0, rank, nil); err == nil {
 			t.Fatalf("rank %d accepted, want error", rank)
+		}
+	}
+}
+
+// sectionHeaderOffsets returns the offset of every v2/v3 section header
+// (its rawLen field) in stream order, located from Inspect's section
+// table.
+func sectionHeaderOffsets(t *testing.T, buf []byte) []int {
+	t.Helper()
+	info, err := Inspect(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pos := 8 + 8*(len(info.Dims)+4) + 6
+	offs := make([]int, len(info.Sections))
+	for i, s := range info.Sections {
+		offs[i] = pos
+		pos += 20 + s.CompressedBytes
+	}
+	if pos != len(buf) {
+		t.Fatalf("section table ends at %d of %d bytes", pos, len(buf))
+	}
+	return offs
+}
+
+// TestVerifyCatchesRawLenDamage: no CRC covers a section header, so a
+// damaged rawLen shows only when the payload inflates to the wrong
+// length. Adding 1, 7 or 1000 to any section's rawLen must make Verify
+// name that section, since Decompress (or, for the index, ReadIndex)
+// cannot decode it; Decompress is checked at +1, the cheapest damage.
+func TestVerifyCatchesRawLenDamage(t *testing.T) {
+	c, _ := compressedV2(t, 2)
+	info, err := Inspect(c.Bytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, off := range sectionHeaderOffsets(t, c.Bytes) {
+		name := info.Sections[i].Name
+		for _, add := range []uint64{1, 7, 1000} {
+			bad := append([]byte(nil), c.Bytes...)
+			binary.LittleEndian.PutUint64(bad[off:], binary.LittleEndian.Uint64(bad[off:])+add)
+			err := Verify(bad)
+			var ce *CorruptionError
+			if !errors.As(err, &ce) {
+				t.Fatalf("%s rawLen+%d: Verify = %v, want *CorruptionError", name, add, err)
+			}
+			if len(ce.Sections) != 1 || ce.Sections[0] != name {
+				t.Fatalf("%s rawLen+%d: Verify blamed %v", name, add, ce.Sections)
+			}
+			if name == "index" || add != 1 {
+				continue
+			}
+			if _, _, err := Decompress(context.Background(), bad, 1, 0, nil); err == nil {
+				t.Fatalf("%s rawLen+%d: Decompress accepted the stream", name, add)
+			}
 		}
 	}
 }

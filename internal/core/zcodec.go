@@ -32,8 +32,10 @@ var zwPools [12]sync.Pool
 var zrPool sync.Pool
 
 // packUnit zlib-encodes one deflate unit (a section or a shard): stored
-// blocks when deflate cannot shrink it (see entropyBytes), deflate at
-// level otherwise. Any zlib reader inflates either form.
+// blocks when an entropy estimate says deflate cannot shrink it (see
+// entropyBytes), deflate at level otherwise, and stored blocks again
+// when deflate's output is no smaller than they are. Any zlib reader
+// inflates either form.
 func packUnit(buf []byte, level int) []byte {
 	est := entropyBytes(buf)
 	if len(buf) > 0 && est >= float64(len(buf)) {
@@ -41,7 +43,11 @@ func packUnit(buf []byte, level int) []byte {
 	}
 	// The estimate sizes the output buffer: deflate lands within a few
 	// percent of it on quantized scores, and a miss costs one regrowth.
-	return deflate(buf, level, 64+int(est)+int(est)/16)
+	out := deflate(buf, level, 64+int(est)+int(est)/16)
+	if len(out) >= storedZlibLen(len(buf)) {
+		return storedZlib(buf)
+	}
+	return out
 }
 
 // entropyBytes is the size an ideal order-0 code would give buf, plus a
@@ -100,7 +106,7 @@ const maxStoredBlock = 1<<16 - 1
 // extra empty final block.
 func storedZlib(buf []byte) []byte {
 	nblk := max(1, (len(buf)+maxStoredBlock-1)/maxStoredBlock)
-	out := make([]byte, 0, len(buf)+6+5*nblk)
+	out := make([]byte, 0, storedZlibLen(len(buf)))
 	out = append(out, 0x78, 0x01)
 	for i := 0; i < nblk; i++ {
 		blk := buf[i*maxStoredBlock : min((i+1)*maxStoredBlock, len(buf))]
@@ -113,6 +119,11 @@ func storedZlib(buf []byte) []byte {
 		out = append(out, blk...)
 	}
 	return binary.BigEndian.AppendUint32(out, adler32.Checksum(buf))
+}
+
+// storedZlibLen is the length of storedZlib's output for n bytes.
+func storedZlibLen(n int) int {
+	return n + 6 + 5*max(1, (n+maxStoredBlock-1)/maxStoredBlock)
 }
 
 // deflate zlib-compresses buf at the given level (zlib.DefaultCompression
@@ -182,7 +193,7 @@ func inflateInto(dst, buf []byte) error {
 
 // inflate decompresses a zlib stream, verifying the expected raw length.
 // The output comes from the scratch byte pool: ownership transfers to the
-// caller, who may hand it back via scratch.PutBytes (container.release)
+// caller, who may hand it back via scratch.PutBytes (see release)
 // once nothing aliases it — or simply let it be collected.
 func inflate(buf []byte, rawLen int) ([]byte, error) {
 	out := scratch.Bytes(rawLen)

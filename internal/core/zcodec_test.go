@@ -137,12 +137,12 @@ func TestShardedStreamEndToEnd(t *testing.T) {
 		}
 	}
 
-	_, secs, err := walkV2(ref.Bytes, false)
+	walked, err := walk(ref.Bytes)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sharded := 0
-	for _, s := range secs {
+	for _, s := range walked.secs {
 		if isSharded(s.comp) {
 			sharded++
 		}
@@ -155,7 +155,7 @@ func TestShardedStreamEndToEnd(t *testing.T) {
 		t.Fatalf("Verify: %v", err)
 	}
 	for _, w := range []int{1, 8} {
-		out, dims, err := Decompress(ref.Bytes, w)
+		out, dims, err := Decompress(context.Background(), ref.Bytes, w, 0, nil)
 		if err != nil {
 			t.Fatalf("decompress workers=%d: %v", w, err)
 		}

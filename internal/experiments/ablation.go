@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -36,7 +37,7 @@ func Ablation(cfg Config) error {
 		if err != nil {
 			return fmt.Errorf("%s: %w", label, err)
 		}
-		out, _, err := core.Decompress(c.Bytes, cfg.Workers)
+		out, _, err := core.Decompress(context.Background(), c.Bytes, cfg.Workers, 0, nil)
 		if err != nil {
 			return fmt.Errorf("%s: %w", label, err)
 		}
@@ -209,7 +210,7 @@ func Scaling(cfg Config) error {
 		}
 		ct := time.Since(t0)
 		t0 = time.Now()
-		if _, _, err := core.Decompress(c.Bytes, w); err != nil {
+		if _, _, err := core.Decompress(context.Background(), c.Bytes, w, 0, nil); err != nil {
 			return err
 		}
 		dt := time.Since(t0)

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"path/filepath"
@@ -23,7 +24,7 @@ func dpzPoint(f *dataset.Field, p core.Params) (bitrate, psnr, cr float64, err e
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	out, _, err := core.Decompress(c.Bytes, p.Workers)
+	out, _, err := core.Decompress(context.Background(), c.Bytes, p.Workers, 0, nil)
 	if err != nil {
 		return 0, 0, 0, err
 	}
@@ -160,7 +161,7 @@ func Table2(cfg Config) error {
 				if err != nil {
 					return err
 				}
-				out, _, err := core.Decompress(c.Bytes, cfg.Workers)
+				out, _, err := core.Decompress(context.Background(), c.Bytes, cfg.Workers, 0, nil)
 				if err != nil {
 					return err
 				}
@@ -280,7 +281,7 @@ func Fig7(cfg Config) error {
 	if err != nil {
 		return err
 	}
-	outDPZ, _, err := core.Decompress(c.Bytes, cfg.Workers)
+	outDPZ, _, err := core.Decompress(context.Background(), c.Bytes, cfg.Workers, 0, nil)
 	if err != nil {
 		return err
 	}
@@ -324,7 +325,7 @@ func Fig7(cfg Config) error {
 	if err != nil {
 		return err
 	}
-	outDPZ2, _, err := core.Decompress(c2.Bytes, cfg.Workers)
+	outDPZ2, _, err := core.Decompress(context.Background(), c2.Bytes, cfg.Workers, 0, nil)
 	if err != nil {
 		return err
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -35,7 +36,7 @@ func Fig8(cfg Config) error {
 		}
 		ct := time.Since(t0)
 		t0 = time.Now()
-		out, _, err := core.Decompress(c.Bytes, cfg.Workers)
+		out, _, err := core.Decompress(context.Background(), c.Bytes, cfg.Workers, 0, nil)
 		if err != nil {
 			return err
 		}

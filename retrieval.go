@@ -60,11 +60,11 @@ func ParsePredicate(s string) (Predicate, error) { return retrieval.ParsePredica
 func ReadIndex(buf []byte) (*Index, error) { return core.ReadIndex(buf) }
 
 // DecompressRanks reconstructs a preview from only the `ranks` leading
-// principal components, inflating just those sections (plus side data) —
-// unlike DecompressRank, trailing sections are never touched, so a
-// low-rank preview of a large stream costs a fraction of the full decode.
-// ranks <= 0 or >= the stored k decodes everything. Returns the values,
-// dims and the rank actually used.
+// principal components, inflating just those sections (plus side data):
+// trailing sections are never touched, so a low-rank preview of a large
+// stream costs a fraction of the full decode. It is DecompressRank that
+// clamps instead of failing: ranks <= 0 or >= the stored k decodes
+// everything. Returns the values, dims and the rank actually used.
 func DecompressRanks(buf []byte, ranks int) ([]float32, []int, int, error) {
 	d, dims, used, err := DecompressRanksFloat64(buf, ranks)
 	if err != nil {
@@ -75,17 +75,27 @@ func DecompressRanks(buf []byte, ranks int) ([]float32, []int, int, error) {
 
 // DecompressRanksFloat64 is DecompressRanks with double-precision output.
 func DecompressRanksFloat64(buf []byte, ranks int) ([]float64, []int, int, error) {
-	return core.DecompressRanks(buf, ranks, 0)
+	return decompressRanks(context.Background(), buf, ranks, 0)
 }
 
 // DecompressRanksContext is DecompressRanks with cooperative cancellation
 // and an explicit worker bound (0 = GOMAXPROCS).
 func DecompressRanksContext(ctx context.Context, buf []byte, ranks, workers int) ([]float32, []int, int, error) {
-	d, dims, used, err := core.DecompressRanksContext(ctx, buf, ranks, workers)
+	d, dims, used, err := decompressRanks(ctx, buf, ranks, workers)
 	if err != nil {
 		return nil, nil, 0, err
 	}
 	return stats.Float64To32(d), dims, used, nil
+}
+
+// decompressRanks is a one-shot Progressive: the rank-r decode with the
+// rank clamped to the stored k.
+func decompressRanks(ctx context.Context, buf []byte, ranks, workers int) ([]float64, []int, int, error) {
+	p, err := core.NewProgressive(buf, workers)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	return p.DecodeContext(ctx, ranks)
 }
 
 // Progressive decodes one stream at increasing fidelity: each Decode(r)
