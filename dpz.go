@@ -453,9 +453,12 @@ func Stat(buf []byte) (*StreamInfo, error) { return core.Inspect(buf) }
 type CorruptionError = core.CorruptionError
 
 // Verify checks a stream's structure and checksums without reconstructing
-// any data — a cheap integrity scan for archived streams. Damaged v2
-// streams yield a *CorruptionError naming the affected sections; v1
-// streams (no checksums) get a structural parse only.
+// any data — an integrity scan for archived streams. It inflates every
+// data section, so a section whose declared length no longer matches its
+// payload is caught; on large streams that costs a few percent of a full
+// decode. Damaged v2/v3 streams yield a *CorruptionError naming the
+// affected sections, the ones DecompressBestEffort names; v1 streams (no
+// checksums) are walked and inflated and any failure is returned as is.
 func Verify(buf []byte) error { return core.Verify(buf) }
 
 // DecompressBestEffort decompresses buf, degrading gracefully when parts

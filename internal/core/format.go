@@ -399,6 +399,7 @@ func readSectionHeader(buf []byte, pos, version int) (rawLen, compLen int, crc u
 // what the walk found wrong with its framing. Nothing in it has been
 // checksummed or inflated.
 type section struct {
+	off    int // offset of the section header (its rawLen field)
 	rawLen int
 	crc    uint32 // stored CRC-32C of the payload (v2 and later)
 	comp   []byte // the payload; nil when the walk could not reach it
@@ -461,6 +462,7 @@ func walk(buf []byte) (*stream, error) {
 	var derail error
 	for i := range s.secs {
 		sec := &s.secs[i]
+		sec.off = pos
 		if derail != nil {
 			sec.err = fmt.Errorf("unreachable: %w", derail)
 			continue

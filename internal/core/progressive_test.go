@@ -30,15 +30,15 @@ func decompressRanks(buf []byte, ranks, workers int) ([]float64, []int, int, err
 // included) within a stream, and the stream's data prefix length.
 func indexRegion(t *testing.T, buf []byte) int {
 	t.Helper()
-	info, err := Inspect(buf)
+	walked, err := walk(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	last := info.Sections[len(info.Sections)-1]
-	if last.Name != "index" {
-		t.Fatalf("last section is %q, want index", last.Name)
+	last := len(walked.secs) - 1
+	if name := walked.sectionName(last); name != "index" {
+		t.Fatalf("last section is %q, want index", name)
 	}
-	return len(buf) - last.CompressedBytes - 20
+	return walked.secs[last].off
 }
 
 func TestStreamIndexRoundTrip(t *testing.T) {

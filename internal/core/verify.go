@@ -78,10 +78,11 @@ func (d *decoder) scan() (raw [][]byte, bad []string, intact int) {
 // header whose declared raw length no longer matches its payload — which
 // no CRC covers — is caught too. It returns a *CorruptionError naming
 // the damaged sections, the ones DecompressBestEffort would name. v1
-// streams carry no checksums; they are walked, inflated and dequantized
-// (the zlib layer's own framing is the only integrity signal available)
-// and any failure is returned as is. A nil from Verify therefore means
-// every section Decompress reads is intact.
+// streams carry no checksums; they are walked and inflated (the zlib
+// layer's own framing is the only integrity signal available) and the
+// first failure is returned as is. Payloads are not dequantized, so a
+// nil from Verify means every section Decompress reads is intact as
+// written, not that a faulty writer wrote decodable sections.
 func Verify(buf []byte) error {
 	d, err := newDecoder(buf, 0)
 	if err != nil {
@@ -91,7 +92,10 @@ func Verify(buf []byte) error {
 		if err := d.dataErr(); err != nil {
 			return err
 		}
-		return d.extend(context.Background(), d.h.k, nil)
+		// A Background context never cancels, so only errs can fail.
+		raw, errs, _ := d.inflate(context.Background(), 0, d.ndata())
+		release(raw)
+		return firstErr(errs)
 	}
 	raw, bad, _ := d.scan()
 	release(raw)
