@@ -185,35 +185,23 @@ func gateDeltas(base, cur *perfReport) []gateDelta {
 		}
 		id := fmt.Sprintf("%s w%d", r.Name, r.Workers)
 		push(id+" ns/op", b.NsPerOp, r.NsPerOp)
-		if b.StageNs == nil || r.StageNs == nil {
+		if len(r.StageNs) == 0 {
 			continue
 		}
-		stages := []struct {
-			label    string
-			old, new int64
-		}{
-			{"decompose", b.StageNs.Decompose, r.StageNs.Decompose},
-			{"dct", b.StageNs.DCT, r.StageNs.DCT},
-			{"pca", b.StageNs.PCA, r.StageNs.PCA},
-			{"vif", b.StageNs.VIF, r.StageNs.VIF},
-			{"gram", b.StageNs.Gram, r.StageNs.Gram},
-			{"eig", b.StageNs.Eig, r.StageNs.Eig},
-			{"project", b.StageNs.Project, r.StageNs.Project},
-			{"quant", b.StageNs.Quant, r.StageNs.Quant},
-			{"zlib", b.StageNs.Zlib, r.StageNs.Zlib},
-			{"inflate", b.StageNs.Inflate, r.StageNs.Inflate},
-			{"dequant", b.StageNs.Dequant, r.StageNs.Dequant},
-			{"recompose", b.StageNs.Recompose, r.StageNs.Recompose},
-			{"total", b.StageNs.Total, r.StageNs.Total},
+		// The stages are walked in sorted order, so deltas of equal
+		// percent keep one order from run to run.
+		stages := make([]string, 0, len(b.StageNs))
+		for stage := range b.StageNs {
+			stages = append(stages, stage)
 		}
-		for _, st := range stages {
-			// A stage the baseline lacks (zero: recorded before the stage
-			// was split out) is new rather than a regression, and one
-			// under the floor is clock noise; neither is gated.
-			if st.old < gateStageFloorNs {
-				continue
+		sort.Strings(stages)
+		for _, stage := range stages {
+			// A stage under the floor is clock noise and not gated. A
+			// stage the baseline lacks (recorded before it was split
+			// out) is new rather than a regression and never visited.
+			if old := b.StageNs[stage]; old >= gateStageFloorNs {
+				push(id+" stage "+stage, old.Nanoseconds(), r.StageNs[stage].Nanoseconds())
 			}
-			push(id+" stage "+st.label, st.old, st.new)
 		}
 	}
 	sort.SliceStable(deltas, func(i, j int) bool { return deltas[i].Percent > deltas[j].Percent })

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 )
 
 func writeReport(t *testing.T, dir string, rep perfReport) string {
@@ -23,16 +24,19 @@ func writeReport(t *testing.T, dir string, rep perfReport) string {
 	return path
 }
 
-func benchRecord(name string, workers int, ns int64, stages *stageNs) perfRecord {
+// stages is a stage_ns breakdown in nanoseconds.
+type stages = map[string]time.Duration
+
+func benchRecord(name string, workers int, ns int64, stages stages) perfRecord {
 	return perfRecord{Name: name, Workers: workers, NsPerOp: ns, StageNs: stages}
 }
 
 func TestGatePassesWithinBudget(t *testing.T) {
 	base := perfReport{Records: []perfRecord{
-		benchRecord("compress", 1, 1_000_000_000, &stageNs{PCA: 700_000_000, Total: 1_000_000_000}),
+		benchRecord("compress", 1, 1_000_000_000, stages{"pca": 700_000_000, "total": 1_000_000_000}),
 	}}
 	cur := perfReport{Records: []perfRecord{
-		benchRecord("compress", 1, 1_050_000_000, &stageNs{PCA: 730_000_000, Total: 1_050_000_000}),
+		benchRecord("compress", 1, 1_050_000_000, stages{"pca": 730_000_000, "total": 1_050_000_000}),
 	}}
 	path := writeReport(t, t.TempDir(), base)
 	if err := compareBaseline(path, cur, 10, io.Discard); err != nil {
@@ -57,10 +61,10 @@ func TestGateFailsOnStageRegression(t *testing.T) {
 	// ns/op flat, but the pca stage blew up — the exact regression shape
 	// the gate exists for.
 	base := perfReport{Records: []perfRecord{
-		benchRecord("compress", 1, 1_000_000_000, &stageNs{PCA: 500_000_000, Total: 1_000_000_000}),
+		benchRecord("compress", 1, 1_000_000_000, stages{"pca": 500_000_000, "total": 1_000_000_000}),
 	}}
 	cur := perfReport{Records: []perfRecord{
-		benchRecord("compress", 1, 1_000_000_000, &stageNs{PCA: 900_000_000, Total: 1_000_000_000}),
+		benchRecord("compress", 1, 1_000_000_000, stages{"pca": 900_000_000, "total": 1_000_000_000}),
 	}}
 	path := writeReport(t, t.TempDir(), base)
 	err := compareBaseline(path, cur, 10, io.Discard)
@@ -75,10 +79,10 @@ func TestGateFailsOnStageRegression(t *testing.T) {
 func TestGateIgnoresNoiseStagesAndNewRecords(t *testing.T) {
 	base := perfReport{Records: []perfRecord{
 		// decompose is below the 50ms floor: tripling it is clock noise.
-		benchRecord("compress", 1, 1_000_000_000, &stageNs{Decompose: 1_000_000, Total: 1_000_000_000}),
+		benchRecord("compress", 1, 1_000_000_000, stages{"decompose": 1_000_000, "total": 1_000_000_000}),
 	}}
 	cur := perfReport{Records: []perfRecord{
-		benchRecord("compress", 1, 1_000_000_000, &stageNs{Decompose: 3_000_000, Total: 1_000_000_000}),
+		benchRecord("compress", 1, 1_000_000_000, stages{"decompose": 3_000_000, "total": 1_000_000_000}),
 		benchRecord("compress-new", 1, 900_000_000, nil), // new in this revision
 	}}
 	path := writeReport(t, t.TempDir(), base)
@@ -126,8 +130,8 @@ func TestGateTreatsStagesMissingFromBaselineAsNew(t *testing.T) {
 	}
 	cur := perfReport{Records: []perfRecord{
 		benchRecord("compress", 1, 1_000_000_000,
-			&stageNs{PCA: 600_000_000, VIF: 200_000_000, Gram: 150_000_000, Eig: 250_000_000,
-				Project: 100_000_000, Total: 1_000_000_000}),
+			stages{"pca": 600_000_000, "vif": 200_000_000, "gram": 150_000_000, "eig": 250_000_000,
+				"project": 100_000_000, "total": 1_000_000_000}),
 	}}
 	var out strings.Builder
 	if err := compareBaseline(path, cur, 10, &out); err != nil {
@@ -141,14 +145,14 @@ func TestGateTreatsStagesMissingFromBaselineAsNew(t *testing.T) {
 	// Once the baseline has them, they are gated like any other stage.
 	base := perfReport{Records: []perfRecord{
 		benchRecord("compress", 1, 1_000_000_000,
-			&stageNs{PCA: 600_000_000, VIF: 100_000_000, Project: 100_000_000, Total: 1_000_000_000}),
+			stages{"pca": 600_000_000, "vif": 100_000_000, "project": 100_000_000, "total": 1_000_000_000}),
 	}}
 	err := compareBaseline(writeReport(t, dir, base), cur, 10, io.Discard)
 	if err == nil || !strings.Contains(err.Error(), "stage vif") {
 		t.Fatalf("a doubled vif stage must fail the gate, got %v", err)
 	}
-	base.Records[0].StageNs.VIF = 200_000_000
-	base.Records[0].StageNs.Eig = 100_000_000
+	base.Records[0].StageNs["vif"] = 200_000_000
+	base.Records[0].StageNs["eig"] = 100_000_000
 	err = compareBaseline(writeReport(t, dir, base), cur, 10, io.Discard)
 	if err == nil || !strings.Contains(err.Error(), "stage eig") {
 		t.Fatalf("a 2.5x eig stage must fail the gate, got %v", err)
@@ -325,5 +329,53 @@ func TestGateRefusesReportsOfDifferentSize(t *testing.T) {
 	var out strings.Builder
 	if err := compareBaseline(writeReport(t, t.TempDir(), base), base, 10, &out); err != nil {
 		t.Fatalf("a report of the baseline's size must be gated: %v", err)
+	}
+}
+
+// TestGateReadsStructShapedBaseline: BENCH_9cf3a4e5325b.json was written
+// when stage_ns was a struct with fixed keys. It still loads, and a
+// map-shaped report of its scale and dims is gated against it stage by
+// stage: every baseline stage at or above the floor is compared under
+// its own name, and a regression inside one stage fails naming it.
+func TestGateReadsStructShapedBaseline(t *testing.T) {
+	const path = "../../BENCH_9cf3a4e5325b.json"
+	base, err := loadBaseline(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A second parse is the current report: its stage_ns maps are its
+	// own, so the one mutated below leaves the baseline alone.
+	cur, err := loadBaseline(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var gated []string
+	for _, r := range cur.Records {
+		for stage, d := range r.StageNs {
+			if d >= gateStageFloorNs {
+				gated = append(gated, fmt.Sprintf("%s w%d stage %s", r.Name, r.Workers, stage))
+			}
+		}
+	}
+	if got := base.Records[0].StageNs["pca"]; base.Records[0].Name != "compress" || got != 2493935707 {
+		t.Fatalf("baseline compress w1 pca = %v, want the recorded 2493935707 ns", got)
+	}
+	var out strings.Builder
+	if err := compareBaseline(path, *cur, 10, &out); err != nil {
+		t.Fatalf("the baseline gated against itself failed: %v\n%s", err, out.String())
+	}
+	if strings.Contains(out.String(), "dropped:") {
+		t.Fatalf("no record was dropped:\n%s", out.String())
+	}
+	for _, id := range gated {
+		if !strings.Contains(out.String(), "gate "+id+" ") {
+			t.Errorf("stage %s was not gated:\n%s", id, out.String())
+		}
+	}
+
+	cur.Records[0].StageNs["eig"] *= 2
+	err = compareBaseline(path, *cur, 10, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "compress w1 stage eig") {
+		t.Fatalf("a doubled eig stage must fail the gate naming it, got %v", err)
 	}
 }

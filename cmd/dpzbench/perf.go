@@ -40,10 +40,10 @@ type perfRecord struct {
 	MBPerSec    float64 `json:"mb_per_s"`
 	BytesPerOp  int64   `json:"bytes_per_op"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
-	// StageNs is the per-stage wall-time breakdown of one representative
-	// (non-benchmark) run, taken from the pipeline's injectable metrics
-	// clock; for batch records it is summed over the batch's tiles.
-	StageNs *stageNs `json:"stage_ns,omitempty"`
+	// StageNs is the stage trace of one representative (non-benchmark)
+	// run, its span times summed by name in nanoseconds; for tiled and
+	// batch records it is summed over the archive's streams.
+	StageNs map[string]time.Duration `json:"stage_ns,omitempty"`
 	// BasisDecisions counts the reuse decisions of the representative run
 	// for basis-reuse records.
 	BasisDecisions map[string]int `json:"basis_decisions,omitempty"`
@@ -100,22 +100,23 @@ func archiveQuality(data, out []float64, archiveBytes int, sts []dpz.Stats) *qua
 }
 
 // tiledQuality writes the float32 field raw as a tiled archive and
-// measures the archive against data, the same values in float64.
-func tiledQuality(data []float64, raw []byte, dims []int, tileRows int, o dpz.Options) (*quality, error) {
+// measures the archive against data, the same values in float64. It
+// also returns the per-tile stats.
+func tiledQuality(data []float64, raw []byte, dims []int, tileRows int, o dpz.Options) (*quality, []dpz.Stats, error) {
 	var buf bytes.Buffer
 	sts, err := dpz.CompressTiled(bytes.NewReader(raw), dims, tileRows, o, &buf)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	tr, err := dpz.OpenTiled(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	out, _, err := tr.ReadAll()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return archiveQuality(data, out, buf.Len(), sts), nil
+	return archiveQuality(data, out, buf.Len(), sts), sts, nil
 }
 
 // batchQuality writes fields as one archive with CompressBatch and
@@ -150,53 +151,21 @@ func batchQuality(fields []dpz.ArchiveField, o dpz.Options) (*quality, []dpz.Sta
 	return archiveQuality(data, out, buf.Len(), sts), sts, nil
 }
 
-// stageNs is a per-stage nanosecond breakdown. Compress records fill the
-// Figure 9 categories (decompose..zlib) plus VIF, Gram, Eig and Project,
-// which are parts of PCA rather than stages of their own; decompress records fill
-// the decode stages (inflate..recompose). Total covers whichever
-// pipeline ran.
-type stageNs struct {
-	Decompose int64 `json:"decompose,omitempty"`
-	DCT       int64 `json:"dct,omitempty"`
-	PCA       int64 `json:"pca,omitempty"`
-	VIF       int64 `json:"vif,omitempty"`
-	Gram      int64 `json:"gram,omitempty"`
-	Eig       int64 `json:"eig,omitempty"`
-	Project   int64 `json:"project,omitempty"`
-	Quant     int64 `json:"quant,omitempty"`
-	Zlib      int64 `json:"zlib,omitempty"`
-	Inflate   int64 `json:"inflate,omitempty"`
-	Dequant   int64 `json:"dequant,omitempty"`
-	Recompose int64 `json:"recompose,omitempty"`
-	Total     int64 `json:"total"`
-}
-
-// decodeStagesOf converts a decode-side stats breakdown to stageNs.
-func decodeStagesOf(st core.DecodeStats) *stageNs {
-	return &stageNs{
-		Inflate:   st.TimeInflate.Nanoseconds(),
-		Dequant:   st.TimeDequant.Nanoseconds(),
-		Recompose: st.TimeRecompose.Nanoseconds(),
-		Total:     st.TimeTotal.Nanoseconds(),
-	}
-}
-
-// stagesOf sums the stage timings of sts into a stageNs breakdown.
-func stagesOf(sts ...dpz.Stats) *stageNs {
-	var out stageNs
+// archiveStages sums the stage traces of an archive's streams by name.
+func archiveStages(sts []dpz.Stats) map[string]time.Duration {
+	var all dpz.Trace
 	for _, st := range sts {
-		out.Decompose += st.TimeDecompose.Nanoseconds()
-		out.DCT += st.TimeDCT.Nanoseconds()
-		out.PCA += st.TimePCA.Nanoseconds()
-		out.VIF += st.TimeVIF.Nanoseconds()
-		out.Gram += st.TimeGram.Nanoseconds()
-		out.Eig += st.TimeEig.Nanoseconds()
-		out.Project += st.TimeProject.Nanoseconds()
-		out.Quant += st.TimeQuant.Nanoseconds()
-		out.Zlib += st.TimeZlib.Nanoseconds()
-		out.Total += st.TimeTotal.Nanoseconds()
+		all = append(all, st.Trace...)
 	}
-	return &out
+	return all.ByName()
+}
+
+// decodeStages is the stage trace of one decode of stream at rank,
+// summed by name.
+func decodeStages(stream []byte, workers, rank int) (map[string]time.Duration, error) {
+	var tr dpz.Trace
+	_, _, err := core.Decompress(context.Background(), stream, workers, rank, &tr)
+	return tr.ByName(), err
 }
 
 // perfReport is the BENCH_<rev>.json document.
@@ -357,7 +326,7 @@ func runPerfSuite(scale float64, workers []int, notes []string, baseline string,
 			if err != nil {
 				return err
 			}
-			rec.StageNs = stagesOf(probe.Stats)
+			rec.StageNs = probe.Stats.Trace.ByName()
 			if rec.Quality, err = qualityOf(cf.Data, probe); err != nil {
 				return err
 			}
@@ -394,11 +363,9 @@ func runPerfSuite(scale float64, workers []int, notes []string, baseline string,
 					}
 				}
 			}))
-			var dst core.DecodeStats
-			if _, _, err := core.Decompress(context.Background(), stream, w, 0, &dst); err != nil {
+			if rec.StageNs, err = decodeStages(stream, w, 0); err != nil {
 				return err
 			}
-			rec.StageNs = decodeStagesOf(dst)
 		}
 	}
 
@@ -428,11 +395,9 @@ func runPerfSuite(scale float64, workers []int, notes []string, baseline string,
 			}
 		}))
 		prevNs[name] = rec.NsPerOp
-		var dst core.DecodeStats
-		if _, _, err := core.Decompress(context.Background(), lres.Data, pw, rk, &dst); err != nil {
+		if rec.StageNs, err = decodeStages(lres.Data, pw, rk); err != nil {
 			return err
 		}
-		rec.StageNs = decodeStagesOf(dst)
 	}
 	rec := add("preview-fulldecode", pw, bench(func(b *testing.B) {
 		b.SetBytes(rawBytes)
@@ -443,6 +408,9 @@ func runPerfSuite(scale float64, workers []int, notes []string, baseline string,
 			}
 		}
 	}))
+	if rec.StageNs, err = decodeStages(lres.Data, pw, 0); err != nil {
+		return err
+	}
 	if full, r1 := rec.NsPerOp, prevNs["preview-r1"]; full > 0 && r1 > 0 {
 		notes = append(notes, fmt.Sprintf(
 			"rank-1 preview is %.1fx faster than the full decode (k=%d)", float64(full)/float64(r1), lres.Stats.K))
@@ -465,9 +433,11 @@ func runPerfSuite(scale float64, workers []int, notes []string, baseline string,
 				}
 			}
 		}))
-		if rec.Quality, err = tiledQuality(f.Data, raw, f.Dims, tileRows, o); err != nil {
+		var tstats []dpz.Stats
+		if rec.Quality, tstats, err = tiledQuality(f.Data, raw, f.Dims, tileRows, o); err != nil {
 			return err
 		}
+		rec.StageNs = archiveStages(tstats)
 	}
 
 	// Repeated-tile batch workload: the basis-reuse target case. The
@@ -520,7 +490,7 @@ func runPerfSuite(scale float64, workers []int, notes []string, baseline string,
 			if rec.Quality, bstats, err = batchQuality(bfields, o); err != nil {
 				return err
 			}
-			rec.StageNs = stagesOf(bstats...)
+			rec.StageNs = archiveStages(bstats)
 			if reuse {
 				decisions := map[string]int{}
 				for _, st := range bstats {

@@ -30,12 +30,12 @@ package dpz
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"dpz/internal/basiscache"
 	"dpz/internal/blockio"
 	"dpz/internal/core"
 	"dpz/internal/knee"
+	"dpz/internal/metrics"
 	"dpz/internal/pca"
 	"dpz/internal/quant"
 	"dpz/internal/sampling"
@@ -238,7 +238,8 @@ func (o Options) toCore() core.Params {
 }
 
 // Stats reports what one compression did: sizes, block shape, selected k,
-// per-stage compression ratios, optional per-stage PSNR, and timings.
+// per-stage compression ratios, optional per-stage PSNR, and the stage
+// trace.
 type Stats struct {
 	OrigBytes       int
 	CompressedBytes int
@@ -257,22 +258,11 @@ type Stats struct {
 	Stage12PSNR float64
 	FinalPSNR   float64
 
-	TimeDecompose time.Duration
-	TimeDCT       time.Duration
-	TimePCA       time.Duration
-	// TimeVIF, TimeGram, TimeEig and TimeProject are parts of TimePCA:
-	// the auto-standardize VIF probe (zero when none ran; on the default
-	// cold fit only the probe's correlation scaling and Cholesky, since
-	// it reads the fit's own covariance), the fit's covariance build and
-	// eigensolve (zero when basis reuse accepts a candidate), and the
-	// projection onto the k retained components.
-	TimeVIF     time.Duration
-	TimeGram    time.Duration
-	TimeEig     time.Duration
-	TimeProject time.Duration
-	TimeQuant   time.Duration
-	TimeZlib    time.Duration
-	TimeTotal   time.Duration
+	// Trace is where the compression's time went: decompose, dct, pca,
+	// quant and zlib at the top level, total around the whole call, and
+	// Stage 2's sampling, vif, guard, gram, eig and project under pca
+	// (each only when it ran).
+	Trace Trace
 
 	// BasisDecision reports which path the basis-reuse layer took:
 	// "cold" (no usable candidate), "accept" (candidate adopted after
@@ -322,16 +312,7 @@ func fromCoreStats(s core.Stats) Stats {
 		CRZlib:          s.CRZlib,
 		Stage12PSNR:     s.Stage12PSNR,
 		FinalPSNR:       s.FinalPSNR,
-		TimeDecompose:   s.TimeDecompose,
-		TimeDCT:         s.TimeDCT,
-		TimePCA:         s.TimePCA,
-		TimeVIF:         s.TimeVIF,
-		TimeGram:        s.TimeGram,
-		TimeEig:         s.TimeEig,
-		TimeProject:     s.TimeProject,
-		TimeQuant:       s.TimeQuant,
-		TimeZlib:        s.TimeZlib,
-		TimeTotal:       s.TimeTotal,
+		Trace:           s.Trace,
 	}
 	if s.BasisDecision != pca.ReuseOff {
 		out.BasisDecision = s.BasisDecision.String()
@@ -439,6 +420,10 @@ type StreamInfo = core.StreamInfo
 
 // SectionInfo describes one container section inside a StreamInfo.
 type SectionInfo = core.SectionInfo
+
+// Trace is a stage breakdown: named, timed spans in the order they
+// ended, each naming the span it is part of. ByName sums them by name.
+type Trace = metrics.Trace
 
 // Stat parses a stream's header and section table into a StreamInfo
 // without inflating any payload or reconstructing data — metadata

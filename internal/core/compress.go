@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"time"
 
 	"dpz/internal/blockio"
 	"dpz/internal/knee"
@@ -22,7 +21,7 @@ import (
 
 // Stats records everything the evaluation section reports about one
 // compression: sizes, per-stage compression ratios (Table III), optional
-// per-stage accuracy (Table IV), stage timings (Figure 9), and the
+// per-stage accuracy (Table IV), the stage trace (Figure 9), and the
 // sampling report when Algorithm 2 ran.
 type Stats struct {
 	OrigBytes       int // original size at 4 bytes/value (float32 basis)
@@ -48,26 +47,15 @@ type Stats struct {
 	// Stage 2 (ReuseOff when Params.Basis was nil).
 	BasisDecision pca.ReuseDecision
 
-	TimeDecompose time.Duration
-	TimeDCT       time.Duration
-	TimePCA       time.Duration
-	// TimeVIF, TimeGram, TimeEig and TimeProject are sub-spans of
-	// TimePCA. TimeVIF is the auto-standardize probe: on the cold fit,
-	// only scaling its covariance to a correlation matrix and the
-	// Cholesky inverse diagonal, since the covariance itself is
-	// TimeGram's (zero when no probe ran; Algorithm 2's own probe is
-	// inside sampling.Run and not split out). TimeGram is the fit's
-	// covariance build and TimeEig its eigensolve, k selection included;
-	// both are zero when reuse accepts a candidate, which builds no
-	// covariance. TimeProject is the projection onto the k retained
-	// components.
-	TimeVIF     time.Duration
-	TimeGram    time.Duration
-	TimeEig     time.Duration
-	TimeProject time.Duration
-	TimeQuant   time.Duration
-	TimeZlib    time.Duration
-	TimeTotal   time.Duration
+	// Trace holds the stage spans: decompose, dct, pca, quant and zlib
+	// at the top level, total around the whole call, and under pca the
+	// spans of Stage 2. Those are sampling (Algorithm 2's sampling.Run
+	// and the analyzed rows), vif (the auto-standardize probe), guard
+	// (the basis-reuse candidate check), gram (the fit's covariance),
+	// eig (its eigensolve, k selection included) and project (the
+	// projection onto the k retained components). A span that did not
+	// run is absent.
+	Trace metrics.Trace
 
 	Sampling *sampling.Report
 }
@@ -133,6 +121,7 @@ func CompressContext(ctx context.Context, data []float64, dims []int, p Params) 
 	}
 	var st Stats
 	st.OrigBytes = elemBytes * len(data)
+	tr := &st.Trace
 	tStart := metrics.Now()
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -149,7 +138,7 @@ func CompressContext(ctx context.Context, data []float64, dims []int, p Params) 
 		return nil, err
 	}
 	st.M, st.N = shape.M, shape.N
-	st.TimeDecompose = metrics.Since(t0)
+	tr.Add("decompose", "", t0)
 
 	// Stage 1b: per-block DCT (skippable for the single-stage ablation),
 	// with optional trailing-coefficient truncation.
@@ -180,7 +169,7 @@ func CompressContext(ctx context.Context, data []float64, dims []int, p Params) 
 			}
 		}
 	}
-	st.TimeDCT = metrics.Since(t0)
+	tr.Add("dct", "", t0)
 
 	// Stage 2: k-PCA in the DCT domain. Samples are coefficient positions
 	// (N rows), features are blocks (M columns).
@@ -214,6 +203,7 @@ func CompressContext(ctx context.Context, data []float64, dims []int, p Params) 
 		if kneeK != nil {
 			sp.SelectK = kneeK
 		}
+		ts := metrics.Now()
 		rep, err := sampling.Run(x, sp)
 		if err != nil {
 			return nil, fmt.Errorf("core: sampling strategy: %w", err)
@@ -228,6 +218,7 @@ func CompressContext(ctx context.Context, data []float64, dims []int, p Params) 
 		// target, so knee-selected k keeps the warm refine but never
 		// accepts outright.
 		fitX = rep.Rows(x)
+		tr.Add("sampling", pca.StageSpan, ts)
 		sel = pca.Selection{K: rep.Ke}
 		if p.Selection == TVEThreshold {
 			sel.TVE = sp.TVE
@@ -249,29 +240,27 @@ func CompressContext(ctx context.Context, data []float64, dims []int, p Params) 
 				if corr, err := sampling.SampleCorrelation(x, 0.01, 0, seed); err == nil {
 					popts.Standardize = pca.LowLinearity(corr)
 				}
-				st.TimeVIF = metrics.Since(tv)
+				tr.Add("vif", pca.StageSpan, tv)
 			} else {
 				sel.AutoStandardize = true
 			}
 		}
 	}
 	var model *pca.Model
-	var tr pca.FitTrace
+	var fit pca.FitReport
 	if p.Basis != nil && sel.Knee == nil {
-		model, tr, err = pca.FitReuse(fitX, sel, popts, p.Basis.Candidate)
+		model, fit, err = pca.FitReuse(fitX, sel, popts, p.Basis.Candidate, tr)
 	} else {
-		model, tr, err = pca.FitExact(fitX, sel, popts)
-		tr.Reuse = pca.ReuseCold
+		model, fit, err = pca.FitExact(fitX, sel, popts, tr)
+		fit.Reuse = pca.ReuseCold
 	}
 	if err != nil {
 		return nil, fmt.Errorf("core: k-PCA: %w", err)
 	}
-	k := tr.K
-	st.K, st.Standardized = k, tr.Standardized
-	st.TimeVIF += tr.TimeVIF
-	st.TimeGram, st.TimeEig = tr.TimeGram, tr.TimeEig
+	k := fit.K
+	st.K, st.Standardized = k, fit.Standardized
 	if ex := p.Basis; ex != nil {
-		ex.Decision, st.BasisDecision = tr.Reuse, tr.Reuse
+		ex.Decision, st.BasisDecision = fit.Reuse, fit.Reuse
 		ex.Fitted = publishBasis(model, k, st.Standardized)
 	}
 	if err := ctx.Err(); err != nil {
@@ -279,7 +268,7 @@ func CompressContext(ctx context.Context, data []float64, dims []int, p Params) 
 	}
 	tp := metrics.Now()
 	scores := model.TransformW(x, k, p.Workers)
-	st.TimeProject = metrics.Since(tp)
+	tr.Add("project", pca.StageSpan, tp)
 	var kept float64
 	for i := 0; i < k && i < len(model.Eigenvalues); i++ {
 		kept += model.Eigenvalues[i]
@@ -289,7 +278,7 @@ func CompressContext(ctx context.Context, data []float64, dims []int, p Params) 
 	} else {
 		st.TVEAchieved = 1
 	}
-	st.TimePCA = metrics.Since(t0)
+	tr.Add(pca.StageSpan, "", t0)
 
 	// Stage 3: symmetric uniform quantization of the score stream. The
 	// configured P is relative to the original data's value range (the SZ
@@ -336,7 +325,7 @@ func CompressContext(ctx context.Context, data []float64, dims []int, p Params) 
 	for j := 0; j < k; j++ {
 		st.OutOfRange += encs[j].OutOfRange()
 	}
-	st.TimeQuant = metrics.Since(t0)
+	tr.Add("quant", "", t0)
 
 	// Assemble + zlib. The projection matrix is quantized per column with
 	// an error budget tied to the Stage 3 bound (see projcodec.go); each
@@ -427,7 +416,7 @@ func CompressContext(ctx context.Context, data []float64, dims []int, p Params) 
 	if err != nil {
 		return nil, err
 	}
-	st.TimeZlib = metrics.Since(t0)
+	tr.Add("zlib", "", t0)
 
 	// CR accounting on the float32 basis. Stage 1&2 output: N·k scores +
 	// M·k projection + M means (+ M scales), all as float32. Stage 3
@@ -484,7 +473,7 @@ func CompressContext(ctx context.Context, data []float64, dims []int, p Params) 
 		st.FinalPSNR = stats.PSNR(data, final)
 	}
 
-	st.TimeTotal = metrics.Since(tStart)
+	tr.Add("total", "", tStart)
 	return &Compressed{Bytes: out, Stats: st}, nil
 }
 

@@ -314,13 +314,13 @@ func TestSelectionStrings(t *testing.T) {
 func TestStageTimingsPopulated(t *testing.T) {
 	f := smoothField()
 	c, _ := roundTrip(t, f, DPZL())
-	s := c.Stats
-	if s.TimeTotal <= 0 {
-		t.Fatal("TimeTotal not recorded")
+	d := c.Stats.Trace.ByName()
+	if d["total"] <= 0 {
+		t.Fatal("total not recorded")
 	}
-	sum := s.TimeDecompose + s.TimeDCT + s.TimePCA + s.TimeQuant + s.TimeZlib
-	if sum > s.TimeTotal*2 {
-		t.Fatalf("stage times %v exceed total %v", sum, s.TimeTotal)
+	sum := d["decompose"] + d["dct"] + d["pca"] + d["quant"] + d["zlib"]
+	if sum > d["total"]*2 {
+		t.Fatalf("stage times %v exceed total %v", sum, d["total"])
 	}
 }
 
@@ -330,20 +330,20 @@ func TestStageTimingsPopulated(t *testing.T) {
 func TestPCASubStageTimings(t *testing.T) {
 	f := smoothField()
 	c, _ := roundTrip(t, f, DPZL())
-	s := c.Stats
-	if s.TimeVIF <= 0 || s.TimeGram <= 0 || s.TimeEig <= 0 || s.TimeProject <= 0 {
+	d := c.Stats.Trace.ByName()
+	if d["vif"] <= 0 || d["gram"] <= 0 || d["eig"] <= 0 || d["project"] <= 0 {
 		t.Fatalf("sub-stages not recorded: vif %v, gram %v, eig %v, project %v",
-			s.TimeVIF, s.TimeGram, s.TimeEig, s.TimeProject)
+			d["vif"], d["gram"], d["eig"], d["project"])
 	}
-	if sum := s.TimeVIF + s.TimeGram + s.TimeEig + s.TimeProject; sum > s.TimePCA {
+	if sum := d["vif"] + d["gram"] + d["eig"] + d["project"]; sum > d["pca"] {
 		t.Fatalf("vif %v + gram %v + eig %v + project %v exceed pca %v",
-			s.TimeVIF, s.TimeGram, s.TimeEig, s.TimeProject, s.TimePCA)
+			d["vif"], d["gram"], d["eig"], d["project"], d["pca"])
 	}
 	p := DPZL()
 	p.Standardize = StandardizeOff
 	c, _ = roundTrip(t, f, p)
-	if c.Stats.TimeVIF != 0 {
-		t.Fatalf("no probe runs with standardization off, yet vif = %v", c.Stats.TimeVIF)
+	if v, ok := c.Stats.Trace.ByName()["vif"]; ok {
+		t.Fatalf("no probe runs with standardization off, yet vif = %v", v)
 	}
 }
 

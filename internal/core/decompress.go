@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"dpz/internal/blockio"
 	"dpz/internal/integrity"
@@ -14,26 +13,6 @@ import (
 	"dpz/internal/scratch"
 	"dpz/internal/transform"
 )
-
-// DecodeStats reports per-stage wall time for one decompression — the
-// decode-side mirror of Stats' compress timings, consumed by dpzbench's
-// stage_ns records and the regression gate.
-type DecodeStats struct {
-	// TimeInflate covers parsing the container, checksumming the needed
-	// sections and inflating them (including shard fan-out).
-	TimeInflate time.Duration
-	// TimeDequant covers score and projection decode together with the
-	// per-rank inverse transform, which runs in the same pass over each
-	// rank-space row.
-	TimeDequant time.Duration
-	// TimeRecompose covers building the scaled coefficient matrix (with
-	// its M-point inverse DCT on 2-D DCT streams), the recompose GEMM and
-	// the block-to-signal reassembly.
-	TimeRecompose time.Duration
-	TimeTotal     time.Duration
-	// RanksUsed is the component count actually reconstructed.
-	RanksUsed int
-}
 
 // Decompress reverses Compress from the `rank` leading principal
 // components of the stored k (0 means all; a rank outside [0, k] is an
@@ -50,14 +29,19 @@ type DecodeStats struct {
 // stored one. Progressive is the same decode, resumable and clamping
 // the rank instead of failing. Section inflation, per-component decode
 // and the stage boundaries observe ctx, so an abandoned request stops
-// early with ctx.Err(). st may be nil; when set, it receives the
-// per-stage timing breakdown.
-func Decompress(ctx context.Context, buf []byte, workers, rank int, st *DecodeStats) ([]float64, []int, error) {
+// early with ctx.Err().
+//
+// tr (nil for none) receives the decode's spans, all top-level. inflate
+// covers walking the container, checksumming the needed sections and
+// inflating them (including shard fan-out). dequant covers score and
+// projection decode together with the per-rank inverse transform, which
+// runs in the same pass over each rank-space row. recompose covers the
+// scaled coefficient matrix (with its M-point inverse DCT on 2-D DCT
+// streams), the recompose GEMM and the block-to-signal reassembly. total
+// covers the whole call.
+func Decompress(ctx context.Context, buf []byte, workers, rank int, tr *metrics.Trace) ([]float64, []int, error) {
 	if ctx == nil {
 		ctx = context.Background()
-	}
-	if st == nil {
-		st = new(DecodeStats)
 	}
 	tStart := metrics.Now()
 	d, err := newDecoder(buf, workers)
@@ -73,19 +57,18 @@ func Decompress(ctx context.Context, buf []byte, workers, rank int, st *DecodeSt
 	if rank == 0 {
 		rank = d.h.k
 	}
-	st.RanksUsed = rank
-	st.TimeInflate = metrics.Since(tStart)
-	if err := d.extend(ctx, rank, st); err != nil {
+	tr.Add("inflate", "", tStart)
+	if err := d.extend(ctx, rank, tr); err != nil {
 		return nil, nil, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
-	data, err := d.recompose(rank, st)
+	data, err := d.recompose(rank, tr)
 	if err != nil {
 		return nil, nil, err
 	}
-	st.TimeTotal = metrics.Since(tStart)
+	tr.Add("total", "", tStart)
 	return data, d.h.dims, nil
 }
 
@@ -171,9 +154,9 @@ func firstErr(errs []error) error {
 
 // extend decodes ranks [done, hi), and the side data on first use,
 // checksumming and inflating only their sections. Any damage to those
-// sections fails it. st may be nil; when set, the inflate and dequant
-// times are added to it.
-func (d *decoder) extend(ctx context.Context, hi int, st *DecodeStats) error {
+// sections fails it. tr (nil for none) receives its inflate and dequant
+// spans.
+func (d *decoder) extend(ctx context.Context, hi int, tr *metrics.Trace) error {
 	if d.means != nil && hi <= d.done {
 		return nil
 	}
@@ -190,12 +173,10 @@ func (d *decoder) extend(ctx context.Context, hi int, st *DecodeStats) error {
 	if err != nil {
 		return err
 	}
+	tr.Add("inflate", "", t0)
 	t1 := metrics.Now()
 	err = d.decode(ctx, raw, hi)
-	if st != nil {
-		st.TimeInflate += t1.Sub(t0)
-		st.TimeDequant += metrics.Since(t1)
-	}
+	tr.Add("dequant", "", t1)
 	return err
 }
 
@@ -257,7 +238,7 @@ func (d *decoder) grow(r int) {
 // carrier takes rank row r; when that row holds a decoded rank (a
 // Progressive stepping back down), the leading rows are copied out
 // first so the decoded ranks survive.
-func (d *decoder) recompose(r int, st *DecodeStats) ([]float64, error) {
+func (d *decoder) recompose(r int, tr *metrics.Trace) ([]float64, error) {
 	h := d.h
 	zt := d.zt[:(r+1)*h.n]
 	if r < d.done {
@@ -267,7 +248,7 @@ func (d *decoder) recompose(r int, st *DecodeStats) ([]float64, error) {
 	meansCarrier(d.mode, zt[r*h.n:])
 	shape := blockio.Shape{M: h.m, N: h.n, Padded: h.m * h.n}
 	return recomposeRankSpace(mat.NewDenseData(r+1, h.n, zt), mat.NewDenseData(r, h.m, d.projT[:r*h.m]),
-		d.means, d.scales, shape, h.origLen, d.mode, d.workers, st)
+		d.means, d.scales, shape, h.origLen, d.mode, d.workers, tr)
 }
 
 // decodeSideData decodes the feature means and, for a standardized
@@ -473,7 +454,7 @@ func reconstructRankSpace(y, projT *mat.Dense, means, scales []float64, shape bl
 // on the worker count, and every entry point — Decompress at any rank,
 // Progressive and DecompressBestEffort, all through decoder.recompose —
 // produces identical bytes at equal rank.
-func recomposeRankSpace(zt, projT *mat.Dense, means, scales []float64, shape blockio.Shape, origLen int, mode xformMode, workers int, st *DecodeStats) ([]float64, error) {
+func recomposeRankSpace(zt, projT *mat.Dense, means, scales []float64, shape blockio.Shape, origLen int, mode xformMode, workers int, tr *metrics.Trace) ([]float64, error) {
 	k := projT.Rows()
 	if zt.Rows() != k+1 || zt.Cols() != shape.N || projT.Cols() != shape.M {
 		return nil, fmt.Errorf("core: recompose shape mismatch (%dx%d rank rows, %dx%d projection rows, %d blocks of %d)",
@@ -499,8 +480,6 @@ func recomposeRankSpace(zt, projT *mat.Dense, means, scales []float64, shape blo
 	blocks := mat.NewDense(shape.M, shape.N)
 	mat.GemmInto(blocks, coef, zt, workers)
 	out, err := blockio.Recompose(blocks, origLen)
-	if st != nil {
-		st.TimeRecompose = metrics.Since(t0)
-	}
+	tr.Add("recompose", "", t0)
 	return out, err
 }

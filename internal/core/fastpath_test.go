@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"os"
 	"testing"
+
+	"dpz/internal/metrics"
 )
 
 // decodeWorkerCounts are the worker fan-outs the fast-path identity tests
@@ -182,10 +184,9 @@ func TestFullDecodeWorkerIndependence(t *testing.T) {
 }
 
 // TestDecompressStatsBreakdown checks the staged decode instrumentation:
-// the output matches Decompress bit for bit, RanksUsed reflects the
-// request, and the three stage times (inflate, dequant with the per-rank
-// inverse transform, recompose) are sane: non-negative, non-empty and
-// bounded by the total.
+// the output with a trace matches Decompress without one bit for bit, and
+// a Progressive decode at the same rank uses the rank the call asked for.
+// TestStageTrace pins the spans themselves.
 func TestDecompressStatsBreakdown(t *testing.T) {
 	c, _ := compressedV2(t, 2)
 	k := c.Stats.K
@@ -195,35 +196,41 @@ func TestDecompressStatsBreakdown(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var st DecodeStats
-		data, dims, err := Decompress(context.Background(), c.Bytes, 0, rank, &st)
+		var tr metrics.Trace
+		data, dims, err := Decompress(context.Background(), c.Bytes, 0, rank, &tr)
 		if err != nil {
-			t.Fatalf("Decompress with stats rank=%d: %v", rank, err)
+			t.Fatalf("Decompress with a trace rank=%d: %v", rank, err)
 		}
 		if len(dims) != 2 {
 			t.Fatalf("rank %d: dims %v", rank, dims)
 		}
 		for i := range data {
 			if data[i] != want[i] {
-				t.Fatalf("rank %d: value %d with stats differs from Decompress without", rank, i)
+				t.Fatalf("rank %d: value %d with a trace differs from Decompress without", rank, i)
 			}
+		}
+		if len(tr) == 0 {
+			t.Fatalf("rank %d: no spans recorded", rank)
 		}
 		wantUsed := k
 		if rank != 0 {
 			wantUsed = rank
 		}
-		if st.RanksUsed != wantUsed {
-			t.Fatalf("rank %d: RanksUsed = %d, want %d", rank, st.RanksUsed, wantUsed)
+		p, err := NewProgressive(c.Bytes, 0)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if st.TimeTotal <= 0 {
-			t.Fatalf("rank %d: TimeTotal = %v", rank, st.TimeTotal)
+		prog, _, used, err := p.Decode(rank)
+		if err != nil {
+			t.Fatal(err)
 		}
-		stages := st.TimeInflate + st.TimeDequant + st.TimeRecompose
-		if stages <= 0 || stages > st.TimeTotal {
-			t.Fatalf("rank %d: stage sum %v outside (0, total=%v]", rank, stages, st.TimeTotal)
+		if used != wantUsed {
+			t.Fatalf("rank %d: decoded %d ranks, want %d", rank, used, wantUsed)
 		}
-		if st.TimeInflate < 0 || st.TimeDequant < 0 || st.TimeRecompose < 0 {
-			t.Fatalf("rank %d: negative stage time in %+v", rank, st)
+		for i := range prog {
+			if prog[i] != want[i] {
+				t.Fatalf("rank %d: Progressive value %d differs from Decompress", rank, i)
+			}
 		}
 	}
 }

@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+
+	"dpz/internal/metrics"
 )
 
 // Progressive decodes one stream at increasing fidelity, caching work
@@ -43,24 +45,28 @@ func (p *Progressive) Dims() []int { return append([]int(nil), p.d.h.dims...) }
 // [1, k]; ranks <= 0 means all), reusing every rank decoded by earlier
 // calls. It returns the data, dims and the rank actually used.
 func (p *Progressive) Decode(ranks int) ([]float64, []int, int, error) {
-	return p.DecodeContext(context.Background(), ranks)
+	return p.DecodeContext(context.Background(), ranks, nil)
 }
 
-// DecodeContext is Decode with cooperative cancellation.
-func (p *Progressive) DecodeContext(ctx context.Context, ranks int) ([]float64, []int, int, error) {
+// DecodeContext is Decode with cooperative cancellation. tr (nil for
+// none) receives Decompress's spans for the work this call did: no
+// inflate or dequant span when every rank was already decoded.
+func (p *Progressive) DecodeContext(ctx context.Context, ranks int, tr *metrics.Trace) ([]float64, []int, int, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	tStart := metrics.Now()
 	used := p.d.h.k
 	if ranks > 0 && ranks < used {
 		used = ranks
 	}
-	if err := p.d.extend(ctx, used, nil); err != nil {
+	if err := p.d.extend(ctx, used, tr); err != nil {
 		return nil, nil, 0, err
 	}
-	data, err := p.d.recompose(used, nil)
+	data, err := p.d.recompose(used, tr)
 	if err != nil {
 		return nil, nil, 0, err
 	}
+	tr.Add("total", "", tStart)
 	return data, p.Dims(), used, nil
 }

@@ -76,7 +76,7 @@ func TestSampledFitUsesAnalyzedRows(t *testing.T) {
 					}
 				}
 			}
-			model, _, err := pca.FitExact(sub, pca.Selection{K: c.Stats.K}, pca.Options{Standardize: c.Stats.Standardized, Seed: 1})
+			model, _, err := pca.FitExact(sub, pca.Selection{K: c.Stats.K}, pca.Options{Standardize: c.Stats.Standardized, Seed: 1}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -102,10 +102,11 @@ func TestSampledCompressReportsFitTimes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Stats.TimeGram <= 0 || c.Stats.TimeEig <= 0 {
-		t.Fatalf("sampled compress reports Gram %v, Eig %v", c.Stats.TimeGram, c.Stats.TimeEig)
+	d := c.Stats.Trace.ByName()
+	if d["gram"] <= 0 || d["eig"] <= 0 {
+		t.Fatalf("sampled compress reports Gram %v, Eig %v", d["gram"], d["eig"])
 	}
-	if sum := c.Stats.TimeGram + c.Stats.TimeEig + c.Stats.TimeProject; sum > c.Stats.TimePCA {
-		t.Fatalf("PCA sub-spans %v exceed the PCA stage %v", sum, c.Stats.TimePCA)
+	if sum := d["sampling"] + d["gram"] + d["eig"] + d["project"]; sum > d["pca"] {
+		t.Fatalf("PCA sub-spans %v exceed the PCA stage %v", sum, d["pca"])
 	}
 }

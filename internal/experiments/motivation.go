@@ -333,6 +333,6 @@ func addMeans(x *mat.Dense, means []float64) {
 // sends the exact fit down the accumulation route, so the basis carries
 // the full dense decomposition's bits.
 func fullBasis(x *mat.Dense) (*pca.Model, error) {
-	m, _, err := pca.FitExact(x, pca.Selection{Knee: func(curve []float64) int { return len(curve) }}, pca.Options{})
+	m, _, err := pca.FitExact(x, pca.Selection{Knee: func(curve []float64) int { return len(curve) }}, pca.Options{}, nil)
 	return m, err
 }

@@ -107,11 +107,11 @@ func Fig9(cfg Config) error {
 		if err != nil {
 			return err
 		}
-		s := c.Stats
-		speedup := s.TimeTotal.Seconds() / cs.Stats.TimeTotal.Seconds()
+		s := c.Stats.Trace.ByName()
+		speedup := s["total"].Seconds() / cs.Stats.Trace.ByName()["total"].Seconds()
 		fmt.Fprintf(tw, "%s\t%v\t%v\t%v\t%v\t%v\t%v\t%.2fx\n",
-			name, round(s.TimeDecompose), round(s.TimeDCT), round(s.TimePCA),
-			round(s.TimeQuant), round(s.TimeZlib), round(s.TimeTotal), speedup)
+			name, round(s["decompose"]), round(s["dct"]), round(s["pca"]),
+			round(s["quant"]), round(s["zlib"]), round(s["total"]), speedup)
 	}
 	return tw.Flush()
 }

@@ -43,3 +43,22 @@ func TestClockRestoreNesting(t *testing.T) {
 	}
 	outer()
 }
+
+func TestTraceByName(t *testing.T) {
+	now := time.Unix(100, 0)
+	defer SetClock(func() time.Time { return now })()
+	var nilTrace *Trace
+	nilTrace.Add("dct", "", now) // records nothing, and does not panic
+
+	var tr Trace
+	tr.Add("gram", "pca", now.Add(-2*time.Second))
+	tr.Add("gram", "pca", now.Add(-3*time.Second))
+	tr.Add("pca", "", now.Add(-7*time.Second))
+	if len(tr) != 3 || tr[0] != (Span{Name: "gram", Parent: "pca", D: 2 * time.Second}) {
+		t.Fatalf("spans %+v", tr)
+	}
+	got := tr.ByName()
+	if len(got) != 2 || got["gram"] != 5*time.Second || got["pca"] != 7*time.Second {
+		t.Fatalf("ByName = %v, want gram 5s and pca 7s", got)
+	}
+}

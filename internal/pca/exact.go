@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"time"
 
 	"dpz/internal/eigen"
 	"dpz/internal/mat"
@@ -118,22 +117,17 @@ type Selection struct {
 	AutoStandardize bool
 }
 
-// FitTrace reports what a Stage 2 fit decided and where its time went.
-type FitTrace struct {
+// FitReport reports what a Stage 2 fit decided.
+type FitReport struct {
 	K            int  // selected component count, in [1, M]
 	Standardized bool // whether the fit ran on standardized features
 	// Reuse is the path FitReuse took; ReuseOff from FitExact.
 	Reuse ReuseDecision
-	// TimeVIF is the standardize probe: scaling the covariance to a
-	// correlation matrix and LowLinearity's bound-first Cholesky. Zero
-	// when no probe ran.
-	TimeVIF time.Duration
-	// TimeGram builds the covariance: the means, the centered SyrK Gram
-	// and, when standardizing, the scaling to a correlation matrix.
-	TimeGram time.Duration
-	// TimeEig is the eigensolve, k selection included.
-	TimeEig time.Duration
 }
+
+// StageSpan is the span the fits' own spans are part of in a compress
+// trace.
+const StageSpan = "pca"
 
 // FitExact is the cold Stage 2 fit. It builds the feature covariance C
 // once; the auto-standardize probe reads its correlation matrix
@@ -153,11 +147,17 @@ type FitTrace struct {
 //
 // A standardized fit uses Scales = √diag(C) (zero-variance features get
 // 1, as in mat.ColStds), which equals Fit's up to round-off.
-func FitExact(x *mat.Dense, sel Selection, opts Options) (*Model, FitTrace, error) {
-	var tr FitTrace
+//
+// tr (nil for none) receives the fit's spans under StageSpan: gram (the
+// means, the centered Gram and, when standardizing, the scaling to a
+// correlation matrix), vif (the standardize probe: the correlation
+// scaling and LowLinearity's bound-first Cholesky, only when it runs)
+// and eig (the eigensolve, k selection included).
+func FitExact(x *mat.Dense, sel Selection, opts Options, tr *metrics.Trace) (*Model, FitReport, error) {
+	var rep FitReport
 	r, c := x.Dims()
 	if err := checkFit(r, c, sel); err != nil {
-		return nil, tr, err
+		return nil, rep, err
 	}
 
 	t0 := metrics.Now()
@@ -166,7 +166,7 @@ func FitExact(x *mat.Dense, sel Selection, opts Options) (*Model, FitTrace, erro
 	defer scratch.PutFloats(buf)
 	cov := mat.NewDenseData(c, c, buf)
 	mat.CovarianceCenteredInto(cov, x, m.Means, nil, opts.Workers)
-	tr.TimeGram = metrics.Since(t0)
+	tr.Add("gram", StageSpan, t0)
 
 	standardize := opts.Standardize
 	var stds []float64
@@ -179,21 +179,21 @@ func FitExact(x *mat.Dense, sel Selection, opts Options) (*Model, FitTrace, erro
 	if sel.AutoStandardize && r >= 4 && c >= 2 {
 		t0 = metrics.Now()
 		standardize = lowLinearity(cov, stds)
-		tr.TimeVIF = metrics.Since(t0)
+		tr.Add("vif", StageSpan, t0)
 	}
 	if standardize {
 		t0 = metrics.Now()
 		m.Scales = stds
 		correlateInto(cov, cov, stds)
-		tr.TimeGram += metrics.Since(t0)
+		tr.Add("gram", StageSpan, t0)
 	}
-	tr.Standardized = standardize
+	rep.Standardized = standardize
 
 	t0 = metrics.Now()
 	var sys *eigen.System
 	var err error
 	if sel.K > 0 {
-		tr.K = sel.K
+		rep.K = sel.K
 		m.TotalVar = trace(cov)
 		sys, err = eigen.TopK(cov, min(sel.K+max(sel.Extra, 0), c), opts.Seed, opts.Workers)
 	} else {
@@ -206,17 +206,17 @@ func FitExact(x *mat.Dense, sel Selection, opts Options) (*Model, FitTrace, erro
 			}
 			curve := TVECurveOf(spec, total)
 			if sel.Knee != nil {
-				tr.K = sel.Knee(curve)
+				rep.K = sel.Knee(curve)
 			} else {
-				tr.K = kForTVE(curve, sel.TVE)
+				rep.K = kForTVE(curve, sel.TVE)
 			}
-			tr.K = min(max(tr.K, 1), c)
-			return min(tr.K+max(sel.Extra, 0), c)
+			rep.K = min(max(rep.K, 1), c)
+			return min(rep.K+max(sel.Extra, 0), c)
 		}, opts.Workers)
 	}
-	tr.TimeEig = metrics.Since(t0)
+	tr.Add("eig", StageSpan, t0)
 	if err != nil {
-		return nil, tr, fmt.Errorf("pca: eigendecomposition failed: %w", err)
+		return nil, rep, fmt.Errorf("pca: eigendecomposition failed: %w", err)
 	}
 	clampNonNegative(sys.Values)
 	m.Eigenvalues = sys.Values
@@ -226,7 +226,7 @@ func FitExact(x *mat.Dense, sel Selection, opts Options) (*Model, FitTrace, erro
 			m.TotalVar += v
 		}
 	}
-	return m, tr, nil
+	return m, rep, nil
 }
 
 // checkFit validates the arguments both Stage 2 fits share: an r×c

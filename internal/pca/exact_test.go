@@ -3,10 +3,21 @@ package pca
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"dpz/internal/mat"
+	"dpz/internal/metrics"
 )
+
+// spanNames lists a trace's spans as name/parent, in order.
+func spanNames(tr metrics.Trace) string {
+	var names []string
+	for _, s := range tr {
+		names = append(names, s.Name+"/"+s.Parent)
+	}
+	return strings.Join(names, " ")
+}
 
 func sameFloatBits(a, b []float64) bool {
 	if len(a) != len(b) {
@@ -37,7 +48,7 @@ func TestFitExactMatchesFit(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, tr, err := FitExact(x, Selection{TVE: tc.tve}, Options{Workers: 2})
+		m, tr, err := FitExact(x, Selection{TVE: tc.tve}, Options{Workers: 2}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -67,7 +78,7 @@ func TestFitExactExtraComponents(t *testing.T) {
 	rng := rand.New(rand.NewSource(402))
 	x := lowRankData(200, 30, 4, 0.01, rng)
 	for _, extra := range []int{0, 3, 100} {
-		m, tr, err := FitExact(x, Selection{TVE: 0.999, Extra: extra}, Options{})
+		m, tr, err := FitExact(x, Selection{TVE: 0.999, Extra: extra}, Options{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -90,7 +101,7 @@ func TestFitExactKneeSelection(t *testing.T) {
 		m, tr, err := FitExact(x, Selection{Knee: func(curve []float64) int {
 			seen = curve
 			return tc.ask
-		}}, Options{})
+		}}, Options{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,7 +125,7 @@ func TestFitExactAutoStandardize(t *testing.T) {
 	for i := range noise.Data() {
 		noise.Data()[i] = rng.NormFloat64() * float64(1+i%12)
 	}
-	m, tr, err := FitExact(noise, Selection{TVE: 0.99, AutoStandardize: true}, Options{})
+	m, tr, err := FitExact(noise, Selection{TVE: 0.99, AutoStandardize: true}, Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,24 +153,26 @@ func TestFitExactAutoStandardize(t *testing.T) {
 	}
 
 	collinear := lowRankData(400, 12, 2, 1e-3, rng)
-	m, tr, err = FitExact(collinear, Selection{TVE: 0.99, AutoStandardize: true}, Options{})
+	var spans metrics.Trace
+	m, tr, err = FitExact(collinear, Selection{TVE: 0.99, AutoStandardize: true}, Options{}, &spans)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if tr.Standardized || m.Scales != nil {
 		t.Fatal("collinear features were standardized")
 	}
-	if tr.TimeVIF <= 0 || tr.TimeGram <= 0 || tr.TimeEig <= 0 {
-		t.Fatalf("sub-spans not recorded: %+v", tr)
+	if got := spanNames(spans); got != "gram/pca vif/pca eig/pca" {
+		t.Fatalf("spans %q, want the Gram, the probe and the eigensolve", got)
 	}
 
 	// Without the flag no probe runs, and Options.Standardize decides.
-	_, tr, err = FitExact(noise, Selection{TVE: 0.99}, Options{})
+	spans = nil
+	_, tr, err = FitExact(noise, Selection{TVE: 0.99}, Options{}, &spans)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.Standardized || tr.TimeVIF != 0 {
-		t.Fatalf("probe ran without AutoStandardize: %+v", tr)
+	if got := spanNames(spans); tr.Standardized || got != "gram/pca eig/pca" {
+		t.Fatalf("probe ran without AutoStandardize: %+v, spans %q", tr, got)
 	}
 }
 
@@ -174,7 +187,7 @@ func TestFitExactConstantFeature(t *testing.T) {
 		}
 		x.Set(i, 3, 7)
 	}
-	m, _, err := FitExact(x, Selection{TVE: 0.99}, Options{Standardize: true})
+	m, _, err := FitExact(x, Selection{TVE: 0.99}, Options{Standardize: true}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -182,7 +182,7 @@ func TestTransformMatchesMulInto(t *testing.T) {
 		{512, 256, 254}, {512, 256, 42}, {7, 5, 3}, {33, 17, 1}, {129, 65, 64},
 	} {
 		x := lowRankData(s.rows, s.cols, s.cols/2+1, 0.1, rng)
-		m, _, err := FitExact(x, Selection{TVE: 1, AutoStandardize: true}, Options{})
+		m, _, err := FitExact(x, Selection{TVE: 1, AutoStandardize: true}, Options{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

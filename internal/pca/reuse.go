@@ -110,25 +110,31 @@ func (b *Basis) usable(x *mat.Dense, opts Options) bool {
 // sel.Extra widens only the cold fit; accept and refine return the
 // columns they adopted.
 //
+// tr (nil for none) receives FitExact's spans on the cold path. Otherwise
+// it receives guard under StageSpan, the candidate check from the means
+// to the accept decision, and on refine the covariance build as gram and
+// the warm eigensolve as eig.
+//
 // The decision is a pure function of x, sel, opts and the candidate —
 // nothing timing- or worker-dependent enters it. With a TVE target the
 // adopted basis captures at least the target of x's total variance in
 // every case, exactly the guarantee the cold fit provides.
-func FitReuse(x *mat.Dense, sel Selection, opts Options, cand *Basis) (*Model, FitTrace, error) {
+func FitReuse(x *mat.Dense, sel Selection, opts Options, cand *Basis, tr *metrics.Trace) (*Model, FitReport, error) {
 	r, c := x.Dims()
 	if err := checkFit(r, c, sel); err != nil {
-		return nil, FitTrace{}, err
+		return nil, FitReport{}, err
 	}
 	if sel.Knee != nil || sel.AutoStandardize {
-		return nil, FitTrace{}, errors.New("pca: FitReuse takes a fixed K or a TVE target, and the standardize mode from opts")
+		return nil, FitReport{}, errors.New("pca: FitReuse takes a fixed K or a TVE target, and the standardize mode from opts")
 	}
 	if !cand.usable(x, opts) {
-		m, tr, err := FitExact(x, sel, opts)
-		tr.Reuse = ReuseCold
-		return m, tr, err
+		m, rep, err := FitExact(x, sel, opts, tr)
+		rep.Reuse = ReuseCold
+		return m, rep, err
 	}
 
-	tr := FitTrace{Standardized: opts.Standardize, Reuse: ReuseAccept}
+	rep := FitReport{Standardized: opts.Standardize, Reuse: ReuseAccept}
+	t0 := metrics.Now()
 	m := &Model{Means: mat.ColMeans(x)}
 	if opts.Standardize {
 		m.Scales = mat.ColStds(x, m.Means)
@@ -140,17 +146,18 @@ func FitReuse(x *mat.Dense, sel Selection, opts Options, cand *Basis) (*Model, F
 	accepted := validTVE(sel.TVE) && keep <= cand.Q.Cols() &&
 		guardSample(x, m.Means, m.Scales, cand.Q, sel.TVE, opts.Workers) &&
 		acceptExact(m, x, cand.Q, keep, sel.TVE, opts.Workers)
+	tr.Add("guard", StageSpan, t0)
 	if !accepted {
-		tr.Reuse = ReuseRefine
-		if err := refine(m, &tr, x, sel, opts, cand.Q); err != nil {
-			return nil, tr, err
+		rep.Reuse = ReuseRefine
+		if err := refine(m, tr, x, sel, opts, cand.Q); err != nil {
+			return nil, rep, err
 		}
 	}
-	tr.K = sel.K
-	if tr.K == 0 {
-		tr.K = m.KForTVE(sel.TVE)
+	rep.K = sel.K
+	if rep.K == 0 {
+		rep.K = m.KForTVE(sel.TVE)
 	}
-	return m, tr, nil
+	return m, rep, nil
 }
 
 // guardSample is the cheap pre-filter: center a deterministic, evenly
@@ -290,7 +297,7 @@ func acceptExact(m *Model, x *mat.Dense, q *mat.Dense, keep int, target float64,
 // warm's width and doubles until the target is met, ending in the dense
 // solve once the width reaches M. There is no small-matrix fall-through:
 // the caller already decided reuse is worthwhile.
-func refine(m *Model, tr *FitTrace, x *mat.Dense, sel Selection, opts Options, warm *mat.Dense) error {
+func refine(m *Model, tr *metrics.Trace, x *mat.Dense, sel Selection, opts Options, warm *mat.Dense) error {
 	_, c := x.Dims()
 	t0 := metrics.Now()
 	covBuf := scratch.Floats(c * c)
@@ -298,10 +305,10 @@ func refine(m *Model, tr *FitTrace, x *mat.Dense, sel Selection, opts Options, w
 	cov := mat.NewDenseData(c, c, covBuf)
 	mat.CovarianceCenteredInto(cov, x, m.Means, m.Scales, opts.Workers)
 	m.TotalVar = trace(cov)
-	tr.TimeGram = metrics.Since(t0)
+	tr.Add("gram", StageSpan, t0)
 
 	t0 = metrics.Now()
-	defer func() { tr.TimeEig = metrics.Since(t0) }()
+	defer tr.Add("eig", StageSpan, t0)
 	k := warm.Cols()
 	if sel.K > 0 {
 		k = sel.K

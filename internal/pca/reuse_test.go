@@ -174,7 +174,7 @@ func TestFitTVEReuseRejectsMismatchedCandidate(t *testing.T) {
 
 // fitReuseTVE is FitReuse at a TVE target, returning its decision.
 func fitReuseTVE(x *mat.Dense, target float64, opts Options, cand *Basis) (*Model, ReuseDecision, error) {
-	m, tr, err := FitReuse(x, Selection{TVE: target}, opts, cand)
+	m, tr, err := FitReuse(x, Selection{TVE: target}, opts, cand, nil)
 	return m, tr.Reuse, err
 }
 
@@ -182,7 +182,7 @@ func TestFitKReusePaths(t *testing.T) {
 	const target = 0.99
 	x := lowRankField(300, 48, 4, 1e-3, 7)
 	opts := Options{Seed: 1}
-	ref, _, err := FitExact(x, Selection{K: 6}, opts)
+	ref, _, err := FitExact(x, Selection{K: 6}, opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestFitKReusePaths(t *testing.T) {
 
 	// Accept: the fit's own top-k basis passes the guard at a reachable
 	// target.
-	m, tr, err := FitReuse(x, Selection{K: 6, TVE: target}, opts, cand)
+	m, tr, err := FitReuse(x, Selection{K: 6, TVE: target}, opts, cand, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestFitKReusePaths(t *testing.T) {
 
 	// No target (knee-selected k): accept is off, one warm refine step
 	// runs at K.
-	m, tr, err = FitReuse(x, Selection{K: 6}, opts, cand)
+	m, tr, err = FitReuse(x, Selection{K: 6}, opts, cand, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +220,7 @@ func TestFitKReusePaths(t *testing.T) {
 	}
 
 	// A candidate narrower than K cannot be accepted at K.
-	_, tr, err = FitReuse(x, Selection{K: 6, TVE: target}, opts, &Basis{Q: ref.ProjectionMatrix(4)})
+	_, tr, err = FitReuse(x, Selection{K: 6, TVE: target}, opts, &Basis{Q: ref.ProjectionMatrix(4)}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ func TestFitKReusePaths(t *testing.T) {
 	}
 
 	// Nil candidate → cold, bit-identical to FitExact at K.
-	m, tr, err = FitReuse(x, Selection{K: 6, TVE: target}, opts, nil)
+	m, tr, err = FitReuse(x, Selection{K: 6, TVE: target}, opts, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,11 +255,11 @@ func TestFitReuseValidation(t *testing.T) {
 		"auto":        {TVE: 0.99, AutoStandardize: true},
 		"knee with k": {K: 2, Knee: func([]float64) int { return 2 }},
 	} {
-		if _, _, err := FitReuse(x, sel, Options{}, nil); err == nil {
+		if _, _, err := FitReuse(x, sel, Options{}, nil, nil); err == nil {
 			t.Errorf("%s: expected an error", name)
 		}
 	}
-	if _, _, err := FitReuse(mat.NewDense(1, 8), Selection{TVE: 0.9}, Options{}, nil); err == nil {
+	if _, _, err := FitReuse(mat.NewDense(1, 8), Selection{TVE: 0.9}, Options{}, nil, nil); err == nil {
 		t.Fatal("expected single-sample rejection")
 	}
 }
@@ -346,11 +346,11 @@ func FuzzFitReuseMeetsTarget(f *testing.F) {
 		for i := range x.Data() {
 			x.Data()[i] += 1e-5*rng.NormFloat64() + 3
 		}
-		prev, _, err := FitExact(tiltedTile(coef, basis, tilt, rng), Selection{TVE: target, Extra: BasisMargin}, Options{})
+		prev, _, err := FitExact(tiltedTile(coef, basis, tilt, rng), Selection{TVE: target, Extra: BasisMargin}, Options{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, exact, err := FitExact(x, Selection{TVE: target}, Options{})
+		_, exact, err := FitExact(x, Selection{TVE: target}, Options{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -358,7 +358,7 @@ func FuzzFitReuseMeetsTarget(f *testing.F) {
 		if fixedK {
 			sel.K = exact.K
 		}
-		got, tr, err := FitReuse(x, sel, Options{Workers: 2, Seed: seed}, &Basis{Q: prev.Components})
+		got, tr, err := FitReuse(x, sel, Options{Workers: 2, Seed: seed}, &Basis{Q: prev.Components}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"dpz/internal/mat"
+	"dpz/internal/metrics"
 )
 
 func TestSpectrumMatchesFit(t *testing.T) {
@@ -75,7 +76,7 @@ func TestTVECurveOf(t *testing.T) {
 func TestFitTVESmallFallsThrough(t *testing.T) {
 	rng := rand.New(rand.NewSource(303))
 	x := lowRankData(100, 10, 3, 0.01, rng)
-	m, tr, err := FitExact(x, Selection{TVE: 0.999}, Options{})
+	m, tr, err := FitExact(x, Selection{TVE: 0.999}, Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +97,7 @@ func TestFitTVELargeTruncates(t *testing.T) {
 	// eigenvectors than features and still reconstruct well.
 	rng := rand.New(rand.NewSource(304))
 	x := lowRankData(400, 300, 6, 1e-4, rng)
-	m, tr, err := FitExact(x, Selection{TVE: 0.999}, Options{})
+	m, tr, err := FitExact(x, Selection{TVE: 0.999}, Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,16 +123,16 @@ func TestFitTVELargeTruncates(t *testing.T) {
 func TestFitTVEValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(305))
 	x := lowRankData(400, 300, 3, 0.1, rng)
-	if _, _, err := FitExact(x, Selection{TVE: 0}, Options{}); err == nil {
+	if _, _, err := FitExact(x, Selection{TVE: 0}, Options{}, nil); err == nil {
 		t.Fatal("expected error for target 0")
 	}
-	if _, _, err := FitExact(x, Selection{TVE: 1.5}, Options{}); err == nil {
+	if _, _, err := FitExact(x, Selection{TVE: 1.5}, Options{}, nil); err == nil {
 		t.Fatal("expected error for target > 1")
 	}
-	if _, _, err := FitExact(mat.NewDense(1, 4), Selection{TVE: 0.9}, Options{}); err == nil {
+	if _, _, err := FitExact(mat.NewDense(1, 4), Selection{TVE: 0.9}, Options{}, nil); err == nil {
 		t.Fatal("expected single-sample rejection")
 	}
-	if _, _, err := FitExact(mat.NewDense(5, 0), Selection{TVE: 0.9}, Options{}); err == nil {
+	if _, _, err := FitExact(mat.NewDense(5, 0), Selection{TVE: 0.9}, Options{}, nil); err == nil {
 		t.Fatal("expected zero-feature rejection")
 	}
 }
@@ -139,16 +140,16 @@ func TestFitTVEValidation(t *testing.T) {
 func TestFitKValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(308))
 	x := lowRankData(30, 6, 3, 0.1, rng)
-	if _, _, err := FitExact(x, Selection{K: -1}, Options{Seed: 1}); err == nil {
+	if _, _, err := FitExact(x, Selection{K: -1}, Options{Seed: 1}, nil); err == nil {
 		t.Fatal("expected k<0 rejection")
 	}
-	if _, _, err := FitExact(x, Selection{K: 7}, Options{Seed: 1}); err == nil {
+	if _, _, err := FitExact(x, Selection{K: 7}, Options{Seed: 1}, nil); err == nil {
 		t.Fatal("expected k>c rejection")
 	}
-	if _, _, err := FitExact(mat.NewDense(1, 6), Selection{K: 2}, Options{Seed: 1}); err == nil {
+	if _, _, err := FitExact(mat.NewDense(1, 6), Selection{K: 2}, Options{Seed: 1}, nil); err == nil {
 		t.Fatal("expected single-sample rejection")
 	}
-	m, tr, err := FitExact(x, Selection{K: 3}, Options{Standardize: true, Seed: 1})
+	m, tr, err := FitExact(x, Selection{K: 3}, Options{Standardize: true, Seed: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +157,7 @@ func TestFitKValidation(t *testing.T) {
 		t.Fatalf("standardized fixed-K model: %+v, trace %+v", m, tr)
 	}
 	// A fixed K ignores the TVE target, and Extra widens the basis.
-	m, _, err = FitExact(x, Selection{K: 2, Extra: 2, TVE: 7}, Options{Seed: 1})
+	m, _, err = FitExact(x, Selection{K: 2, Extra: 2, TVE: 7}, Options{Seed: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,16 +174,17 @@ func TestFitExactFixedKMatchesSpectrum(t *testing.T) {
 	rng := rand.New(rand.NewSource(310))
 	for _, c := range []int{40, 300} {
 		x := lowRankData(2*c, c, 6, 1e-3, rng)
-		ref, _, err := FitExact(x, Selection{TVE: 0.999}, Options{})
+		ref, _, err := FitExact(x, Selection{TVE: 0.999}, Options{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, tr, err := FitExact(x, Selection{K: 8}, Options{Seed: 1, Workers: 2})
+		var tr metrics.Trace
+		m, _, err := FitExact(x, Selection{K: 8}, Options{Seed: 1, Workers: 2}, &tr)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if tr.TimeGram <= 0 || tr.TimeEig <= 0 {
-			t.Fatalf("M=%d: fixed-K trace has no Gram/Eig time: %+v", c, tr)
+		if got := spanNames(tr); got != "gram/pca eig/pca" {
+			t.Fatalf("M=%d: fixed-K fit spans %q, want the Gram and the eigensolve", c, got)
 		}
 		if math.Abs(m.TotalVar-ref.TotalVar) > 1e-9*ref.TotalVar {
 			t.Fatalf("M=%d: TotalVar %v, spectrum sum %v", c, m.TotalVar, ref.TotalVar)
@@ -198,7 +200,7 @@ func TestFitExactFixedKMatchesSpectrum(t *testing.T) {
 func TestFitTVEStandardizedLarge(t *testing.T) {
 	rng := rand.New(rand.NewSource(309))
 	x := lowRankData(400, 300, 4, 1e-3, rng)
-	m, tr, err := FitExact(x, Selection{TVE: 0.999}, Options{Standardize: true})
+	m, tr, err := FitExact(x, Selection{TVE: 0.999}, Options{Standardize: true}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

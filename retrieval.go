@@ -95,7 +95,7 @@ func decompressRanks(ctx context.Context, buf []byte, ranks, workers int) ([]flo
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	return p.DecodeContext(ctx, ranks)
+	return p.DecodeContext(ctx, ranks, nil)
 }
 
 // Progressive decodes one stream at increasing fidelity: each Decode(r)
@@ -132,5 +132,5 @@ func (p *Progressive) Decode(ranks int) ([]float64, []int, int, error) {
 
 // DecodeContext is Decode with cooperative cancellation.
 func (p *Progressive) DecodeContext(ctx context.Context, ranks int) ([]float64, []int, int, error) {
-	return p.p.DecodeContext(ctx, ranks)
+	return p.p.DecodeContext(ctx, ranks, nil)
 }
