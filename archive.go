@@ -6,9 +6,7 @@ import (
 	"io"
 
 	"dpz/internal/archive"
-	"dpz/internal/basiscache"
 	"dpz/internal/fault"
-	"dpz/internal/parallel"
 	"dpz/internal/stats"
 )
 
@@ -60,97 +58,20 @@ type ArchiveField struct {
 }
 
 // CompressBatch compresses many fields concurrently and appends them in
-// the given order — the multi-field analogue of the tiled pipeline. The
-// archive bytes are identical to appending the fields one by one, for
-// every worker count; only the wall-clock changes. Returns per-field
-// stats in input order.
+// the given order, through the pipeline CompressTiled runs on its tiles.
+// The archive bytes are identical to appending the fields one by one,
+// for every worker count; only the wall-clock changes. Returns
+// per-field stats in input order.
 func (a *ArchiveWriter) CompressBatch(fields []ArchiveField, o Options) ([]Stats, error) {
 	if len(fields) == 0 {
 		return nil, nil
 	}
-	// Divide the worker budget between concurrent fields and the workers
-	// inside each field's compression.
-	wall := o.Workers
-	if wall <= 0 {
-		wall = parallel.DefaultWorkers()
+	read := func(i int) (archiveStream, error) {
+		f := fields[i]
+		return archiveStream{label: fmt.Sprintf("archive field %q", f.Name), data: f.Data, dims: f.Dims}, nil
 	}
-	wf := min(wall, len(fields))
-	inner := o
-	inner.Workers = (wall + wf - 1) / wf
-
-	// Basis reuse mirrors the tiled pipeline: cache slots are acquired in
-	// the sequential source stage (field order), so the bases any field
-	// observes are independent of the worker count. pctx wakes followers
-	// whose leader job was drained by a pipeline failure elsewhere.
-	var cache *basiscache.Cache
-	var optFP uint64
-	if basisEligible(o) {
-		if o.BasisCache != nil {
-			cache = o.BasisCache.c
-		} else {
-			cache = basiscache.New(0)
-		}
-		optFP = basisFingerprint(o)
-	}
-	pctx, pcancel := context.WithCancel(context.Background())
-	defer pcancel()
-
-	type fieldJob struct {
-		i int
-		h *basiscache.Handle
-	}
-	statsOut := make([]Stats, 0, len(fields))
-	err := parallel.Pipeline(wf, 0,
-		func(emit func(fieldJob) bool) error {
-			for i := range fields {
-				var h *basiscache.Handle
-				if cache != nil {
-					f := fields[i]
-					h = cache.Acquire(basiscache.KeyFor(dimsKey(f.Dims), optFP, f.Data))
-				}
-				if !emit(fieldJob{i: i, h: h}) {
-					if h != nil {
-						h.Fulfill(nil) // never dispatched: retract so nobody waits on it
-					}
-					return nil
-				}
-			}
-			return nil
-		},
-		func(j fieldJob) (*Result, error) {
-			done := false
-			defer func() {
-				if !done {
-					pcancel()
-				}
-			}()
-			f := fields[j.i]
-			var res *Result
-			var err error
-			if j.h != nil {
-				res, err = compressWithHandle(pctx, f.Data, f.Dims, inner, j.h)
-			} else {
-				res, err = CompressFloat64(f.Data, f.Dims, inner)
-			}
-			if err != nil {
-				return nil, fmt.Errorf("dpz: archive field %q: %w", f.Name, err)
-			}
-			done = true
-			return res, nil
-		},
-		func(idx int, res *Result) error {
-			if err := a.w.Append(fields[idx].Name, res.Data); err != nil {
-				pcancel()
-				return err
-			}
-			statsOut = append(statsOut, res.Stats)
-			return nil
-		},
-	)
-	if err != nil {
-		return nil, err
-	}
-	return statsOut, nil
+	sink := func(i int, stream []byte) error { return a.w.Append(fields[i].Name, stream) }
+	return compressStreams(context.Background(), len(fields), 0, o, read, sink)
 }
 
 // Close writes the archive index. A second Close (e.g. from a defer

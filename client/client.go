@@ -198,7 +198,7 @@ type CompressResult struct {
 	TVE float64
 	// Tiles is the tile count (tiled mode only).
 	Tiles int
-	// Basis is the basis-reuse decision ("accept", "refine", "cold")
+	// Basis is the basis-reuse decision ("accept" or "cold")
 	// when the knob was on.
 	Basis string
 }

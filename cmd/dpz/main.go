@@ -42,7 +42,7 @@ func run(args []string, out io.Writer) error {
 		nines      = fs.Int("tve", 5, "TVE threshold as a count of nines (3..8)")
 		fit        = fs.String("fit", "1d", "knee curve fit: 1d or polyn")
 		sampling   = fs.Bool("sampling", false, "enable the Algorithm 2 sampling strategy")
-		basisReuse = fs.Bool("basis-reuse", false, "reuse PCA bases across similar tiles (quality-guarded; tve/sampling paths)")
+		basisReuse = fs.Bool("basis-reuse", false, "reuse PCA bases across similar tiles: accept a basis that passes the TVE guard, else fit cold (tve selection only)")
 		workers    = fs.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS)")
 		zlevel     = fs.Int("zlevel", 0, "zlib add-on level 1-9 (0 = zlib default)")
 		verify     = fs.Bool("verify", false, "after -z, decompress and report PSNR/θ")

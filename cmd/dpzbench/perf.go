@@ -443,8 +443,8 @@ func runPerfSuite(scale float64, workers []int, notes []string, baseline string,
 	// Repeated-tile batch workload: the basis-reuse target case. The
 	// batch holds similar smooth tiles (one synthetic slab with a tiny
 	// per-tile drift), compressed with the cross-tile basis cache off and
-	// on at the same options; the speedup comes from accepted/warm-started
-	// fits skipping the per-tile covariance build and eigensolve. PHIS is
+	// on at the same options; the speedup comes from accepted fits
+	// skipping the per-tile covariance build and eigensolve. PHIS is
 	// the low-rank spec (k ≪ M, PCA-dominated) — the regime DPZ targets
 	// and the one where skipping the eigensolve pays; tall tiles keep the
 	// per-tile block count high enough that the PCA stage dominates.

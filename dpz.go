@@ -131,14 +131,17 @@ type Options struct {
 	// ZLevel sets the zlib add-on compression level, 1 (fastest) to 9
 	// (best). 0 keeps zlib's default, matching previous releases.
 	ZLevel int
-	// BasisReuse lets compressions of similar tiles reuse (or warm-start
-	// from) an earlier tile's PCA basis instead of refitting from
-	// scratch. A reused basis must first pass a quality guard proving it
-	// still meets the TVE target on the new tile's own data, so the
-	// accuracy contract is unchanged. Tiled and batch compressions get a
-	// per-call cache automatically; single-shot Compress calls
-	// additionally need a BasisCache to draw candidates from. Reuse only
-	// engages for TVE-threshold selection or the sampling strategy.
+	// BasisReuse lets compressions of similar tiles reuse an earlier
+	// tile's PCA basis instead of refitting from scratch. A reused basis
+	// must first pass a quality guard proving it still meets the TVE
+	// target on the new tile's own data; a tile whose candidate fails
+	// the guard fits cold, writing the stream it writes with no
+	// candidate. The accuracy contract is unchanged. Tiled and batch
+	// compressions get a per-call cache automatically; single-shot
+	// Compress calls additionally need a BasisCache to draw candidates
+	// from. Reuse only engages for TVE-threshold selection, with or
+	// without sampling: a knee-selected k has no target to verify a
+	// candidate against.
 	BasisReuse bool
 	// BasisCache, when set together with BasisReuse, is the cache
 	// candidates are drawn from and fitted bases published to. Sharing
@@ -265,9 +268,9 @@ type Stats struct {
 	Trace Trace
 
 	// BasisDecision reports which path the basis-reuse layer took:
-	// "cold" (no usable candidate), "accept" (candidate adopted after
-	// the quality guard), or "refine" (candidate warm-started the
-	// eigensolve). Empty when basis reuse was off for this compression.
+	// "accept" (candidate adopted after the quality guard) or "cold" (no
+	// usable candidate, or the guard rejected it, so the ordinary fit
+	// ran). Empty when basis reuse was off for this compression.
 	BasisDecision string
 
 	// Sampling holds the Algorithm 2 report when UseSampling was set.

@@ -1,8 +1,9 @@
 // Package basiscache provides a bounded, deterministic cache of fitted
 // PCA bases keyed by coarse per-tile statistics. It exists so that the
 // hot path can hand the basis one tile produced to the next similar tile
-// as a warm-start candidate (see pca.FitReuse), turning repeated
-// O(M³) eigensolves over near-identical tiles into cheap guard checks.
+// as a candidate (see pca.FitReuse): the tile adopts it if the quality
+// guard accepts it and fits cold otherwise, so repeated O(M³)
+// eigensolves over near-identical tiles become cheap guard checks.
 //
 // # Determinism contract
 //

@@ -2,7 +2,6 @@ package basiscache
 
 import (
 	"context"
-	"encoding/binary"
 	"math"
 	"testing"
 	"time"
@@ -162,22 +161,6 @@ func TestQuantizeBuckets(t *testing.T) {
 	// Extreme magnitudes clamp instead of overflowing.
 	if quantize(math.MaxFloat64) == qNonFinite {
 		t.Fatal("finite extremes must stay out of the sentinel bucket")
-	}
-}
-
-func TestKeyForMatchesKeyForRaw(t *testing.T) {
-	data := []float64{1.5, -2.25, 0.375, 4096, -0.0078125, 0}
-	raw := make([]byte, 4*len(data))
-	f64 := make([]float64, len(data))
-	for i, v := range data {
-		f := float32(v)
-		binary.LittleEndian.PutUint32(raw[4*i:], math.Float32bits(f))
-		f64[i] = float64(f)
-	}
-	a := KeyFor("2x3", 42, f64)
-	b := KeyForRaw("2x3", 42, raw)
-	if a != b {
-		t.Fatalf("KeyFor = %+v, KeyForRaw = %+v — must match for the same payload", a, b)
 	}
 }
 

@@ -1,9 +1,6 @@
 package basiscache
 
-import (
-	"encoding/binary"
-	"math"
-)
+import "math"
 
 // qNonFinite is the bucket sentinel for statistics that are NaN or ±Inf:
 // such tiles only ever match other non-finite tiles.
@@ -38,15 +35,14 @@ func quantize(v float64) int32 {
 }
 
 // summarize computes the mean, (population) standard deviation and
-// half-range of the n-element sequence read through at.
-func summarize(n int, at func(int) float64) (mean, std, halfRange float64) {
-	if n == 0 {
+// half-range of data.
+func summarize(data []float64) (mean, std, halfRange float64) {
+	if len(data) == 0 {
 		return 0, 0, 0
 	}
 	var sum float64
 	lo, hi := math.Inf(1), math.Inf(-1)
-	for i := 0; i < n; i++ {
-		v := at(i)
+	for _, v := range data {
 		sum += v
 		if v < lo {
 			lo = v
@@ -55,13 +51,13 @@ func summarize(n int, at func(int) float64) (mean, std, halfRange float64) {
 			hi = v
 		}
 	}
-	mean = sum / float64(n)
+	mean = sum / float64(len(data))
 	var ss float64
-	for i := 0; i < n; i++ {
-		d := at(i) - mean
+	for _, v := range data {
+		d := v - mean
 		ss += d * d
 	}
-	std = math.Sqrt(ss / float64(n))
+	std = math.Sqrt(ss / float64(len(data)))
 	halfRange = (hi - lo) / 2
 	return mean, std, halfRange
 }
@@ -71,26 +67,7 @@ func summarize(n int, at func(int) float64) (mean, std, halfRange float64) {
 // must already encode everything (other than the data) that influences
 // the fitted basis.
 func KeyFor(dims string, opt uint64, data []float64) Key {
-	mean, std, halfRange := summarize(len(data), func(i int) float64 { return data[i] })
-	return Key{
-		Dims:   dims,
-		Opt:    opt,
-		QMean:  quantize(mean),
-		QStd:   quantize(std),
-		QRange: quantize(halfRange),
-	}
-}
-
-// KeyForRaw builds the cache key for a tile given as little-endian
-// float32 bytes (the tiled-compression wire layout), without
-// materializing a float64 slice. float64(float32(x)) is exact, so this
-// produces the same key KeyFor would for the converted data.
-func KeyForRaw(dims string, opt uint64, raw []byte) Key {
-	n := len(raw) / 4
-	at := func(i int) float64 {
-		return float64(math.Float32frombits(binary.LittleEndian.Uint32(raw[i*4:])))
-	}
-	mean, std, halfRange := summarize(n, at)
+	mean, std, halfRange := summarize(data)
 	return Key{
 		Dims:   dims,
 		Opt:    opt,

@@ -214,9 +214,8 @@ func CompressContext(ctx context.Context, data []float64, dims []int, p Params) 
 		}
 		// Fit k_e components on the rows the strategy analyzed (Algorithm
 		// 2's Stage 2 saving), then project the full data below. The
-		// reuse guard can only verify a candidate against an explicit TVE
-		// target, so knee-selected k keeps the warm refine but never
-		// accepts outright.
+		// reuse guard verifies a candidate against the TVE target; a
+		// knee-selected k has none and fits cold.
 		fitX = rep.Rows(x)
 		tr.Add("sampling", pca.StageSpan, ts)
 		sel = pca.Selection{K: rep.Ke}

@@ -136,7 +136,7 @@ type Params struct {
 // fitted basis (plus the reuse decision taken) back out. It is a plain
 // data carrier: the caller owns lifetime and sharing.
 type BasisExchange struct {
-	// Candidate is the warm-start basis offered to Stage 2, or nil.
+	// Candidate is the basis offered to Stage 2's guard, or nil.
 	Candidate *pca.Basis
 	// Fitted is set on success to the leading components this
 	// compression used, in a form suitable as a future Candidate.

@@ -108,8 +108,8 @@ func TestStageTrace(t *testing.T) {
 	off := DPZL()
 	off.Standardize = StandardizeOff
 	// Basis reuse: the first compression publishes the basis the second
-	// one is offered. The field accepts its own basis, and refines from
-	// that of the same field under another seed.
+	// one is offered. The field accepts its own basis; its guard rejects
+	// that of the same field under another seed, so it fits cold.
 	reuse := DPZL()
 	reuse.Basis = &BasisExchange{}
 	cold := compress(reuse)
@@ -122,9 +122,9 @@ func TestStageTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	reuse.Basis = &BasisExchange{Candidate: reuse.Basis.Fitted}
-	refine := compress(reuse)
-	if a, r := accept.Stats.BasisDecision.String(), refine.Stats.BasisDecision.String(); a != "accept" || r != "refine" {
-		t.Fatalf("reuse decisions %s and %s, want accept and refine", a, r)
+	reject := compress(reuse)
+	if a, r := accept.Stats.BasisDecision.String(), reject.Stats.BasisDecision.String(); a != "accept" || r != "cold" {
+		t.Fatalf("reuse decisions %s and %s, want accept and cold", a, r)
 	}
 
 	stream := compress(DPZS())
@@ -166,7 +166,7 @@ func TestStageTrace(t *testing.T) {
 		{"sampled", compress(sampled).Stats.Trace, stage1 + "sampling/pca gram/pca eig/pca project/pca" + stage3},
 		{"reuse cold", cold.Stats.Trace, stage1 + "vif/pca gram/pca eig/pca project/pca" + stage3},
 		{"reuse accept", accept.Stats.Trace, stage1 + "vif/pca guard/pca project/pca" + stage3},
-		{"reuse refine", refine.Stats.Trace, stage1 + "vif/pca guard/pca gram/pca eig/pca project/pca" + stage3},
+		{"reuse reject", reject.Stats.Trace, stage1 + "vif/pca guard/pca gram/pca eig/pca project/pca" + stage3},
 		{"diagnostics", compress(diag).Stats.Trace, stage1 + fit + stage3},
 		{"full decode", decode(0), decomp},
 		{"preview", decode(2), decomp},

@@ -1,7 +1,6 @@
 package eigen
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -11,8 +10,7 @@ import (
 )
 
 // maxSubspaceSweeps bounds the double-apply subspace iteration; a
-// well-separated spectrum converges in a handful of sweeps, a warm start
-// in one or two.
+// well-separated spectrum converges in a handful of sweeps.
 const maxSubspaceSweeps = 40
 
 // TopK computes the k leading eigenpairs of the symmetric PSD matrix a.
@@ -43,69 +41,13 @@ func TopK(a *mat.Dense, k int, seed int64, workers int) (*System, error) {
 	for i := range q.Data() {
 		q.Data()[i] = rng.NormFloat64()
 	}
-	sys, _, err := subspace(a, q, k, workers)
-	return sys, err
-}
-
-// TopKWarm is TopK warm-started from the orthonormal basis warm (n × any
-// column count): the iterate begins at warm's columns (padded with seeded
-// random directions up to the working subspace width) instead of a fully
-// random subspace. When warm already spans a subspace close to the true
-// leading eigenspace — neighboring tiles of a smooth field, consecutive
-// timesteps — the iteration converges in one or two sweeps instead of the
-// cold start's many. The returned sweep count is the number of
-// double-apply sweeps performed (0 when the dense solver was used).
-func TopKWarm(a *mat.Dense, k int, warm *mat.Dense, seed int64, workers int) (*System, int, error) {
-	n, err := checkTopK(a, k)
-	if err != nil {
-		return nil, 0, err
-	}
-	if warm == nil {
-		return nil, 0, errors.New("eigen: TopKWarm needs a warm basis")
-	}
-	if wr, _ := warm.Dims(); wr != n {
-		return nil, 0, fmt.Errorf("eigen: warm basis has %d rows, matrix is %dx%d", wr, n, n)
-	}
-	// Warm sweeps are cheap, so subspace iteration stays worthwhile down to
-	// much smaller matrices than the cold path; only tiny or nearly-full
-	// problems route to the dense solver.
-	if n <= 64 || k > n/2 {
-		sys, err := leading(a, k, workers)
-		return sys, 0, err
-	}
-	p := subspaceWidth(n, k)
-	qbuf := scratch.Floats(n * p)
-	defer scratch.PutFloats(qbuf)
-	q := mat.NewDenseData(n, p, qbuf)
-	_, wc := warm.Dims()
-	copyCols := min(wc, p)
-	for i := 0; i < n; i++ {
-		dst := q.Row(i)
-		src := warm.Row(i)
-		copy(dst[:copyCols], src[:copyCols])
-	}
-	if copyCols < p {
-		rng := rand.New(rand.NewSource(seed))
-		for i := 0; i < n; i++ {
-			row := q.Row(i)
-			for j := copyCols; j < p; j++ {
-				row[j] = rng.NormFloat64()
-			}
-		}
-	}
-	return subspace(a, q, k, workers)
-}
-
-// subspace runs the iteration from the starting columns q (overwritten)
-// and returns the k leading Ritz pairs with the sweep count.
-func subspace(a, q *mat.Dense, k, workers int) (*System, int, error) {
 	orthonormalize(q)
-	sweeps := iterate(a, q, workers)
+	iterate(a, q, workers)
 	sys, err := rayleighRitz(a, q, workers)
 	if err != nil {
-		return nil, sweeps, err
+		return nil, err
 	}
-	return truncate(sys, k), sweeps, nil
+	return truncate(sys, k), nil
 }
 
 // checkTopK validates TopK's arguments and returns the matrix order.
@@ -144,20 +86,18 @@ func subspaceWidth(n, k int) int {
 }
 
 // iterate runs the double-apply subspace iteration on q in place until the
-// captured variance stabilizes, returning the sweep count. Each sweep
+// captured variance stabilizes. Each sweep
 // applies A twice (squaring the convergence ratio per sweep) and stops
 // when the variance captured by the subspace — trace(QᵀAQ), the only
 // quantity PCA consumes — is stable. Exact eigenpair separation is then
 // restored by the Rayleigh–Ritz step.
-func iterate(a, q *mat.Dense, workers int) int {
+func iterate(a, q *mat.Dense, workers int) {
 	n, p := q.Dims()
 	zbuf := scratch.Floats(n * p)
 	defer scratch.PutFloats(zbuf)
 	z := mat.NewDenseData(n, p, zbuf)
 	prevCaptured := -1.0
-	sweeps := 0
 	for sweep := 0; sweep < maxSubspaceSweeps; sweep++ {
-		sweeps++
 		mat.MulInto(z, a, q, workers)
 		// Captured variance: Σ_j (Qᵀ A Q)_jj = Σ_j Q_j·Z_j.
 		var captured float64
@@ -172,7 +112,6 @@ func iterate(a, q *mat.Dense, workers int) int {
 		}
 		prevCaptured = captured
 	}
-	return sweeps
 }
 
 // rayleighRitz solves the small p×p projected problem on the converged

@@ -1,6 +1,7 @@
 package eigen
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -129,5 +130,72 @@ func TestOrthonormalizeDegenerate(t *testing.T) {
 	}
 	if math.Abs(dot) > 1e-9 {
 		t.Fatalf("columns not orthogonal: dot=%v", dot)
+	}
+}
+
+// subspaceAgrees checks that each of the reference leading eigenvectors
+// lies (almost) inside the span of got's columns: ‖Qᵀv‖ ≈ 1 for every
+// reference vector v. Comparing spans instead of individual vectors keeps
+// the check meaningful when eigenvalues cluster (any orthonormal basis of
+// the same invariant subspace is a correct answer).
+func subspaceAgrees(t *testing.T, got *mat.Dense, ref *mat.Dense, k int, tol float64) {
+	t.Helper()
+	n, kc := got.Dims()
+	for j := 0; j < k; j++ {
+		var norm2 float64
+		for c := 0; c < kc; c++ {
+			var dot float64
+			for r := 0; r < n; r++ {
+				dot += got.At(r, c) * ref.At(r, j)
+			}
+			norm2 += dot * dot
+		}
+		if math.Abs(norm2-1) > tol {
+			t.Fatalf("reference eigenvector %d lies outside the computed subspace: ‖Qᵀv‖² = %v", j, norm2)
+		}
+	}
+}
+
+// TestTopKAgreesWithSymEigRandomized cross-checks the truncated solver
+// against the dense eigensolver on randomized symmetric matrices across
+// sizes and spectrum shapes, through both the dense fall-through route
+// (small n) and the subspace-iteration route (large n, small k).
+func TestTopKAgreesWithSymEigRandomized(t *testing.T) {
+	spectra := map[string]func(i, n int) float64{
+		"exp-fast":  func(i, n int) float64 { return math.Exp(-float64(i) / 3) },
+		"exp-slow":  func(i, n int) float64 { return math.Exp(-float64(i) / 25) },
+		"power-law": func(i, n int) float64 { return 1 / math.Pow(float64(i+1), 2) },
+	}
+	for _, n := range []int{40, 120, 300} {
+		for name, gen := range spectra {
+			t.Run(fmt.Sprintf("n=%d/%s", n, name), func(t *testing.T) {
+				vals := make([]float64, n)
+				for i := range vals {
+					// Floor the tail: exp(-100) eigenvalues are denormal
+					// territory no real covariance matrix produces.
+					vals[i] = math.Max(gen(i, n), 1e-12)
+				}
+				a := spdWithSpectrum(vals, int64(n)*31+int64(len(name)))
+				ref, err := SymEig(a)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, k := range []int{1, 5, 12} {
+					if k > n/8 && n > 256 {
+						continue // would route dense anyway; covered by small n
+					}
+					sys, err := TopK(a, k, 7, 0)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for i := 0; i < k; i++ {
+						if math.Abs(sys.Values[i]-ref.Values[i]) > 1e-6*(1+ref.Values[0]) {
+							t.Fatalf("k=%d: eigenvalue %d = %v, SymEig says %v", k, i, sys.Values[i], ref.Values[i])
+						}
+					}
+					subspaceAgrees(t, sys.Vectors, ref.Vectors, k, 1e-5)
+				}
+			})
+		}
 	}
 }

@@ -41,8 +41,8 @@ type Options struct {
 	// Workers bounds the parallelism of the covariance Gram kernel
 	// (0 = GOMAXPROCS). It never changes the result bits.
 	Workers int
-	// Seed makes the random starting subspace of eigen.TopK and
-	// eigen.TopKWarm reproducible (a fixed K, and FitReuse's refine).
+	// Seed makes the random starting subspace of eigen.TopK, which a
+	// fixed K runs, reproducible.
 	Seed int64
 }
 

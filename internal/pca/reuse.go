@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 
-	"dpz/internal/eigen"
 	"dpz/internal/mat"
 	"dpz/internal/metrics"
 	"dpz/internal/scratch"
@@ -39,15 +38,13 @@ type ReuseDecision int
 const (
 	// ReuseOff means basis reuse was not active for this compression.
 	ReuseOff ReuseDecision = iota
-	// ReuseCold means no usable candidate existed (or it failed the shape
-	// or standardization gates) and the ordinary cold fit ran.
+	// ReuseCold means the ordinary cold fit ran: there was no usable
+	// candidate, no TVE target to verify one against, or the guard
+	// rejected it.
 	ReuseCold
 	// ReuseAccept means the candidate basis passed the quality guard and
 	// was adopted outright — no covariance build, no eigensolve.
 	ReuseAccept
-	// ReuseRefine means the candidate warm-started the subspace iteration
-	// on this tile's covariance.
-	ReuseRefine
 )
 
 func (d ReuseDecision) String() string {
@@ -58,8 +55,6 @@ func (d ReuseDecision) String() string {
 		return "cold"
 	case ReuseAccept:
 		return "accept"
-	case ReuseRefine:
-		return "refine"
 	default:
 		return fmt.Sprintf("ReuseDecision(%d)", int(d))
 	}
@@ -90,30 +85,27 @@ func (b *Basis) usable(x *mat.Dense, opts Options) bool {
 // FitReuse is the candidate-aware Stage 2 fit. sel fixes k (K) or sets
 // the cumulative-TVE target; Knee and AutoStandardize are not supported,
 // since the candidate must match a standardization mode known up front.
-// The candidate basis is tried before paying for a cold fit:
+// It takes one of two paths:
 //
-//  1. Cold: without a usable candidate FitExact(x, sel, opts) runs
-//     (ReuseCold), and the result is the reuse-disabled path's.
-//  2. Accept (only with a TVE target): a deterministic row sample of x
-//     is centered and projected onto the candidate; if the sampled
-//     captured-energy fraction reaches the target, the candidate's
-//     captured variance is verified EXACTLY on the full data via
-//     per-column Rayleigh quotients (cost O(N·M·k), skipping both the
-//     O(N·M²) covariance build and the O(M³) eigensolve). On success the
-//     candidate is adopted (ReuseAccept) with its columns re-ranked by
-//     measured variance: K of them at a fixed K, otherwise all.
-//  3. Refine: otherwise the candidate warm-starts subspace iteration on
-//     this tile's covariance (ReuseRefine). At a fixed K it runs once at
-//     K; for a TVE target the subspace grows geometrically until the
-//     target is met.
+//  1. Accept: with a usable candidate and a TVE target, a deterministic
+//     row sample of x is centered and projected onto the candidate; if
+//     the sampled captured-energy fraction reaches the target, the
+//     candidate's captured variance is verified EXACTLY on the full data
+//     via per-column Rayleigh quotients (cost O(N·M·k), skipping both
+//     the O(N·M²) covariance build and the O(M³) eigensolve). On success
+//     the candidate is adopted (ReuseAccept) with its columns re-ranked
+//     by measured variance: K of them at a fixed K, otherwise all.
+//  2. Cold: otherwise — no usable candidate, no TVE target, a candidate
+//     narrower than K, or a guard rejection — FitExact(x, sel, opts, tr)
+//     runs (ReuseCold), and its model is the reuse-disabled path's, bit
+//     for bit.
 //
-// sel.Extra widens only the cold fit; accept and refine return the
-// columns they adopted.
+// sel.Extra widens only the cold fit; accept returns the columns it
+// adopted.
 //
-// tr (nil for none) receives FitExact's spans on the cold path. Otherwise
-// it receives guard under StageSpan, the candidate check from the means
-// to the accept decision, and on refine the covariance build as gram and
-// the warm eigensolve as eig.
+// tr (nil for none) receives guard under StageSpan, the candidate check
+// from the means to the accept decision, whenever the guard runs, and
+// FitExact's spans on the cold path.
 //
 // The decision is a pure function of x, sel, opts and the candidate —
 // nothing timing- or worker-dependent enters it. With a TVE target the
@@ -127,37 +119,30 @@ func FitReuse(x *mat.Dense, sel Selection, opts Options, cand *Basis, tr *metric
 	if sel.Knee != nil || sel.AutoStandardize {
 		return nil, FitReport{}, errors.New("pca: FitReuse takes a fixed K or a TVE target, and the standardize mode from opts")
 	}
-	if !cand.usable(x, opts) {
-		m, rep, err := FitExact(x, sel, opts, tr)
-		rep.Reuse = ReuseCold
-		return m, rep, err
-	}
-
-	rep := FitReport{Standardized: opts.Standardize, Reuse: ReuseAccept}
-	t0 := metrics.Now()
-	m := &Model{Means: mat.ColMeans(x)}
-	if opts.Standardize {
-		m.Scales = mat.ColStds(x, m.Means)
-	}
-	keep := cand.Q.Cols()
+	keep := cand.NumComponents()
 	if sel.K > 0 {
 		keep = sel.K
 	}
-	accepted := validTVE(sel.TVE) && keep <= cand.Q.Cols() &&
-		guardSample(x, m.Means, m.Scales, cand.Q, sel.TVE, opts.Workers) &&
-		acceptExact(m, x, cand.Q, keep, sel.TVE, opts.Workers)
-	tr.Add("guard", StageSpan, t0)
-	if !accepted {
-		rep.Reuse = ReuseRefine
-		if err := refine(m, tr, x, sel, opts, cand.Q); err != nil {
-			return nil, rep, err
+	if cand.usable(x, opts) && validTVE(sel.TVE) && keep <= cand.Q.Cols() {
+		t0 := metrics.Now()
+		m := &Model{Means: mat.ColMeans(x)}
+		if opts.Standardize {
+			m.Scales = mat.ColStds(x, m.Means)
+		}
+		accepted := guardSample(x, m.Means, m.Scales, cand.Q, sel.TVE, opts.Workers) &&
+			acceptExact(m, x, cand.Q, keep, sel.TVE, opts.Workers)
+		tr.Add("guard", StageSpan, t0)
+		if accepted {
+			rep := FitReport{K: sel.K, Standardized: opts.Standardize, Reuse: ReuseAccept}
+			if rep.K == 0 {
+				rep.K = m.KForTVE(sel.TVE)
+			}
+			return m, rep, nil
 		}
 	}
-	rep.K = sel.K
-	if rep.K == 0 {
-		rep.K = m.KForTVE(sel.TVE)
-	}
-	return m, rep, nil
+	m, rep, err := FitExact(x, sel, opts, tr)
+	rep.Reuse = ReuseCold
+	return m, rep, err
 }
 
 // guardSample is the cheap pre-filter: center a deterministic, evenly
@@ -290,51 +275,4 @@ func acceptExact(m *Model, x *mat.Dense, q *mat.Dense, keep int, target float64,
 	}
 	adoptColumns(m, q, lam, order, keep, totalVar)
 	return true
-}
-
-// refine warm-starts subspace iteration on x's covariance from warm. At
-// a fixed sel.K it takes one step, at K. For a TVE target it starts at
-// warm's width and doubles until the target is met, ending in the dense
-// solve once the width reaches M. There is no small-matrix fall-through:
-// the caller already decided reuse is worthwhile.
-func refine(m *Model, tr *metrics.Trace, x *mat.Dense, sel Selection, opts Options, warm *mat.Dense) error {
-	_, c := x.Dims()
-	t0 := metrics.Now()
-	covBuf := scratch.Floats(c * c)
-	defer scratch.PutFloats(covBuf)
-	cov := mat.NewDenseData(c, c, covBuf)
-	mat.CovarianceCenteredInto(cov, x, m.Means, m.Scales, opts.Workers)
-	m.TotalVar = trace(cov)
-	tr.Add("gram", StageSpan, t0)
-
-	t0 = metrics.Now()
-	defer tr.Add("eig", StageSpan, t0)
-	k := warm.Cols()
-	if sel.K > 0 {
-		k = sel.K
-	}
-	for ; ; k *= 2 {
-		var sys *eigen.System
-		var err error
-		if k >= c {
-			sys, err = eigen.SymEigTopK(cov, func([]float64) int { return c }, opts.Workers)
-		} else {
-			sys, _, err = eigen.TopKWarm(cov, k, warm, opts.Seed, opts.Workers)
-		}
-		if err != nil {
-			return fmt.Errorf("pca: warm eigendecomposition failed: %w", err)
-		}
-		clampNonNegative(sys.Values)
-		var cum float64
-		for _, v := range sys.Values {
-			cum += v
-		}
-		if sel.K > 0 || k >= c || m.TotalVar <= 0 || cum/m.TotalVar >= sel.TVE {
-			m.Eigenvalues = sys.Values
-			m.Components = sys.Vectors
-			return nil
-		}
-		// Carry the refined subspace into the next, wider attempt.
-		warm = sys.Vectors
-	}
 }

@@ -131,6 +131,9 @@ func TestFitTVEReuseAcceptOnSimilarTile(t *testing.T) {
 	}
 }
 
+// TestFitTVEReuseRefinesUselessCandidate offers a candidate the guard
+// must reject. The decision is cold, and the model is FitExact's bit for
+// bit: a rejected candidate leaves no trace in the fit.
 func TestFitTVEReuseRefinesUselessCandidate(t *testing.T) {
 	const target = 0.9999
 	x := lowRankField(400, 60, 6, 1e-3, 5)
@@ -143,12 +146,42 @@ func TestFitTVEReuseRefinesUselessCandidate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dec != ReuseRefine {
-		t.Fatalf("decision = %v, want refine", dec)
+	if dec != ReuseCold {
+		t.Fatalf("decision = %v, want cold", dec)
 	}
-	k := m.KForTVE(target)
-	if got := achievedTVE(x, m, k); got < target-1e-12 {
-		t.Fatalf("refined basis achieves TVE %v < target %v", got, target)
+	ref, _, err := FitExact(x, Selection{TVE: target}, Options{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameModel(t, m, ref)
+}
+
+// sameModel fails unless got's means, scales, spectrum, components and
+// total variance equal want's bit for bit.
+func sameModel(t *testing.T, got, want *Model) {
+	t.Helper()
+	same := func(a, b []float64) bool {
+		if len(a) != len(b) {
+			return false
+		}
+		for i := range a {
+			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	switch {
+	case !same(got.Means, want.Means):
+		t.Fatal("means differ from FitExact's")
+	case !same(got.Scales, want.Scales):
+		t.Fatal("scales differ from FitExact's")
+	case !same(got.Eigenvalues, want.Eigenvalues):
+		t.Fatal("eigenvalues differ from FitExact's")
+	case got.Components.Rows() != want.Components.Rows() || !same(got.Components.Data(), want.Components.Data()):
+		t.Fatal("components differ from FitExact's")
+	case math.Float64bits(got.TotalVar) != math.Float64bits(want.TotalVar):
+		t.Fatal("total variance differs from FitExact's")
 	}
 }
 
@@ -201,46 +234,25 @@ func TestFitKReusePaths(t *testing.T) {
 		t.Fatalf("accepted basis achieves TVE %v < target %v", got, target)
 	}
 
-	// No target (knee-selected k): accept is off, one warm refine step
-	// runs at K.
-	m, tr, err = FitReuse(x, Selection{K: 6}, opts, cand, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.Reuse != ReuseRefine || tr.K != 6 {
-		t.Fatalf("no-target decision = %v, k = %d; want refine at 6", tr.Reuse, tr.K)
-	}
-	if len(m.Eigenvalues) != 6 {
-		t.Fatalf("refined model has %d eigenvalues, want 6", len(m.Eigenvalues))
-	}
-	for i := 0; i+1 < len(m.Eigenvalues); i++ {
-		if m.Eigenvalues[i] < m.Eigenvalues[i+1] {
-			t.Fatalf("refined eigenvalues not descending: %v", m.Eigenvalues)
+	// No target (knee-selected k) and a candidate narrower than K: the
+	// guard cannot run, so both fit cold, FitExact's model bit for bit.
+	for _, c := range []struct {
+		name string
+		sel  Selection
+		cand *Basis
+	}{
+		{"no target", Selection{K: 6}, cand},
+		{"narrow candidate", Selection{K: 6, TVE: target}, &Basis{Q: ref.ProjectionMatrix(4)}},
+		{"nil candidate", Selection{K: 6, TVE: target}, nil},
+	} {
+		m, tr, err = FitReuse(x, c.sel, opts, c.cand, nil)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-
-	// A candidate narrower than K cannot be accepted at K.
-	_, tr, err = FitReuse(x, Selection{K: 6, TVE: target}, opts, &Basis{Q: ref.ProjectionMatrix(4)}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.Reuse != ReuseRefine {
-		t.Fatalf("narrow-candidate decision = %v, want refine", tr.Reuse)
-	}
-
-	// Nil candidate → cold, bit-identical to FitExact at K.
-	m, tr, err = FitReuse(x, Selection{K: 6, TVE: target}, opts, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.Reuse != ReuseCold {
-		t.Fatalf("nil candidate decision = %v, want cold", tr.Reuse)
-	}
-	for i := range m.Eigenvalues {
-		//dpzlint:ignore floateq bit-identity to the cold fit is the contract under test
-		if m.Eigenvalues[i] != ref.Eigenvalues[i] {
-			t.Fatalf("cold FitReuse diverged from FitExact at eigenvalue %d", i)
+		if tr.Reuse != ReuseCold || tr.K != 6 {
+			t.Fatalf("%s: decision = %v, k = %d; want cold at 6", c.name, tr.Reuse, tr.K)
 		}
+		sameModel(t, m, ref)
 	}
 }
 
@@ -269,7 +281,6 @@ func TestReuseDecisionString(t *testing.T) {
 		ReuseOff:          "off",
 		ReuseCold:         "cold",
 		ReuseAccept:       "accept",
-		ReuseRefine:       "refine",
 		ReuseDecision(42): "ReuseDecision(42)",
 	}
 	for d, want := range cases {
@@ -296,7 +307,7 @@ func adoptedTVE(m *Model) float64 {
 // is tilted by tilt·G (G iid normal), plus small noise: the same
 // coefficients on a rotated subspace. A small tilt leaves a basis fitted
 // on it good enough for the guard to accept on the original tile; a large
-// one forces the warm refine.
+// one makes the guard reject it.
 func tiltedTile(coef, basis *mat.Dense, tilt float64, rng *rand.Rand) *mat.Dense {
 	tb := mat.NewDense(basis.Rows(), basis.Cols())
 	for i, v := range basis.Data() {
@@ -312,7 +323,8 @@ func tiltedTile(coef, basis *mat.Dense, tilt float64, rng *rand.Rand) *mat.Dense
 // Every fit path meets the TVE target: FitReuse, offered the exact fit's
 // basis (with the published margin) from a tilted copy of the tile, must
 // adopt a basis that reaches the target on the tile itself, whether the
-// guard accepts the candidate or the warm refine replaces it. With a TVE
+// guard accepts the candidate or rejects it. A rejection is the cold fit:
+// its model is FitExact's bit for bit. With a TVE
 // selection its component count sits in the window the Ky Fan inequality
 // allows — never below the exact minimum (up to rounding), and at most a
 // few verified extras above it. With K fixed at that minimum, as the
@@ -358,9 +370,17 @@ func FuzzFitReuseMeetsTarget(f *testing.F) {
 		if fixedK {
 			sel.K = exact.K
 		}
-		got, tr, err := FitReuse(x, sel, Options{Workers: 2, Seed: seed}, &Basis{Q: prev.Components}, nil)
+		opts := Options{Workers: 2, Seed: seed}
+		got, tr, err := FitReuse(x, sel, opts, &Basis{Q: prev.Components}, nil)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if tr.Reuse == ReuseCold {
+			cold, _, err := FitExact(x, sel, opts, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameModel(t, got, cold)
 		}
 		if fixedK {
 			if len(got.Eigenvalues) != exact.K || tr.K != exact.K {

@@ -169,7 +169,6 @@ type Server struct {
 	// the handler goroutine and never touch the job scheduler.
 	respCache    *respCache
 	basisAccept  *metrics.Counter
-	basisRefine  *metrics.Counter
 	basisCold    *metrics.Counter
 	basisHits    *metrics.Gauge
 	basisMisses  *metrics.Gauge
@@ -205,8 +204,7 @@ func New(cfg Config) *Server {
 		previewFull:  reg.Counter("dpzd_preview_full_total", "preview requests that decoded every stored component"),
 		queryNoIndex: reg.Counter("dpzd_query_noindex_total", "query requests refused because the stream carries no retrieval index"),
 		basisAccept:  reg.Counter("dpzd_basis_accept_total", "compressions that adopted a cached PCA basis after the quality guard"),
-		basisRefine:  reg.Counter("dpzd_basis_refine_total", "compressions that warm-started the eigensolve from a cached basis"),
-		basisCold:    reg.Counter("dpzd_basis_cold_total", "basis-reuse compressions that fitted cold (no usable candidate)"),
+		basisCold:    reg.Counter("dpzd_basis_cold_total", "basis-reuse compressions that fitted cold (no usable candidate, or the guard rejected it)"),
 		basisHits:    reg.Gauge("dpzd_basis_cache_hits", "basis cache lookups that found an entry"),
 		basisMisses:  reg.Gauge("dpzd_basis_cache_misses", "basis cache lookups that missed"),
 		basisEvicted: reg.Gauge("dpzd_basis_cache_evictions", "basis cache entries dropped by the LRU bound"),
@@ -429,8 +427,6 @@ func (s *Server) countBasisDecisions(sts ...dpz.Stats) {
 		switch st.BasisDecision {
 		case "accept":
 			s.basisAccept.Inc()
-		case "refine":
-			s.basisRefine.Inc()
 		case "cold":
 			s.basisCold.Inc()
 		}

@@ -53,8 +53,8 @@ type OptionSpec struct {
 	// ZLevel sets the zlib add-on level 1-9 (0 = zlib default).
 	ZLevel int
 	// BasisReuse enables the cross-tile PCA basis cache: similar tiles
-	// reuse or warm-start from an earlier tile's basis after a quality
-	// guard verifies the TVE target still holds.
+	// reuse an earlier tile's basis after a quality guard verifies the
+	// TVE target still holds, and fit cold otherwise.
 	BasisReuse bool
 	// Index controls the trailing retrieval-index section: "on" (format
 	// v3 with per-tile summaries, the default) or "off" (format v2,

@@ -10,7 +10,6 @@ import (
 	"math"
 
 	"dpz/internal/archive"
-	"dpz/internal/basiscache"
 	"dpz/internal/core"
 	"dpz/internal/parallel"
 	"dpz/internal/retrieval"
@@ -98,118 +97,36 @@ func CompressTiledContext(ctx context.Context, r io.Reader, dims []int, tileRows
 		return nil, err
 	}
 
-	// Split the worker budget: wt tiles in flight, each compressing with
-	// inner workers, so total goroutines stay near the budget whether the
-	// field has many small tiles or a few big ones.
-	wall := opts.Workers
-	if wall <= 0 {
-		wall = parallel.DefaultWorkers()
-	}
-	wt := min(wall, tiles)
-	inner := opts
-	inner.Workers = (wall + wt - 1) / wt
-
-	// Basis reuse: keys are computed and cache slots acquired in the
-	// sequential source stage below, so cache state evolves in tile order
-	// regardless of the worker count — the determinism contract. With no
-	// caller-provided cache the reuse scope is this call.
-	var cache *basiscache.Cache
-	var optFP uint64
-	if basisEligible(opts) {
-		if opts.BasisCache != nil {
-			cache = opts.BasisCache.c
-		} else {
-			cache = basiscache.New(0)
-		}
-		optFP = basisFingerprint(opts)
-	}
-	// A follower tile blocks until its leader publishes; if the pipeline
-	// fails elsewhere, the leader's job can be drained without ever
-	// running, so every failure path must cancel pctx to wake followers.
-	pctx, pcancel := context.WithCancel(ctx)
-	defer pcancel()
-
-	type tileJob struct {
-		t    int
-		rows int
-		raw  []byte
-		h    *basiscache.Handle
-	}
-	type tileRes struct {
-		stream []byte
-		stats  Stats
-	}
+	// The source reads each slab off r and widens it to float64 (exact
+	// for float32); the sink appends the streams in tile order and
+	// collects each tile's summary for the consolidated index.
 	br := bufio.NewReaderSize(r, 1<<20)
-	statsOut := make([]Stats, 0, tiles)
+	raw := make([]byte, 4*tileRows*rowValues)
+	read := func(t int) (archiveStream, error) {
+		rows := min(tileRows, dims[0]-t*tileRows)
+		buf := raw[:4*rows*rowValues]
+		if _, err := io.ReadFull(br, buf); err != nil {
+			return archiveStream{}, fmt.Errorf("dpz: reading tile %d: %w", t, err)
+		}
+		slab := make([]float64, rows*rowValues)
+		for i := range slab {
+			slab[i] = float64(math.Float32frombits(binary.LittleEndian.Uint32(buf[4*i:])))
+		}
+		return archiveStream{label: fmt.Sprintf("tile %d", t), data: slab, dims: append([]int{rows}, dims[1:]...)}, nil
+	}
 	tileSums := make([]retrieval.Summary, 0, tiles)
-	err = parallel.PipelineCtx(ctx, wt, tilePrefetch,
-		func(emit func(tileJob) bool) error {
-			for t := 0; t < tiles; t++ {
-				rows := tileRows
-				if t == tiles-1 {
-					rows = dims[0] - t*tileRows
-				}
-				raw := make([]byte, 4*rows*rowValues)
-				if _, err := io.ReadFull(br, raw); err != nil {
-					pcancel()
-					return fmt.Errorf("dpz: reading tile %d: %w", t, err)
-				}
-				var h *basiscache.Handle
-				if cache != nil {
-					slabDims := append([]int{rows}, dims[1:]...)
-					h = cache.Acquire(basiscache.KeyForRaw(dimsKey(slabDims), optFP, raw))
-				}
-				if !emit(tileJob{t: t, rows: rows, raw: raw, h: h}) {
-					if h != nil {
-						h.Fulfill(nil) // never dispatched: retract so nobody waits on it
-					}
-					return nil
-				}
+	sink := func(t int, stream []byte) error {
+		if err := aw.Append(tileName(t), stream); err != nil {
+			return err
+		}
+		if !opts.NoIndex {
+			if ix, err := core.ReadIndex(stream); err == nil && len(ix.Tiles) == 1 {
+				tileSums = append(tileSums, ix.Tiles[0])
 			}
-			return nil
-		},
-		func(j tileJob) (tileRes, error) {
-			done := false
-			defer func() {
-				if !done {
-					pcancel()
-				}
-			}()
-			slab := make([]float64, len(j.raw)/4)
-			for i := range slab {
-				slab[i] = float64(math.Float32frombits(binary.LittleEndian.Uint32(j.raw[4*i:])))
-			}
-			slabDims := append([]int{j.rows}, dims[1:]...)
-			var res *Result
-			var err error
-			if j.h != nil {
-				res, err = compressWithHandle(pctx, slab, slabDims, inner, j.h)
-			} else {
-				res, err = CompressFloat64Context(ctx, slab, slabDims, inner)
-			}
-			if err != nil {
-				return tileRes{}, fmt.Errorf("dpz: tile %d: %w", j.t, err)
-			}
-			done = true
-			return tileRes{stream: res.Data, stats: res.Stats}, nil
-		},
-		func(idx int, res tileRes) error {
-			if err := aw.Append(tileName(idx), res.stream); err != nil {
-				pcancel()
-				return err
-			}
-			statsOut = append(statsOut, res.stats)
-			// Collect the tile's summary for the consolidated archive
-			// index. The sink runs in tile order, so tileSums ends up in
-			// tile order for every worker count.
-			if !opts.NoIndex {
-				if ix, err := core.ReadIndex(res.stream); err == nil && len(ix.Tiles) == 1 {
-					tileSums = append(tileSums, ix.Tiles[0])
-				}
-			}
-			return nil
-		},
-	)
+		}
+		return nil
+	}
+	statsOut, err := compressStreams(ctx, tiles, tilePrefetch, opts, read, sink)
 	if err != nil {
 		return nil, err
 	}
