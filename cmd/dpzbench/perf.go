@@ -54,15 +54,18 @@ type perfRecord struct {
 
 // quality is a compressed stream's or archive's outcome: its compression
 // ratio, the PSNR of its full decode against the input, its component
-// count and whether Stage 2 standardized the features, with the bytes in
-// (4 per value) and out. For an archive, CR and the bytes cover the
-// whole archive, PSNR all of its decoded values, K is summed over its
-// streams and Standardized is set when any stream is.
+// count, whether Stage 2 standardized the features and the TVE its
+// components reached on the full data (Stats.TVEAchieved), with the
+// bytes in (4 per value) and out. For an archive, CR and the bytes cover
+// the whole archive, PSNR all of its decoded values, K is summed over
+// its streams, Standardized is set when any stream is and TVE is the
+// lowest of its streams'.
 type quality struct {
 	CR           float64 `json:"cr"`
 	PSNR         float64 `json:"psnr_db"`
 	K            int     `json:"k"`
 	Standardized bool    `json:"standardized"`
+	TVE          float64 `json:"tve"`
 	BytesIn      int     `json:"bytes_in"`
 	BytesOut     int     `json:"bytes_out"`
 }
@@ -78,6 +81,7 @@ func qualityOf(data []float64, res *dpz.Result) (*quality, error) {
 		PSNR:         dpz.PSNR(data, out),
 		K:            res.Stats.K,
 		Standardized: res.Stats.Standardized,
+		TVE:          res.Stats.TVEAchieved,
 		BytesIn:      res.Stats.OrigBytes,
 		BytesOut:     len(res.Data),
 	}, nil
@@ -91,10 +95,12 @@ func archiveQuality(data, out []float64, archiveBytes int, sts []dpz.Stats) *qua
 		PSNR:     dpz.PSNR(data, out),
 		BytesIn:  4 * len(data),
 		BytesOut: archiveBytes,
+		TVE:      1,
 	}
 	for _, st := range sts {
 		q.K += st.K
 		q.Standardized = q.Standardized || st.Standardized
+		q.TVE = min(q.TVE, st.TVEAchieved)
 	}
 	return q
 }

@@ -249,9 +249,11 @@ type Stats struct {
 	Blocks          int // M
 	BlockLen        int // N
 	K               int
-	TVEAchieved     float64
-	Standardized    bool
-	OutOfRange      int
+	// TVEAchieved is the share of the field's centered energy the K
+	// components keep, measured on the full data on every fit path.
+	TVEAchieved  float64
+	Standardized bool
+	OutOfRange   int
 
 	CRTotal   float64
 	CRStage12 float64
@@ -264,7 +266,8 @@ type Stats struct {
 	// Trace is where the compression's time went: decompose, dct, pca,
 	// quant and zlib at the top level, total around the whole call, and
 	// Stage 2's sampling, vif, guard, gram, eig and project under pca
-	// (each only when it ran).
+	// (each only when it ran). When basis reuse accepts a candidate,
+	// guard includes the stream's one projection and project is absent.
 	Trace Trace
 
 	// BasisDecision reports which path the basis-reuse layer took:
@@ -519,19 +522,11 @@ func EstimateCompressionFloat64(data []float64, dims []int, o Options) (*Estimat
 		return nil, err
 	}
 	transform.ForwardRows(blocks.Data(), shape.M, shape.N, o.Workers)
-	sp := sampling.Params{
-		S:    o.SamplingSubsets,
-		T:    o.SamplingPick,
-		SR:   o.SamplingRate,
-		TVE:  o.TVE,
-		Seed: o.Seed,
-	}
+	p := o.toCore()
+	sp := p.Sampling
+	sp.TVE, sp.Seed = o.TVE, o.Seed
 	if o.Selection == KneePoint {
-		fit := knee.Linear
-		if o.Fit == FitPoly {
-			fit = knee.Poly
-		}
-		sp.SelectK = func(curve []float64) int { return knee.Detect(curve, fit) }
+		sp.SelectK = func(curve []float64) int { return knee.Detect(curve, p.Fit) }
 	}
 	rep, err := sampling.Run(blocks.T(), sp)
 	if err != nil {

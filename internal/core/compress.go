@@ -27,7 +27,9 @@ type Stats struct {
 	OrigBytes       int // original size at 4 bytes/value (float32 basis)
 	CompressedBytes int
 
-	M, N, K      int
+	M, N, K int
+	// TVEAchieved is the share of the stream's centered energy its K
+	// components keep, measured on the full data on every fit path.
 	TVEAchieved  float64
 	Standardized bool
 	OutOfRange   int // Stage 3 escape literals
@@ -51,10 +53,11 @@ type Stats struct {
 	// at the top level, total around the whole call, and under pca the
 	// spans of Stage 2. Those are sampling (Algorithm 2's sampling.Run
 	// and the analyzed rows), vif (the auto-standardize probe), guard
-	// (the basis-reuse candidate check), gram (the fit's covariance),
-	// eig (its eigensolve, k selection included) and project (the
-	// projection onto the k retained components). A span that did not
-	// run is absent.
+	// (the basis-reuse candidate check; on accept it includes the
+	// stream's one projection), gram (the fit's covariance), eig (its
+	// eigensolve, k selection included) and project (the projection onto
+	// the k retained components, on cold and sampled paths only). A span
+	// that did not run is absent.
 	Trace metrics.Trace
 
 	Sampling *sampling.Report
@@ -259,24 +262,22 @@ func CompressContext(ctx context.Context, data []float64, dims []int, p Params) 
 	k := fit.K
 	st.K, st.Standardized = k, fit.Standardized
 	if ex := p.Basis; ex != nil {
-		ex.Decision, st.BasisDecision = fit.Reuse, fit.Reuse
+		st.BasisDecision = fit.Reuse
 		ex.Fitted = publishBasis(model, k, st.Standardized)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	tp := metrics.Now()
-	scores := model.TransformW(x, k, p.Workers)
-	tr.Add("project", pca.StageSpan, tp)
-	var kept float64
-	for i := 0; i < k && i < len(model.Eigenvalues); i++ {
-		kept += model.Eigenvalues[i]
+	// An accepted candidate arrives with its guard's projection, which is
+	// x's unless Algorithm 2 fitted a sample; all else projects x here.
+	proj := fit.Projection
+	if proj == nil || fitX != x {
+		tp := metrics.Now()
+		proj = model.Project(x, k, p.Workers)
+		tr.Add("project", pca.StageSpan, tp)
 	}
-	if model.TotalVar > 0 {
-		st.TVEAchieved = kept / model.TotalVar
-	} else {
-		st.TVEAchieved = 1
-	}
+	scores := proj.Scores
+	st.TVEAchieved = proj.TVE()
 	tr.Add(pca.StageSpan, "", t0)
 
 	// Stage 3: symmetric uniform quantization of the score stream. The
@@ -330,20 +331,14 @@ func CompressContext(ctx context.Context, data []float64, dims []int, p Params) 
 	// an error budget tied to the Stage 3 bound (see projcodec.go); each
 	// column becomes its own section next to its score stream.
 	t0 = metrics.Now()
-	proj := model.ProjectionMatrix(k)
-	// Per-rank coefficient energy for the retrieval index shares the
-	// existing scan over the score matrix; the serial row-major order keeps
-	// the sums byte-identical for every worker count.
+	dk := model.ProjectionMatrix(k)
+	// The retrieval index's per-rank coefficient energy is the
+	// projection's column energy, summed serially in row order, so it is
+	// byte-identical for every worker count.
 	colScale := make([]float64, k)
-	colEnergy := make([]float64, k)
 	for i := 0; i < shape.N; i++ {
-		row := scores.Row(i)
-		for j := 0; j < k; j++ {
-			v := row[j]
-			colEnergy[j] += v * v
-			if a := math.Abs(v); a > colScale[j] {
-				colScale[j] = a
-			}
+		for j, v := range scores.Row(i) {
+			colScale[j] = max(colScale[j], math.Abs(v))
 		}
 	}
 	// The per-entry budget is Pa/(2·√K·max|y_j|) with K the total kept
@@ -359,7 +354,7 @@ func CompressContext(ctx context.Context, data []float64, dims []int, p Params) 
 			scoreSecs[j] = encs[j].Marshal()
 		}
 		pc := scratch.Floats(shape.M)
-		proj.Col(j, pc)
+		dk.Col(j, pc)
 		if p.RawProjection {
 			projSecs[j] = float32Bytes(pc)
 		} else {
@@ -408,7 +403,7 @@ func CompressContext(ctx context.Context, data []float64, dims []int, p Params) 
 			Max:        maxV,
 			Mean:       sumV / nv,
 			RMS:        math.Sqrt(sumSq / nv),
-			RankEnergy: colEnergy,
+			RankEnergy: proj.ColEnergy,
 		}})
 	}
 	out, rawTotal, err := encodeContainer(ctx, h, scoreSecs, projSecs, float32Bytes(model.Means), scalesSec, indexSec, p.zlibLevel(), p.Workers)

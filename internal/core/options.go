@@ -133,16 +133,14 @@ type Params struct {
 }
 
 // BasisExchange carries a candidate PCA basis into a compression and the
-// fitted basis (plus the reuse decision taken) back out. It is a plain
-// data carrier: the caller owns lifetime and sharing.
+// fitted basis back out; Stats.BasisDecision reports the reuse decision.
+// It is a plain data carrier: the caller owns lifetime and sharing.
 type BasisExchange struct {
 	// Candidate is the basis offered to Stage 2's guard, or nil.
 	Candidate *pca.Basis
 	// Fitted is set on success to the leading components this
 	// compression used, in a form suitable as a future Candidate.
 	Fitted *pca.Basis
-	// Decision records which reuse path Stage 2 took.
-	Decision pca.ReuseDecision
 }
 
 // DPZL returns the paper's loose scheme: P = 1e-3 with 1-byte indexing.

@@ -5,9 +5,11 @@ import (
 	"compress/zlib"
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -318,11 +320,13 @@ func TestContainerSizedOnce(t *testing.T) {
 }
 
 // FuzzStoredZlib: any byte slice round-trips through storedZlib, and a
-// stream whose every section is stored passes Verify and inflates back
-// to its sections.
+// stream whose every section is stored inflates back to its sections.
+// The stream has M=1, so Verify passes it only when the means section
+// holds one float32 (4 bytes) and otherwise names "means" as damaged.
 func FuzzStoredZlib(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0})
+	f.Add([]byte{0, 0, 0x80, 0x3f}) // one float32: a well-sized means section
 	f.Add(bytes.Repeat([]byte{0xAB}, 1000))
 	f.Add(randomBytes(maxStoredBlock+3, 1))
 	f.Fuzz(func(t *testing.T, raw []byte) {
@@ -330,8 +334,13 @@ func FuzzStoredZlib(f *testing.F) {
 		h := header{dims: []int{2, 2}, origLen: 4, m: 1, n: 4, k: 1}
 		secs := [][]byte{raw, raw, raw} // means, rank 0 scores, rank 0 projection
 		stream, _ := writeContainer(h, secs, [][]byte{payload, payload, payload}, nil)
-		if err := Verify(stream); err != nil {
+		err := Verify(stream)
+		var ce *CorruptionError
+		switch {
+		case len(raw) == 4 && err != nil:
 			t.Fatalf("Verify: %v", err)
+		case len(raw) != 4 && (!errors.As(err, &ce) || !slices.Equal(ce.Sections, []string{"means"})):
+			t.Fatalf("Verify of a %d-byte means section with M=1: %v, want a corruption naming means", len(raw), err)
 		}
 		walked, inflated := inflatedSections(t, stream)
 		for i := range walked.secs {

@@ -165,7 +165,7 @@ func TestStageTrace(t *testing.T) {
 		{"standardize off", compress(off).Stats.Trace, stage1 + "gram/pca eig/pca project/pca" + stage3},
 		{"sampled", compress(sampled).Stats.Trace, stage1 + "sampling/pca gram/pca eig/pca project/pca" + stage3},
 		{"reuse cold", cold.Stats.Trace, stage1 + "vif/pca gram/pca eig/pca project/pca" + stage3},
-		{"reuse accept", accept.Stats.Trace, stage1 + "vif/pca guard/pca project/pca" + stage3},
+		{"reuse accept", accept.Stats.Trace, stage1 + "vif/pca guard/pca" + stage3},
 		{"reuse reject", reject.Stats.Trace, stage1 + "vif/pca guard/pca gram/pca eig/pca project/pca" + stage3},
 		{"diagnostics", compress(diag).Stats.Trace, stage1 + fit + stage3},
 		{"full decode", decode(0), decomp},

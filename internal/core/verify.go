@@ -38,13 +38,22 @@ func (e *CorruptionError) Error() string {
 // order and the number of leading ranks that are intact along with the
 // side data. A section whose checksum fails, whose declared sizes derail
 // the walk, or whose payload does not inflate to its declared length is
-// damaged; bytes after the last section add "container framing". The
+// damaged, and so is side data or a raw float32 projection not 4·M
+// bytes long; bytes after the last section add "container framing". The
 // v3 index is checksummed and its lengths compared but, being stored
 // raw, never inflated.
 func (d *decoder) scan() (raw [][]byte, bad []string, intact int) {
 	// A Background context never cancels, so inflate cannot fail as a
 	// whole; damage is reported per section in errs.
 	raw, errs, _ := d.inflate(context.Background(), 0, d.ndata())
+	// Side data and raw float32 projection columns hold M float32s.
+	side := d.sectionsThrough(0)
+	for s, b := range raw {
+		fixed := s < side || (s-side)%2 == 1 && d.h.flags&flagRawProj != 0
+		if errs[s] == nil && fixed && len(b) != 4*d.h.m {
+			errs[s] = fmt.Errorf("core: section %d (%s) holds %d bytes, want %d", s, d.sectionName(s), len(b), 4*d.h.m)
+		}
+	}
 	for s, sec := range d.secs {
 		damaged := sec.err != nil
 		if s < len(errs) {
@@ -59,7 +68,7 @@ func (d *decoder) scan() (raw [][]byte, bad []string, intact int) {
 	if d.trailing != 0 {
 		bad = append(bad, "container framing")
 	}
-	if firstErr(errs[:d.sectionsThrough(0)]) != nil {
+	if firstErr(errs[:side]) != nil {
 		return raw, bad, 0
 	}
 	for intact < d.h.k {
@@ -80,9 +89,10 @@ func (d *decoder) scan() (raw [][]byte, bad []string, intact int) {
 // the damaged sections, the ones DecompressBestEffort would name. v1
 // streams carry no checksums; they are walked and inflated (the zlib
 // layer's own framing is the only integrity signal available) and the
-// first failure is returned as is. Payloads are not dequantized, so a
-// nil from Verify means every section Decompress reads is intact as
-// written, not that a faulty writer wrote decodable sections.
+// first failure is returned as is. Side data must hold M float32s, but
+// payloads are not dequantized, so a nil from Verify means every section
+// Decompress reads is intact as written, not that a faulty writer wrote
+// decodable sections.
 func Verify(buf []byte) error {
 	d, err := newDecoder(buf, 0)
 	if err != nil {

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"slices"
 	"testing"
 
 	"dpz/internal/stats"
@@ -305,6 +306,65 @@ func TestVerifyCatchesRawLenDamage(t *testing.T) {
 			}
 			if _, _, err := Decompress(context.Background(), bad, 1, 0, nil); err == nil {
 				t.Fatalf("%s rawLen+%d: Decompress accepted the stream", name, add)
+			}
+		}
+	}
+}
+
+// TestVerifyChecksSideDataSizes: the means, the scales and a raw float32
+// projection column each hold exactly M float32s. A well-framed section
+// one float short or long passes its checksum and inflates, yet no
+// decoder can use it, so Verify and best-effort both name it.
+func TestVerifyChecksSideDataSizes(t *testing.T) {
+	f := smoothField()
+	p := DPZS()
+	p.TVE = NinesTVE(7)
+	p.Standardize = StandardizeOn
+	p.RawProjection = true
+	c, err := Compress(f.Data, f.Dims, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := Verify(c.Bytes); err != nil {
+		t.Fatalf("clean stream: %v", err)
+	}
+	cont := splitSections(inflatedSections(t, c.Bytes))
+	if cont.scales == nil || cont.h.k < 2 {
+		t.Fatalf("test stream needs scales and K >= 2, has K=%d", cont.h.k)
+	}
+	for _, resize := range []func([]byte) []byte{
+		func(b []byte) []byte { return b[:len(b)-4] },
+		func(b []byte) []byte { return append(slices.Clone(b), 0, 0, 0, 0) },
+	} {
+		for _, name := range []string{"means", "scales", "rank 1 projection"} {
+			sec := cont
+			sec.proj = slices.Clone(cont.proj)
+			switch name {
+			case "means":
+				sec.means = resize(cont.means)
+			case "scales":
+				sec.scales = resize(cont.scales)
+			default:
+				sec.proj[1] = resize(cont.proj[1])
+			}
+			bad, _, err := encodeContainer(context.Background(), sec.h, sec.scores, sec.proj, sec.means, sec.scales, sec.index, -1, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var ce *CorruptionError
+			if err := Verify(bad); !errors.As(err, &ce) || !slices.Equal(ce.Sections, []string{name}) {
+				t.Fatalf("%s of %d bytes: Verify = %v, want a corruption naming it", name, 4*cont.h.m, err)
+			}
+			_, _, err = DecompressBestEffort(bad, 1)
+			if !errors.As(err, &ce) || !slices.Equal(ce.Sections, []string{name}) {
+				t.Fatalf("%s: best effort = %v, want a corruption naming it", name, err)
+			}
+			want := 0 // no rank decodes without the side data
+			if name == "rank 1 projection" {
+				want = 1
+			}
+			if ce.RecoveredRank != want {
+				t.Fatalf("%s: recovered rank %d, want %d", name, ce.RecoveredRank, want)
 			}
 		}
 	}

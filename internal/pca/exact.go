@@ -123,6 +123,10 @@ type FitReport struct {
 	Standardized bool // whether the fit ran on standardized features
 	// Reuse is the path FitReuse took; ReuseOff from FitExact.
 	Reuse ReuseDecision
+	// Projection is, on ReuseAccept, the fitted rows' projection onto the
+	// K selected components, measured on every row; nil on every other
+	// path, whose caller projects with Model.Project.
+	Projection *Projection
 }
 
 // StageSpan is the span the fits' own spans are part of in a compress

@@ -149,43 +149,93 @@ func (m *Model) KForTVE(tve float64) int {
 // ProjectionMatrix returns the M×k matrix of the k leading eigenvectors.
 // k must not exceed the number of components the model holds.
 func (m *Model) ProjectionMatrix(k int) *mat.Dense {
-	mfeat := m.NumFeatures()
-	_, avail := m.Components.Dims()
-	if k < 1 || k > avail {
+	if avail := m.Components.Cols(); k < 1 || k > avail {
 		panic(fmt.Sprintf("pca: k=%d out of range [1,%d]", k, avail))
 	}
-	d := mat.NewDense(mfeat, k)
-	for j := 0; j < k; j++ {
-		for i := 0; i < mfeat; i++ {
-			d.Set(i, j, m.Components.At(i, j))
-		}
+	d := mat.NewDense(m.NumFeatures(), k)
+	for i := range d.Rows() {
+		copy(d.Row(i), m.Components.Row(i)[:k])
 	}
 	return d
 }
 
 // Transform projects x (rows = samples, cols = M features) onto the k
 // leading components, returning the rows × k score matrix Y = (X−μ)·D_k.
-// It is TransformW with no worker bound (GOMAXPROCS).
+// It is Project's scores with no worker bound (GOMAXPROCS).
 func (m *Model) Transform(x *mat.Dense, k int) *mat.Dense {
-	return m.TransformW(x, k, 0)
+	return m.Project(x, k, 0).Scores
 }
 
-// TransformW is Transform with an explicit worker bound (0 = GOMAXPROCS).
-// The centered intermediate runs through pooled scratch storage and the
-// product through mat.GemmInto, whose bits do not depend on the worker
-// count.
-func (m *Model) TransformW(x *mat.Dense, k, workers int) *mat.Dense {
+// Project projects x onto the k leading components and measures the
+// result on every row of x. The worker bound (0 = GOMAXPROCS) never
+// changes a bit.
+func (m *Model) Project(x *mat.Dense, k, workers int) *Projection {
+	return project(mat.NewDense(x.Rows(), k), x, m.Means, m.Scales, m.ProjectionMatrix(k), workers)
+}
+
+// Projection is data projected onto a basis, measured on every row: the
+// scores Y = X_c·Q of the centered (and optionally scaled) data X_c, each
+// score column's energy Σ_i y_ij², and the energy ‖X_c‖²_F of X_c.
+type Projection struct {
+	Scores    *mat.Dense
+	ColEnergy []float64
+	Energy    float64
+}
+
+// TVE is the share of the centered energy the score columns keep (Eq. 2
+// measured on the data, not read off eigenvalues): 1 for constant data,
+// and capped at 1 against rounding in a k = M projection.
+func (p *Projection) TVE() float64 {
+	if p.Energy <= 0 {
+		return 1
+	}
+	var kept float64
+	for _, e := range p.ColEnergy {
+		kept += e
+	}
+	return min(kept/p.Energy, 1)
+}
+
+// gather returns the projection onto the listed columns of p's basis, in
+// that order, copying the scores out of p's storage. Each score depends
+// only on its row of X_c and its basis column, so the result is bit for
+// bit the projection onto those columns.
+func (p *Projection) gather(cols []int) *Projection {
+	g := &Projection{Scores: mat.NewDense(p.Scores.Rows(), len(cols)), Energy: p.Energy}
+	for _, j := range cols {
+		g.ColEnergy = append(g.ColEnergy, p.ColEnergy[j])
+	}
+	for i := range g.Scores.Rows() {
+		src, dst := p.Scores.Row(i), g.Scores.Row(i)
+		for newJ, oldJ := range cols {
+			dst[newJ] = src[oldJ]
+		}
+	}
+	return g
+}
+
+// project is Stage 2's one projection. It centers x (minus means, divided
+// by scales when non-nil) into pooled scratch once, forms X_c·q into
+// scores (x.Rows() × q.Cols()) with mat.GemmInto, whose bits do not
+// depend on the worker count, and measures both: ‖X_c‖²_F summed in
+// row-major order and each score column's energy summed down its rows.
+func project(scores, x *mat.Dense, means, scales []float64, q *mat.Dense, workers int) *Projection {
 	r, c := x.Dims()
-	if c != m.NumFeatures() {
-		panic("pca: Transform feature-count mismatch")
+	if c != len(means) || q.Rows() != c {
+		panic("pca: projection feature-count mismatch")
 	}
 	buf := scratch.Floats(r * c)
 	defer scratch.PutFloats(buf)
 	centered := mat.NewDenseData(r, c, buf)
-	centerInto(centered, x, m.Means, m.Scales)
-	out := mat.NewDense(r, k)
-	mat.GemmInto(out, centered, m.ProjectionMatrix(k), workers)
-	return out
+	p := &Projection{Scores: scores, ColEnergy: make([]float64, q.Cols())}
+	p.Energy = centerInto(centered, x, means, scales)
+	mat.GemmInto(scores, centered, q, workers)
+	for i := 0; i < r; i++ {
+		for j, v := range scores.Row(i) {
+			p.ColEnergy[j] += v * v
+		}
+	}
+	return p
 }
 
 // InverseTransform reconstructs X̂ = Y·D_kᵀ·diag(scale) + μ from scores.
@@ -213,8 +263,9 @@ func (m *Model) Reconstruct(x *mat.Dense, k int) *mat.Dense {
 }
 
 // centerInto writes the centered (and optionally scaled) copy of x into
-// out, which must share x's shape and is fully overwritten.
-func centerInto(out, x *mat.Dense, means, scales []float64) {
+// out, which must share x's shape and is fully overwritten, and returns
+// the copy's energy ‖out‖²_F summed in row-major order.
+func centerInto(out, x *mat.Dense, means, scales []float64) (energy float64) {
 	r, c := x.Dims()
 	for i := 0; i < r; i++ {
 		src := x.Row(i)
@@ -225,6 +276,8 @@ func centerInto(out, x *mat.Dense, means, scales []float64) {
 				v /= scales[j]
 			}
 			dst[j] = v
+			energy += v * v
 		}
 	}
+	return energy
 }

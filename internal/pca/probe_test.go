@@ -196,7 +196,7 @@ func TestTransformMatchesMulInto(t *testing.T) {
 		}
 		var ref *mat.Dense
 		for _, w := range []int{1, 2, 8} {
-			got := m.TransformW(x, s.k, w)
+			got := m.Project(x, s.k, w).Scores
 			if ref == nil {
 				ref = got
 				for i, v := range got.Data() {

@@ -87,14 +87,14 @@ func (b *Basis) usable(x *mat.Dense, opts Options) bool {
 // since the candidate must match a standardization mode known up front.
 // It takes one of two paths:
 //
-//  1. Accept: with a usable candidate and a TVE target, a deterministic
-//     row sample of x is centered and projected onto the candidate; if
-//     the sampled captured-energy fraction reaches the target, the
-//     candidate's captured variance is verified EXACTLY on the full data
-//     via per-column Rayleigh quotients (cost O(N·M·k), skipping both
-//     the O(N·M²) covariance build and the O(M³) eigensolve). On success
-//     the candidate is adopted (ReuseAccept) with its columns re-ranked
-//     by measured variance: K of them at a fixed K, otherwise all.
+//  1. Accept: with a usable candidate and a TVE target, a row sample of
+//     x projected onto the candidate pre-filters it; if it passes, the
+//     full data is projected onto every candidate column once and each
+//     column's variance is measured exactly (O(N·M·k), skipping the
+//     O(N·M²) covariance and the O(M³) eigensolve). An adopted candidate
+//     (ReuseAccept) keeps its columns re-ranked by measured variance, K
+//     of them at a fixed K, otherwise all, and FitReport.Projection
+//     carries x's scores on the K selected, so nothing projects twice.
 //  2. Cold: otherwise — no usable candidate, no TVE target, a candidate
 //     narrower than K, or a guard rejection — FitExact(x, sel, opts, tr)
 //     runs (ReuseCold), and its model is the reuse-disabled path's, bit
@@ -104,8 +104,9 @@ func (b *Basis) usable(x *mat.Dense, opts Options) bool {
 // adopted.
 //
 // tr (nil for none) receives guard under StageSpan, the candidate check
-// from the means to the accept decision, whenever the guard runs, and
-// FitExact's spans on the cold path.
+// from the means to the accept decision (on accept, the projection
+// included), whenever the guard runs, and FitExact's spans on the cold
+// path.
 //
 // The decision is a pure function of x, sel, opts and the candidate —
 // nothing timing- or worker-dependent enters it. With a TVE target the
@@ -129,15 +130,13 @@ func FitReuse(x *mat.Dense, sel Selection, opts Options, cand *Basis, tr *metric
 		if opts.Standardize {
 			m.Scales = mat.ColStds(x, m.Means)
 		}
-		accepted := guardSample(x, m.Means, m.Scales, cand.Q, sel.TVE, opts.Workers) &&
-			acceptExact(m, x, cand.Q, keep, sel.TVE, opts.Workers)
+		var proj *Projection
+		if guardSample(x, m, cand.Q, sel.TVE, opts.Workers) {
+			proj = acceptExact(m, x, cand.Q, sel, keep, opts.Workers)
+		}
 		tr.Add("guard", StageSpan, t0)
-		if accepted {
-			rep := FitReport{K: sel.K, Standardized: opts.Standardize, Reuse: ReuseAccept}
-			if rep.K == 0 {
-				rep.K = m.KForTVE(sel.TVE)
-			}
-			return m, rep, nil
+		if proj != nil {
+			return m, FitReport{K: proj.Scores.Cols(), Standardized: opts.Standardize, Reuse: ReuseAccept, Projection: proj}, nil
 		}
 	}
 	m, rep, err := FitExact(x, sel, opts, tr)
@@ -145,18 +144,14 @@ func FitReuse(x *mat.Dense, sel Selection, opts Options, cand *Basis, tr *metric
 	return m, rep, err
 }
 
-// guardSample is the cheap pre-filter: center a deterministic, evenly
-// spaced row sample of x and test whether projecting it onto q keeps at
-// least the target fraction of its energy. It only decides whether the
-// exact full-data verification is worth running; acceptance is never
-// granted on the sample alone.
-func guardSample(x *mat.Dense, means, scales []float64, q *mat.Dense, target float64, workers int) bool {
+// guardSample is the cheap pre-filter: project a deterministic, evenly
+// spaced row sample of x onto q, centered with m's means and scales, and
+// test whether it keeps at least the target fraction of the sample's
+// energy. It only decides whether the exact full-data verification is
+// worth running; acceptance is never granted on the sample alone.
+func guardSample(x *mat.Dense, m *Model, q *mat.Dense, target float64, workers int) bool {
 	r, c := x.Dims()
-	kc := q.Cols()
-	rs := r
-	if rs > guardSampleRows {
-		rs = guardSampleRows
-	}
+	rs := min(r, guardSampleRows)
 	if 2*rs >= r {
 		// The sample would cost at least half the exact check: skip the
 		// pre-filter and let acceptExact decide outright.
@@ -168,111 +163,58 @@ func guardSample(x *mat.Dense, means, scales []float64, q *mat.Dense, target flo
 	for i := 0; i < rs; i++ {
 		copy(sample.Row(i), x.Row(i*r/rs))
 	}
-	centerInto(sample, sample, means, scales)
-	var total float64
-	for _, v := range sbuf {
-		total += v * v
-	}
-	if total <= 0 {
-		// Degenerate (constant) sample: let the exact check decide.
-		return true
-	}
-	ybuf := scratch.Floats(rs * kc)
+	ybuf := scratch.Floats(rs * q.Cols())
 	defer scratch.PutFloats(ybuf)
-	y := mat.NewDenseData(rs, kc, ybuf)
-	mat.MulInto(y, sample, q, workers)
-	var captured float64
-	for _, v := range ybuf {
-		captured += v * v
-	}
-	return captured/total >= target
+	p := project(mat.NewDenseData(rs, q.Cols(), ybuf), sample, m.Means, m.Scales, q, workers)
+	// A degenerate (constant) sample reads TVE 1 and leaves the decision
+	// to the exact check.
+	return p.TVE() >= target
 }
 
-// measureRayleigh is the measurement core of the exact acceptance guard:
-// it projects the full centered data onto q and returns each column's
-// captured variance (the Rayleigh quotient λ̂_j = ‖X_c q_j‖²/(r−1); q
-// orthonormal makes Σλ̂ exactly the variance the projection preserves)
-// together with the exact total variance of x. m supplies the means and
-// scales; nothing else on m is read or written.
-func measureRayleigh(m *Model, x *mat.Dense, q *mat.Dense, workers int) (lam []float64, totalVar float64) {
-	r, c := x.Dims()
-	kc := q.Cols()
-	cbuf := scratch.Floats(r * c)
-	defer scratch.PutFloats(cbuf)
-	centered := mat.NewDenseData(r, c, cbuf)
-	centerInto(centered, x, m.Means, m.Scales)
-	den := float64(r - 1)
-	if den <= 0 {
-		den = 1
-	}
-	for _, v := range cbuf {
-		totalVar += v * v
-	}
-	totalVar /= den
-
+// acceptExact is the exact acceptance check. It projects the full data
+// onto every column of q once and measures each column's Rayleigh
+// quotient λ̂_j = Σ_i y_ij²/(r−1) against the total ‖X_c‖²_F/(r−1), and
+// adopts q iff its keep best-measured columns reach sel.TVE of it. Then
+// m takes those columns, re-ranked, as components, the measurements as
+// eigenvalues and the total as TotalVar, and the return is x's scores
+// on the k leading ones (sel.K, else the fewest reaching sel.TVE),
+// gathered from the one product. A rejection returns nil, m untouched.
+func acceptExact(m *Model, x, q *mat.Dense, sel Selection, keep, workers int) *Projection {
+	r, kc := x.Rows(), q.Cols()
 	ybuf := scratch.Floats(r * kc)
 	defer scratch.PutFloats(ybuf)
-	y := mat.NewDenseData(r, kc, ybuf)
-	mat.MulInto(y, centered, q, workers)
-	lam = make([]float64, kc)
-	for i := 0; i < r; i++ {
-		row := y.Row(i)
-		for j, v := range row {
-			lam[j] += v * v
-		}
+	full := project(mat.NewDenseData(r, kc, ybuf), x, m.Means, m.Scales, q, workers)
+	den := float64(r - 1)
+	lam := make([]float64, kc)
+	order := make([]int, kc)
+	for j, e := range full.ColEnergy {
+		lam[j], order[j] = e/den, j
 	}
-	for j := range lam {
-		lam[j] /= den
-	}
-	return lam, totalVar
-}
-
-// rankByVariance returns the column order sorted by descending measured
-// variance (stable: ties keep candidate order).
-func rankByVariance(lam []float64) []int {
-	order := make([]int, len(lam))
-	for i := range order {
-		order[i] = i
-	}
+	// Descending measured variance; ties keep the candidate's order.
 	sort.SliceStable(order, func(a, b int) bool { return lam[order[a]] > lam[order[b]] })
-	return order
-}
-
-// adoptColumns installs the keep best-measured columns of q into m as its
-// components, re-ranked by measured variance, with the measurements as
-// eigenvalues and the exact total variance.
-func adoptColumns(m *Model, q *mat.Dense, lam []float64, order []int, keep int, totalVar float64) {
-	vals := make([]float64, keep)
-	comp := mat.NewDense(q.Rows(), keep)
-	for newJ := 0; newJ < keep; newJ++ {
-		oldJ := order[newJ]
-		vals[newJ] = lam[oldJ]
-		for i := 0; i < q.Rows(); i++ {
-			comp.Set(i, newJ, q.At(i, oldJ))
+	order = order[:keep]
+	var captured float64
+	for _, j := range order {
+		captured += lam[j]
+	}
+	totalVar := full.Energy / den
+	if totalVar > 0 && captured/totalVar < sel.TVE {
+		return nil
+	}
+	m.Components = mat.NewDense(q.Rows(), keep)
+	for i := range q.Rows() {
+		row := m.Components.Row(i)
+		for newJ, oldJ := range order {
+			row[newJ] = q.At(i, oldJ)
 		}
 	}
-	m.Eigenvalues = vals
-	m.Components = comp
+	for _, j := range order {
+		m.Eigenvalues = append(m.Eigenvalues, lam[j])
+	}
 	m.TotalVar = totalVar
-}
-
-// acceptExact runs the exact acceptance check: measure every candidate
-// column's Rayleigh quotient on the full data and adopt the basis iff the
-// keep columns with the largest measured variance still reach the target
-// fraction of the total. On success the model's components are q's
-// columns re-ranked by measured variance (truncated to keep), its
-// eigenvalues are the measurements, and true is returned; on failure the
-// model's Eigenvalues/Components/TotalVar are left unset.
-func acceptExact(m *Model, x *mat.Dense, q *mat.Dense, keep int, target float64, workers int) bool {
-	lam, totalVar := measureRayleigh(m, x, q, workers)
-	order := rankByVariance(lam)
-	var captured float64
-	for j := 0; j < keep; j++ {
-		captured += lam[order[j]]
+	k := sel.K
+	if k == 0 {
+		k = m.KForTVE(sel.TVE)
 	}
-	if totalVar > 0 && captured/totalVar < target {
-		return false
-	}
-	adoptColumns(m, q, lam, order, keep, totalVar)
-	return true
+	return full.gather(order[:k])
 }

@@ -400,3 +400,54 @@ func FuzzFitReuseMeetsTarget(f *testing.F) {
 		t.Logf("fixedK=%v decision=%v k=%d exact=%d", fixedK, tr.Reuse, k, exact.K)
 	})
 }
+
+// TestAcceptedScoresArePlainProjection: on accept FitReuse hands over
+// the projection onto its K selected columns, gathered from its one
+// product with every candidate column. Each score depends only on its
+// row and its basis column, so the gather must equal Transform of the
+// adopted model bit for bit, at every worker count. The candidate's
+// columns come reversed, so the re-ranking reorders them.
+func TestAcceptedScoresArePlainProjection(t *testing.T) {
+	const target = 0.999
+	x := lowRankField(600, 48, 6, 1e-3, 21)
+	for _, c := range []struct {
+		name        string
+		fixedK, std bool
+	}{
+		{"tve", false, false},
+		{"fixed k", true, false},
+		{"standardized", false, true},
+	} {
+		ref, rep, err := FitExact(x, Selection{TVE: target, Extra: BasisMargin}, Options{Standardize: c.std}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sel := Selection{TVE: target}
+		if c.fixedK {
+			sel.K = rep.K
+		}
+		kc := min(rep.K+BasisMargin, ref.Components.Cols())
+		q := mat.NewDense(48, kc)
+		for j := 0; j < kc; j++ {
+			for i := 0; i < 48; i++ {
+				q.Set(i, j, ref.Components.At(i, kc-1-j))
+			}
+		}
+		for _, w := range []int{1, 2, 8} {
+			m, rep, err := FitReuse(x, sel, Options{Standardize: c.std, Workers: w}, &Basis{Q: q, Standardized: c.std}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Reuse != ReuseAccept || rep.Projection == nil {
+				t.Fatalf("%s w%d: decision %v with projection %v, want an accept with scores", c.name, w, rep.Reuse, rep.Projection)
+			}
+			got, want := rep.Projection, m.Project(x, rep.K, 1)
+			if got.Scores.Cols() != rep.K || !sameFloatBits(got.Scores.Data(), m.Transform(x, rep.K).Data()) {
+				t.Fatalf("%s w%d: accepted scores differ from Transform of the adopted model", c.name, w)
+			}
+			if !sameFloatBits(got.ColEnergy, want.ColEnergy) || math.Float64bits(got.Energy) != math.Float64bits(want.Energy) {
+				t.Fatalf("%s w%d: accepted energies %v / %v, projection's %v / %v", c.name, w, got.ColEnergy, got.Energy, want.ColEnergy, want.Energy)
+			}
+		}
+	}
+}
