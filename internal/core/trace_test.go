@@ -152,7 +152,8 @@ func TestStageTrace(t *testing.T) {
 	const (
 		stage1 = "decompose/ dct/ "
 		stage3 = " pca/ quant/ zlib/ total/"
-		fit    = "gram/pca vif/pca eig/pca project/pca"
+		eig    = "reduce/eig values/eig vectors/eig eig/pca"
+		fit    = "gram/pca vif/pca " + eig + " project/pca"
 		decomp = "inflate/ inflate/ dequant/ recompose/ total/"
 	)
 	for _, c := range []struct {
@@ -162,11 +163,11 @@ func TestStageTrace(t *testing.T) {
 	}{
 		{"default", compress(DPZL()).Stats.Trace, stage1 + fit + stage3},
 		{"knee", compress(knee).Stats.Trace, stage1 + fit + stage3},
-		{"standardize off", compress(off).Stats.Trace, stage1 + "gram/pca eig/pca project/pca" + stage3},
-		{"sampled", compress(sampled).Stats.Trace, stage1 + "sampling/pca gram/pca eig/pca project/pca" + stage3},
-		{"reuse cold", cold.Stats.Trace, stage1 + "vif/pca gram/pca eig/pca project/pca" + stage3},
+		{"standardize off", compress(off).Stats.Trace, stage1 + "gram/pca " + eig + " project/pca" + stage3},
+		{"sampled", compress(sampled).Stats.Trace, stage1 + "sampling/pca gram/pca " + eig + " project/pca" + stage3},
+		{"reuse cold", cold.Stats.Trace, stage1 + "vif/pca gram/pca " + eig + " project/pca" + stage3},
 		{"reuse accept", accept.Stats.Trace, stage1 + "vif/pca guard/pca" + stage3},
-		{"reuse reject", reject.Stats.Trace, stage1 + "vif/pca guard/pca gram/pca eig/pca project/pca" + stage3},
+		{"reuse reject", reject.Stats.Trace, stage1 + "vif/pca guard/pca gram/pca " + eig + " project/pca" + stage3},
 		{"diagnostics", compress(diag).Stats.Trace, stage1 + fit + stage3},
 		{"full decode", decode(0), decomp},
 		{"preview", decode(2), decomp},

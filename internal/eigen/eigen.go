@@ -8,14 +8,18 @@
 // (symmetric positive semi-definite, typically a few hundred to a few
 // thousand features) it converges in a handful of sweeps per eigenvalue.
 //
-// Every O(n³) inner loop walks contiguous memory: tred2's mat-vec sweeps
-// rows of the row-major workspace, the accumulation builds each column
-// of Q as a contiguous row of a packed stripe, and the QL rotations are
-// replayed on contiguous rows of the transposed accumulator, split into
-// one private stripe per worker (vectors.go). Each floating-point
-// operation and its order are those of the textbook column-walking
-// loops, so the results are bit-identical to them for every worker
-// count.
+// Every O(n³) inner loop walks contiguous memory: the blocked reduction
+// (reduce.go) forms each column's mat-vec in one pass over rows of the
+// row-major workspace and updates the leading triangle once per panel,
+// the accumulation builds each column of Q as a contiguous row of a
+// packed stripe, and the QL rotations are replayed on contiguous rows of
+// the transposed accumulator, split into one private stripe per worker
+// (vectors.go). The order of every floating-point operation is fixed by
+// n alone, so results are bit-identical for every worker count and
+// across SymEig, SymEigValues, SymEigTopK's accumulation route and
+// TopK's dense side. They agree with the textbook tred2/tqli loops
+// (reference_test.go) to within round-off, not bit for bit: the blocked
+// reduction sums in another order.
 package eigen
 
 import (
@@ -66,7 +70,7 @@ func SymEig(a *mat.Dense) (*System, error) {
 	defer scratch.PutFloats(d)
 	e := scratch.Floats(n) // off-diagonal
 	defer scratch.PutFloats(e)
-	tred2Reduce(z, h, e)
+	reduce(z, h, e)
 	tred2Diagonal(z, d)
 	q := make([]float64, n*n)
 	rows, err := accumulatedVectors(z, h, d, e, q, 1)
@@ -104,132 +108,13 @@ func SymEigValues(a *mat.Dense) ([]float64, error) {
 	d := make([]float64, n)
 	e := scratch.Floats(n)
 	defer scratch.PutFloats(e)
-	tred2Reduce(work, d, e)
+	reduce(work, d, e)
 	tred2Diagonal(work, d)
 	if err := tqli(d, e, nil); err != nil {
 		return nil, err
 	}
 	sort.Sort(sort.Reverse(sort.Float64Slice(d)))
 	return d, nil
-}
-
-// tred2Reduce reduces the symmetric n×n row-major matrix a (lower
-// triangle read) to tridiagonal form with Householder reflections. On
-// return e holds the sub-diagonal (e[0] is zero) and d[i] the scalar H
-// of reflector i, P_i = I − u·uᵀ/H, whose Householder vector u is stored
-// in row i of a left of the diagonal (zero when step i needed no
-// reflection). The upper triangle holds u/H by columns, and the diagonal
-// of a is the diagonal of the tridiagonal matrix (see tred2Diagonal).
-// The orthogonal transform is Q = P_{n-1}···P_1, with QᵀAQ tridiagonal;
-// accumulatedVectors and backTransform apply it.
-func tred2Reduce(a, d, e []float64) {
-	n := len(d)
-	for i := n - 1; i >= 1; i-- {
-		l := i - 1
-		ai := a[i*n : i*n+i] // row i left of the diagonal: the Householder vector u
-		var h, scale float64
-		if l > 0 {
-			for _, v := range ai {
-				scale += math.Abs(v)
-			}
-			if scale == 0 {
-				e[i] = ai[l]
-			} else {
-				for k := range ai {
-					ai[k] /= scale
-					h += ai[k] * ai[k]
-				}
-				f := ai[l]
-				g := math.Sqrt(h)
-				if f > 0 {
-					g = -g
-				}
-				e[i] = scale * g
-				h -= f * g
-				ai[l] = f - g
-				// p = A·u/h from the lower triangle, in row sweeps: each
-				// e[j] first sums its own row (k <= j), then gains the
-				// column terms (k > j) in ascending k, the summation order
-				// of the column-walking formulation. The row dots run four
-				// rows per sweep over u, each row with its own ascending-k
-				// accumulator, so the blocking changes no bits.
-				for j := range ai {
-					a[j*n+i] = ai[j] / h
-				}
-				rowDots(a, n, ai, e)
-				for k := 1; k <= l; k++ {
-					uk := ai[k]
-					row := a[k*n : k*n+k]
-					p := e[:len(row)]
-					for j, v := range row {
-						p[j] += v * uk
-					}
-				}
-				f = 0
-				for j := range ai {
-					e[j] /= h
-					f += e[j] * ai[j]
-				}
-				hh := f / (h + h)
-				for j := range ai {
-					f = ai[j]
-					g = e[j] - hh*f
-					e[j] = g
-					row := a[j*n : j*n+j+1]
-					q, u := e[:len(row)], ai[:len(row)]
-					for k := range row {
-						row[k] -= f*q[k] + g*u[k]
-					}
-				}
-			}
-		} else {
-			e[i] = ai[l]
-		}
-		d[i] = h
-	}
-	d[0] = 0
-	e[0] = 0
-}
-
-// rowDots sets e[j] = Σ_{k≤j} a[j][k]·u[k] for every j < len(u), reading
-// the lower triangle of the row-major n×n a. Rows go four per sweep over
-// u: the shared prefix k ≤ j0 feeds four accumulators, and rows j0+1..j0+3
-// then finish their own short tails. Each e[j] is still one accumulator
-// over ascending k, the single-row loop's sequence, bit for bit.
-func rowDots(a []float64, n int, u, e []float64) {
-	m := len(u)
-	j := 0
-	for ; j+4 <= m; j += 4 {
-		r0 := a[j*n : j*n+j+1]
-		r1 := a[(j+1)*n : (j+1)*n+j+2]
-		r2 := a[(j+2)*n : (j+2)*n+j+3]
-		r3 := a[(j+3)*n : (j+3)*n+j+4]
-		uu := u[:len(r0)]
-		var s0, s1, s2, s3 float64
-		for k, x := range uu {
-			s0 += r0[k] * x
-			s1 += r1[k] * x
-			s2 += r2[k] * x
-			s3 += r3[k] * x
-		}
-		u1, u2, u3 := u[j+1], u[j+2], u[j+3]
-		s1 += r1[j+1] * u1
-		s2 += r2[j+1] * u1
-		s2 += r2[j+2] * u2
-		s3 += r3[j+1] * u1
-		s3 += r3[j+2] * u2
-		s3 += r3[j+3] * u3
-		e[j], e[j+1], e[j+2], e[j+3] = s0, s1, s2, s3
-	}
-	for ; j < m; j++ {
-		row := a[j*n : j*n+j+1]
-		uu := u[:len(row)]
-		var g float64
-		for k, v := range row {
-			g += v * uu[k]
-		}
-		e[j] = g
-	}
 }
 
 // tred2Diagonal copies the tridiagonal's diagonal out of the reduced a.

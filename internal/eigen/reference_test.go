@@ -2,9 +2,13 @@ package eigen
 
 // Frozen copies of the eigensolver kernels as they were before the
 // cache-friendly rewrite: the column-walking tred2/tqli and the separate
-// eigenvalues-only tred2Values/tqliValues. They are the bit-identity
-// oracle for the production kernels, which must reproduce every output
-// bit of these on any input. Do not edit them.
+// eigenvalues-only tred2Values/tqliValues. They are the textbook oracle
+// for the production kernels. The blocked reduction sums in another
+// order, so the production eigenpairs are held within a round-off
+// tolerance of these (nearReference); tqli is unchanged and must still
+// reproduce refTqli and refTqliValues bit for bit. Across routes and
+// worker counts the production solver stays bit-identical to itself.
+// Do not edit the ref* kernels.
 
 import (
 	"fmt"
@@ -73,8 +77,14 @@ func blockDiagonal(rng *rand.Rand) *mat.Dense {
 // synthetic CESM field: blocks are its rows, DCT-transformed, with the
 // DCT coefficient positions as samples.
 func dctBlockCovariance(t testing.TB, name string, seed int64) *mat.Dense {
+	return dctCovariance(t, name, 256, 512, seed)
+}
+
+// dctCovariance is dctBlockCovariance for a rows×cols field, whose
+// covariance has order rows.
+func dctCovariance(t testing.TB, name string, rows, cols int, seed int64) *mat.Dense {
 	t.Helper()
-	f := dataset.CESM(name, 256, 512, seed)
+	f := dataset.CESM(name, rows, cols, seed)
 	shape, err := blockio.ShapeFor(f.Dims, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -102,6 +112,74 @@ func sameBits(a, b []float64) int {
 	return -1
 }
 
+// oracleTol is the round-off tolerance of the production solver against
+// the textbook oracle on a: 64·n·ε·‖A‖₁, and 64·n·ε for orthonormality.
+func oracleTol(a *mat.Dense) (tol, orthTol float64) {
+	n, _ := a.Dims()
+	var norm1 float64
+	for j := 0; j < n; j++ {
+		var s float64
+		for i := 0; i < n; i++ {
+			s += math.Abs(a.At(i, j))
+		}
+		norm1 = max(norm1, s)
+	}
+	orthTol = 64 * float64(n) * 0x1p-52
+	return orthTol * norm1, orthTol
+}
+
+// nearReference checks the leading k pairs of got against the oracle's
+// want on a: eigenvalues within oracleTol, eigen-equation residuals
+// ‖Av − λv‖₂ within it and orthonormality within 64·n·ε.
+//
+// Signs are not compared. The QL sweep fixes each vector's sign through
+// its rotation sequence, and on a tridiagonal that differs from the
+// reference's only by round-off (with the same sign pattern) that
+// sequence can negate a vector however well separated its eigenvalue:
+// on random-256 five of the six smallest pairs, 0.4–1.5 apart, come out
+// negated. The reference's sign is a property of its summation order,
+// not of the eigenvector. Within this solver the sign is pinned:
+// inverse iteration adopts the accumulation route's sign
+// (TestSymEigTopKVectorsMatchSymEig), and the routes and worker counts
+// agree bit for bit.
+func nearReference(t *testing.T, name string, a *mat.Dense, want, got *System, k int) {
+	t.Helper()
+	n, _ := a.Dims()
+	tol, orthTol := oracleTol(a)
+	for i := 0; i < k; i++ {
+		if d := math.Abs(got.Values[i] - want.Values[i]); !(d <= tol) {
+			t.Errorf("%s: eigenvalue %d is %g from the reference, tolerance %g", name, i, d, tol)
+			return
+		}
+	}
+	cols := make([][]float64, k)
+	for j := range cols {
+		cols[j] = got.Vectors.Col(j, make([]float64, n))
+		av := mat.MulVec(a, cols[j])
+		mat.Axpy(av, cols[j], -got.Values[j])
+		if r := math.Sqrt(mat.Dot(av, av)); !(r <= tol) {
+			t.Errorf("%s: pair %d has residual %g, tolerance %g", name, j, r, tol)
+			return
+		}
+	}
+	for i := range cols {
+		for j := 0; j <= i; j++ {
+			g := mat.Dot(cols[i], cols[j])
+			if i == j {
+				g--
+			}
+			if !(math.Abs(g) <= orthTol) {
+				t.Errorf("%s: vectors %d and %d are orthonormal to %g, tolerance %g", name, i, j, math.Abs(g), orthTol)
+				return
+			}
+		}
+	}
+}
+
+// TestSymEigBitIdenticalToReference: SymEig's eigenpairs are within
+// round-off of the frozen textbook solver's (nearReference) on every
+// oracle case; its bits are pinned across routes and workers by
+// TestSymEigTopKWorkersBitIdenticalToReference.
 func TestSymEigBitIdenticalToReference(t *testing.T) {
 	for name, a := range oracleCases(t) {
 		want, err := refSymEig(a)
@@ -112,15 +190,14 @@ func TestSymEigBitIdenticalToReference(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if i := sameBits(got.Values, want.Values); i != -1 {
-			t.Errorf("%s: eigenvalues differ from the reference at %d", name, i)
-		}
-		if i := sameBits(got.Vectors.Data(), want.Vectors.Data()); i != -1 {
-			t.Errorf("%s: eigenvectors differ from the reference at %d", name, i)
-		}
+		n, _ := a.Dims()
+		nearReference(t, name, a, want, got, n)
 	}
 }
 
+// TestSymEigValuesBitIdenticalToReference: SymEigValues's eigenvalues
+// are SymEig's bit for bit and within round-off of the frozen
+// eigenvalues-only solver's.
 func TestSymEigValuesBitIdenticalToReference(t *testing.T) {
 	for name, a := range oracleCases(t) {
 		want, err := refSymEigValues(a)
@@ -131,8 +208,18 @@ func TestSymEigValuesBitIdenticalToReference(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if i := sameBits(got, want); i != -1 {
-			t.Errorf("%s: eigenvalues differ from the reference at %d", name, i)
+		full, err := SymEig(a)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if i := sameBits(got, full.Values); i != -1 {
+			t.Errorf("%s: eigenvalues differ from SymEig's at %d", name, i)
+		}
+		tol, _ := oracleTol(a)
+		for i := range want {
+			if d := math.Abs(got[i] - want[i]); !(d <= tol) {
+				t.Errorf("%s: eigenvalue %d is %g from the reference, tolerance %g", name, i, d, tol)
+			}
 		}
 	}
 }
@@ -199,21 +286,27 @@ func stripesOf(zt []float64, rows []int) []float64 {
 }
 
 // TestSymEigTopKWorkersBitIdenticalToReference: the accumulation route
-// (forced for every count by a zero crossover) returns the frozen
-// SymEig's eigenvalues and leading eigenvectors bit for bit at every
-// worker count. The oracle cases include n ∈ {1, 2, 3}, where eight
-// workers become n and some column stripes are empty, and the
-// block-diagonal matrix, whose zero reflectors the accumulation skips.
+// (forced for every count by a zero crossover) returns SymEig's
+// eigenvalues and leading eigenvectors bit for bit at every worker
+// count, and those are within round-off of the frozen solver's. The
+// oracle cases include n ∈ {1, 2, 3}, where eight workers become n and
+// some column stripes are empty, and the block-diagonal matrix, whose
+// zero reflectors the accumulation skips.
 func TestSymEigTopKWorkersBitIdenticalToReference(t *testing.T) {
 	for name, a := range oracleCases(t) {
-		want, err := refSymEig(a)
+		ref, err := refSymEig(a)
 		if err != nil {
 			t.Fatalf("%s: reference: %v", name, err)
 		}
+		want, err := SymEig(a)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
 		n, _ := a.Dims()
+		nearReference(t, name, a, ref, want, n)
 		for _, workers := range []int{1, 2, 8} {
 			for _, k := range []int{1, n/2 + 1, n} {
-				got, inverse, err := symEigTopK(a, fixedCount(k), workers, 0, topKGuardTol)
+				got, inverse, err := symEigTopK(a, fixedCount(k), workers, 0, topKGuardTol, nil)
 				if err != nil {
 					t.Fatalf("%s workers=%d k=%d: %v", name, workers, k, err)
 				}
@@ -225,7 +318,7 @@ func TestSymEigTopKWorkersBitIdenticalToReference(t *testing.T) {
 				}
 				assertLeadingColumnsBitIdentical(t, fmt.Sprintf("%s workers=%d", name, workers), want, got, k)
 			}
-			got, err := SymEigTopK(a, fixedCount(n), workers)
+			got, err := SymEigTopK(a, fixedCount(n), workers, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -237,29 +330,35 @@ func TestSymEigTopKWorkersBitIdenticalToReference(t *testing.T) {
 }
 
 // TestTopKDenseAboveHalfIsReference: TopK's dense side at k > n/2 takes
-// SymEigTopK's accumulation route, so its k pairs are the frozen
-// solver's leading pairs bit for bit, at every worker count.
+// SymEigTopK's accumulation route, so its k pairs are SymEig's leading
+// pairs bit for bit at every worker count, and within round-off of the
+// frozen solver's.
 func TestTopKDenseAboveHalfIsReference(t *testing.T) {
 	for name, a := range oracleCases(t) {
 		n, _ := a.Dims()
 		k := n/2 + 1
-		want, err := refSymEig(a)
+		ref, err := refSymEig(a)
 		if err != nil {
 			t.Fatalf("%s: reference: %v", name, err)
 		}
+		want, err := SymEig(a)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
 		for _, w := range []int{1, 2, 8} {
-			got, err := TopK(a, k, 1, w)
+			got, err := TopK(a, k, 1, w, nil)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
 			if i := sameBits(got.Values, want.Values[:k]); i != -1 {
-				t.Fatalf("%s workers=%d: eigenvalue %d differs from the reference", name, w, i)
+				t.Fatalf("%s workers=%d: eigenvalue %d differs from SymEig's", name, w, i)
 			}
 			for j := 0; j < k; j++ {
 				if i := sameBits(got.Vectors.Col(j, nil), want.Vectors.Col(j, nil)); i != -1 {
-					t.Fatalf("%s workers=%d: column %d differs from the reference at row %d", name, w, j, i)
+					t.Fatalf("%s workers=%d: column %d differs from SymEig's at row %d", name, w, j, i)
 				}
 			}
+			nearReference(t, fmt.Sprintf("%s workers=%d", name, w), a, ref, got, k)
 		}
 	}
 }
@@ -277,7 +376,7 @@ func TestSymEigDoesNotModifyInput(t *testing.T) {
 	}
 	for _, workers := range []int{1, 2} {
 		for _, k := range []int{3, 31} { // inverse iteration, accumulation
-			if _, _, err := symEigTopK(a, fixedCount(k), workers, 15, topKGuardTol); err != nil {
+			if _, _, err := symEigTopK(a, fixedCount(k), workers, 15, topKGuardTol, nil); err != nil {
 				t.Fatal(err)
 			}
 		}

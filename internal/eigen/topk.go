@@ -6,6 +6,7 @@ import (
 	"math/rand"
 
 	"dpz/internal/mat"
+	"dpz/internal/metrics"
 	"dpz/internal/scratch"
 )
 
@@ -22,8 +23,10 @@ const maxSubspaceSweeps = 40
 // vectors and splits them across workers.
 //
 // seed makes the random starting subspace reproducible; workers bounds
-// the parallelism (0 = GOMAXPROCS) and never changes a bit.
-func TopK(a *mat.Dense, k int, seed int64, workers int) (*System, error) {
+// the parallelism (0 = GOMAXPROCS) and never changes a bit. tr (nil for
+// none) receives the dense side's spans (see SymEigTopK); the iteration
+// records none.
+func TopK(a *mat.Dense, k int, seed int64, workers int, tr *metrics.Trace) (*System, error) {
 	n, err := checkTopK(a, k)
 	if err != nil {
 		return nil, err
@@ -31,7 +34,7 @@ func TopK(a *mat.Dense, k int, seed int64, workers int) (*System, error) {
 	// The dense solver's O(n³) beats subspace iteration's O(n²·k·iters)
 	// unless n is large and k a small fraction of it; route accordingly.
 	if n <= 256 || k > n/8 {
-		return leading(a, k, workers)
+		return leading(a, k, workers, tr)
 	}
 	p := subspaceWidth(n, k)
 	qbuf := scratch.Floats(n * p)
@@ -65,8 +68,8 @@ func checkTopK(a *mat.Dense, k int) (int, error) {
 // leading is the dense route: SymEigTopK at the fixed count k, keeping
 // the k leading eigenvalues with their vectors. Above SymEigTopK's
 // crossover (k > n/2) the pairs are SymEig's bit for bit.
-func leading(a *mat.Dense, k, workers int) (*System, error) {
-	sys, err := SymEigTopK(a, func([]float64) int { return k }, workers)
+func leading(a *mat.Dense, k, workers int, tr *metrics.Trace) (*System, error) {
+	sys, err := SymEigTopK(a, func([]float64) int { return k }, workers, tr)
 	if err != nil {
 		return nil, err
 	}
@@ -138,7 +141,7 @@ func rayleighRitz(a, q *mat.Dense, workers int) (*System, error) {
 		}
 	}
 	// All p pairs: the accumulation route, SymEig's bits.
-	ssys, err := leading(small, p, workers)
+	ssys, err := leading(small, p, workers, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -33,7 +33,7 @@ func TestTopKMatchesFullDecomposition(t *testing.T) {
 	}
 	a := spdWithSpectrum(vals, 91)
 	for _, k := range []int{1, 3, 10} {
-		sys, err := TopK(a, k, 7, 0)
+		sys, err := TopK(a, k, 7, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -58,7 +58,7 @@ func TestTopKMatchesFullDecomposition(t *testing.T) {
 
 func TestTopKSmallMatrixUsesDensePath(t *testing.T) {
 	a := spdWithSpectrum([]float64{5, 3, 1}, 92)
-	sys, err := TopK(a, 2, 1, 0)
+	sys, err := TopK(a, 2, 1, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,13 +69,13 @@ func TestTopKSmallMatrixUsesDensePath(t *testing.T) {
 
 func TestTopKValidation(t *testing.T) {
 	a := mat.NewDense(4, 4)
-	if _, err := TopK(a, 0, 1, 0); err == nil {
+	if _, err := TopK(a, 0, 1, 0, nil); err == nil {
 		t.Fatal("expected error for k=0")
 	}
-	if _, err := TopK(a, 5, 1, 0); err == nil {
+	if _, err := TopK(a, 5, 1, 0, nil); err == nil {
 		t.Fatal("expected error for k>n")
 	}
-	if _, err := TopK(mat.NewDense(2, 3), 1, 1, 0); err == nil {
+	if _, err := TopK(mat.NewDense(2, 3), 1, 1, 0, nil); err == nil {
 		t.Fatal("expected error for non-square")
 	}
 }
@@ -86,7 +86,7 @@ func TestTopKOrthonormalColumns(t *testing.T) {
 		vals[i] = 1 / float64(i+1)
 	}
 	a := spdWithSpectrum(vals, 93)
-	sys, err := TopK(a, 6, 3, 0)
+	sys, err := TopK(a, 6, 3, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestTopKAgreesWithSymEigRandomized(t *testing.T) {
 					if k > n/8 && n > 256 {
 						continue // would route dense anyway; covered by small n
 					}
-					sys, err := TopK(a, k, 7, 0)
+					sys, err := TopK(a, k, 7, 0, nil)
 					if err != nil {
 						t.Fatal(err)
 					}

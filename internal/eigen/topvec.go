@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"dpz/internal/mat"
+	"dpz/internal/metrics"
 	"dpz/internal/parallel"
 	"dpz/internal/scratch"
 )
@@ -73,20 +74,29 @@ const (
 // 1 starts no goroutine) and never changes a bit. Each worker gets at
 // least minStripeRows rows, so a small matrix runs on one. The reduction
 // and the eigenvalue sweep are serial.
-func SymEigTopK(a *mat.Dense, count func(values []float64) int, workers int) (*System, error) {
+//
+// tr (nil for none) receives three spans under StageSpan: reduce (the
+// Householder reduction), values (the eigenvalue sweep, the sort and
+// count) and vectors (inverse iteration and the back-transform, or the
+// accumulation and the rotation replay).
+func SymEigTopK(a *mat.Dense, count func(values []float64) int, workers int, tr *metrics.Trace) (*System, error) {
 	n, _ := a.Dims()
 	if workers <= 0 {
 		workers = parallel.DefaultWorkers()
 	}
 	workers = max(1, min(workers, n/minStripeRows))
-	sys, _, err := symEigTopK(a, count, workers, n*topKInverseMaxNum/topKInverseMaxDen, topKGuardTol)
+	sys, _, err := symEigTopK(a, count, workers, n*topKInverseMaxNum/topKInverseMaxDen, topKGuardTol, tr)
 	return sys, err
 }
+
+// StageSpan is the span SymEigTopK's spans are part of in a compress
+// trace: the Stage 2 fit's eigensolve.
+const StageSpan = "eig"
 
 // symEigTopK is SymEigTopK with the crossover (the largest vector count
 // inverse iteration serves) and the guard tolerance as parameters. It
 // also reports whether the vectors came from inverse iteration.
-func symEigTopK(a *mat.Dense, count func(values []float64) int, workers, maxInverse int, tol float64) (sys *System, inverse bool, err error) {
+func symEigTopK(a *mat.Dense, count func(values []float64) int, workers, maxInverse int, tol float64, tr *metrics.Trace) (sys *System, inverse bool, err error) {
 	r, c := a.Dims()
 	if r != c {
 		return nil, false, fmt.Errorf("eigen: non-square input %dx%d", r, c)
@@ -95,6 +105,7 @@ func symEigTopK(a *mat.Dense, count func(values []float64) int, workers, maxInve
 	if n == 0 {
 		return &System{Values: nil, Vectors: mat.NewDense(0, 0)}, false, nil
 	}
+	t0 := metrics.Now()
 	z := scratch.Floats(n * n)
 	defer scratch.PutFloats(z)
 	copy(z, a.Data())
@@ -104,14 +115,16 @@ func symEigTopK(a *mat.Dense, count func(values []float64) int, workers, maxInve
 	defer scratch.PutFloats(e)
 	d := scratch.Floats(n)
 	defer scratch.PutFloats(d)
-	tred2Reduce(z, h, e)
+	reduce(z, h, e)
 	tred2Diagonal(z, d)
+	tr.Add("reduce", StageSpan, t0)
 
 	// Eigenvalues first, on copies: d and e stay the tridiagonal. The
 	// rotations also carry the last column of the accumulator, which
 	// both Q and the tridiagonal basis leave as e_{n-1}: it ends holding
 	// the last component of each of SymEig's eigenvectors, whose signs
 	// the inverse-iteration vectors then adopt.
+	t0 = metrics.Now()
 	vals := make([]float64, n)
 	copy(vals, d)
 	ev := scratch.Floats(n)
@@ -122,11 +135,15 @@ func symEigTopK(a *mat.Dense, count func(values []float64) int, workers, maxInve
 	last[n-1] = 1
 	err = tqli(vals, ev, func(i int, s, c float64) { rotateRows(last, 1, i, s, c) })
 	if err != nil {
+		tr.Add("values", StageSpan, t0)
 		return nil, false, err
 	}
 	order := descendingOrder(vals)
 	sort.Sort(sort.Reverse(sort.Float64Slice(vals)))
 	kv := min(max(count(vals), 0), n)
+	tr.Add("values", StageSpan, t0)
+	t0 = metrics.Now()
+	defer func() { tr.Add("vectors", StageSpan, t0) }()
 	if kv == 0 {
 		return &System{Values: vals, Vectors: mat.NewDense(n, 0)}, false, nil
 	}
@@ -289,7 +306,7 @@ func tridiagonalGuard(d, e, vals, wt []float64, onenrm, tol float64) bool {
 
 // backTransform maps the tridiagonal eigenvectors in the rows of the
 // kv×n wt to eigenvectors of the original matrix, v = Q·w with
-// Q = P_{n-1}···P_1, by applying the reflectors tred2Reduce left in the
+// Q = P_{n-1}···P_1, by applying the reflectors reduce left in the
 // rows of z (scalars in h) innermost first: each is a dot and an axpy
 // over its prefix of every row. The rows are split into contiguous
 // groups, one per worker; each row sees the same operations in any

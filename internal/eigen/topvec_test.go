@@ -42,7 +42,7 @@ func TestSymEigTopKValuesBitIdentical(t *testing.T) {
 			sys, err := SymEigTopK(a, func(vals []float64) int {
 				seen = append([]float64(nil), vals...)
 				return k
-			}, 2)
+			}, 2, nil)
 			if err != nil {
 				t.Fatalf("%s k=%d: %v", name, k, err)
 			}
@@ -79,7 +79,7 @@ func TestSymEigTopKVectorsMatchSymEig(t *testing.T) {
 			norm = max(norm, math.Abs(v))
 		}
 		k := topKCounts(n)[len(topKCounts(n))-1]
-		got, err := SymEigTopK(a, fixedCount(k), 1)
+		got, err := SymEigTopK(a, fixedCount(k), 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -130,7 +130,7 @@ func TestSymEigTopKResidualAndOrthogonality(t *testing.T) {
 	for name, a := range oracleCases(t) {
 		n, _ := a.Dims()
 		for _, k := range topKCounts(n) {
-			sys, inverse, err := symEigTopK(a, fixedCount(k), 1, n*topKInverseMaxNum/topKInverseMaxDen, topKGuardTol)
+			sys, inverse, err := symEigTopK(a, fixedCount(k), 1, n*topKInverseMaxNum/topKInverseMaxDen, topKGuardTol, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -183,12 +183,12 @@ func TestSymEigTopKInverseWorkersBitIdentical(t *testing.T) {
 	for name, a := range oracleCases(t) {
 		n, _ := a.Dims()
 		for _, k := range topKCounts(n) {
-			want, _, err := symEigTopK(a, fixedCount(k), 1, n, topKGuardTol)
+			want, _, err := symEigTopK(a, fixedCount(k), 1, n, topKGuardTol, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, workers := range []int{2, 8} {
-				got, _, err := symEigTopK(a, fixedCount(k), workers, n, topKGuardTol)
+				got, _, err := symEigTopK(a, fixedCount(k), workers, n, topKGuardTol, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -213,7 +213,7 @@ func TestSymEigTopKAboveCrossoverIsSymEig(t *testing.T) {
 		if k > n {
 			continue
 		}
-		got, err := SymEigTopK(a, fixedCount(k), 1)
+		got, err := SymEigTopK(a, fixedCount(k), 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -232,7 +232,7 @@ func TestSymEigTopKGuardFallback(t *testing.T) {
 		}
 		n, _ := a.Dims()
 		k := min(n, 5)
-		got, inverse, err := symEigTopK(a, fixedCount(k), 1, n, -1)
+		got, inverse, err := symEigTopK(a, fixedCount(k), 1, n, -1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -259,17 +259,17 @@ func assertLeadingColumnsBitIdentical(t *testing.T, name string, full, got *Syst
 }
 
 func TestSymEigTopKEdgeCases(t *testing.T) {
-	if _, err := SymEigTopK(mat.NewDense(2, 3), fixedCount(1), 1); err == nil {
+	if _, err := SymEigTopK(mat.NewDense(2, 3), fixedCount(1), 1, nil); err == nil {
 		t.Fatal("non-square input accepted")
 	}
-	sys, err := SymEigTopK(mat.NewDense(0, 0), fixedCount(1), 1)
+	sys, err := SymEigTopK(mat.NewDense(0, 0), fixedCount(1), 1, nil)
 	if err != nil || len(sys.Values) != 0 {
 		t.Fatalf("empty input: %v, %v", sys, err)
 	}
 	// Counts clamp to [0, n]; zero vectors still returns the spectrum.
 	a := randomSymmetric(6, rand.New(rand.NewSource(7)))
 	for _, tc := range []struct{ ask, want int }{{-3, 0}, {0, 0}, {9, 6}} {
-		sys, err := SymEigTopK(a, fixedCount(tc.ask), 1)
+		sys, err := SymEigTopK(a, fixedCount(tc.ask), 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -280,7 +280,7 @@ func TestSymEigTopKEdgeCases(t *testing.T) {
 	// The zero matrix has no scale to iterate against: the accumulation
 	// route answers, with SymEig's identity basis.
 	z := mat.NewDense(4, 4)
-	sys, err = SymEigTopK(z, fixedCount(2), 1)
+	sys, err = SymEigTopK(z, fixedCount(2), 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,12 +292,12 @@ func TestSymEigTopKEdgeCases(t *testing.T) {
 // solves agree bit for bit.
 func TestSymEigTopKDeterministic(t *testing.T) {
 	a := dctBlockCovariance(t, "PHIS", 2003)
-	first, err := SymEigTopK(a, fixedCount(42), 1)
+	first, err := SymEigTopK(a, fixedCount(42), 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		again, err := SymEigTopK(a, fixedCount(42), 1)
+		again, err := SymEigTopK(a, fixedCount(42), 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -319,7 +319,7 @@ func ExampleSymEigTopK() {
 			k++
 		}
 		return k
-	}, 1)
+	}, 1, nil)
 	_, k := sys.Vectors.Dims()
 	fmt.Printf("%d values, %d vectors\n", len(sys.Values), k)
 	// Output: 3 values, 2 vectors

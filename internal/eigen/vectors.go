@@ -16,7 +16,7 @@ import (
 // workers than on one (docs/PERFORMANCE.md §15).
 
 // accumulatedVectors finishes a reduction the way SymEig does. z holds
-// the reflectors tred2Reduce left (scalars in h), d and e the
+// the reflectors reduce left (scalars in h), d and e the
 // tridiagonal. Q is accumulated from the reflectors into q (n·n floats,
 // dead on return, so the caller can reuse it for the result) and every
 // QL rotation of the tridiagonal is applied to it, in min(workers, n)

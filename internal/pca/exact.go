@@ -156,7 +156,8 @@ const StageSpan = "pca"
 // means, the centered Gram and, when standardizing, the scaling to a
 // correlation matrix), vif (the standardize probe: the correlation
 // scaling and LowLinearity's bound-first Cholesky, only when it runs)
-// and eig (the eigensolve, k selection included).
+// and eig (the eigensolve, k selection included), and under eig the
+// eigensolver's reduce, values and vectors (see eigen.SymEigTopK).
 func FitExact(x *mat.Dense, sel Selection, opts Options, tr *metrics.Trace) (*Model, FitReport, error) {
 	var rep FitReport
 	r, c := x.Dims()
@@ -199,7 +200,7 @@ func FitExact(x *mat.Dense, sel Selection, opts Options, tr *metrics.Trace) (*Mo
 	if sel.K > 0 {
 		rep.K = sel.K
 		m.TotalVar = trace(cov)
-		sys, err = eigen.TopK(cov, min(sel.K+max(sel.Extra, 0), c), opts.Seed, opts.Workers)
+		sys, err = eigen.TopK(cov, min(sel.K+max(sel.Extra, 0), c), opts.Seed, opts.Workers, tr)
 	} else {
 		sys, err = eigen.SymEigTopK(cov, func(vals []float64) int {
 			spec := slices.Clone(vals)
@@ -216,9 +217,9 @@ func FitExact(x *mat.Dense, sel Selection, opts Options, tr *metrics.Trace) (*Mo
 			}
 			rep.K = min(max(rep.K, 1), c)
 			return min(rep.K+max(sel.Extra, 0), c)
-		}, opts.Workers)
+		}, opts.Workers, tr)
 	}
-	tr.Add("eig", StageSpan, t0)
+	tr.Add(eigen.StageSpan, StageSpan, t0)
 	if err != nil {
 		return nil, rep, fmt.Errorf("pca: eigendecomposition failed: %w", err)
 	}

@@ -161,7 +161,7 @@ func TestFitExactAutoStandardize(t *testing.T) {
 	if tr.Standardized || m.Scales != nil {
 		t.Fatal("collinear features were standardized")
 	}
-	if got := spanNames(spans); got != "gram/pca vif/pca eig/pca" {
+	if got := spanNames(spans); got != "gram/pca vif/pca reduce/eig values/eig vectors/eig eig/pca" {
 		t.Fatalf("spans %q, want the Gram, the probe and the eigensolve", got)
 	}
 
@@ -171,7 +171,7 @@ func TestFitExactAutoStandardize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := spanNames(spans); tr.Standardized || got != "gram/pca eig/pca" {
+	if got := spanNames(spans); tr.Standardized || got != "gram/pca reduce/eig values/eig vectors/eig eig/pca" {
 		t.Fatalf("probe ran without AutoStandardize: %+v, spans %q", tr, got)
 	}
 }
