@@ -47,7 +47,7 @@ func run(args []string, out io.Writer) error {
 		zlevel     = fs.Int("zlevel", 0, "zlib add-on level 1-9 (0 = zlib default)")
 		verify     = fs.Bool("verify", false, "after -z, decompress and report PSNR/θ")
 		bestEffort = fs.Bool("best-effort", false, "with -d, salvage a partial reconstruction from a corrupt stream")
-		index      = fs.String("index", "on", "with -z, write the retrieval index section: on or off (off = v2 stream, byte-identical to older releases)")
+		index      = fs.String("index", "on", "with -z, write the retrieval index section: on or off (off = v2 stream, which v2-era releases also decode)")
 		ranks      = fs.Int("ranks", 0, "with -d, decode only the leading N components (progressive preview; 0 = all)")
 	)
 	if err := fs.Parse(args); err != nil {

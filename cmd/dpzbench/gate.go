@@ -26,10 +26,12 @@ const gateStageFloorNs = 50_000_000
 
 // Quality bounds: a compress record's CR may not fall by more than
 // gateCRDropPct percent of the baseline's, nor its PSNR by more than
-// gatePSNRDropDB.
+// gatePSNRDropDB, and neither its max abs error nor its θ may rise by
+// more than gateErrRisePct percent of a baseline that carries them.
 const (
 	gateCRDropPct  = 1.0
 	gatePSNRDropDB = 0.1
+	gateErrRisePct = 1.0
 )
 
 // gateDelta is one gated comparison's outcome.
@@ -93,8 +95,8 @@ func compareBaseline(path string, report perfReport, maxRegress float64, out io.
 			len(offenders), maxRegress, path, offenders[0].Name, offenders[0].Percent)
 	}
 	if len(lost) > 0 {
-		return fmt.Errorf("%d record(s) lost more than %.1f%% CR or %.2f dB PSNR vs %s: %v",
-			len(lost), gateCRDropPct, gatePSNRDropDB, path, lost)
+		return fmt.Errorf("%d record(s) lost more than %.1f%% CR or %.2f dB PSNR, or rose more than %.1f%% in max abs error or θ, vs %s: %v",
+			len(lost), gateCRDropPct, gatePSNRDropDB, gateErrRisePct, path, lost)
 	}
 	fmt.Fprintf(out, "gate: %d comparison(s) within %.1f%% of %s\n", len(deltas), maxRegress, path)
 	return nil
@@ -123,11 +125,13 @@ func droppedRecords(base, cur *perfReport) []string {
 }
 
 // qualityLosses prints a "quality:" line for every record whose CR,
-// PSNR, output bytes, k or standardize bit differs from the baseline's,
-// and returns "<name> w<workers>" for each one whose CR or PSNR fell
-// beyond the quality bounds. Records without quality on either side
-// (baselines written before records carried it) are skipped, and so are
-// the byte counts of a baseline written before quality carried them.
+// PSNR, errors, output bytes, k or standardize bit differs from the
+// baseline's, naming the errors only when the baseline carries them, and
+// returns "<name> w<workers>" for each one whose CR, PSNR or errors moved
+// beyond the quality bounds. Records without quality
+// on either side (baselines written before records carried it) are
+// skipped, and so are the byte counts and errors of a baseline written
+// before quality carried them.
 func qualityLosses(base, cur *perfReport, out io.Writer) []string {
 	old := make(map[recordKey]*quality, len(base.Records))
 	for _, r := range base.Records {
@@ -143,17 +147,29 @@ func qualityLosses(base, cur *perfReport, out io.Writer) []string {
 		if same.BytesOut == 0 { // a baseline without byte counts
 			same.BytesIn, same.BytesOut = q.BytesIn, q.BytesOut
 		}
+		// A lossy decode always errs somewhere, so a zero max abs error
+		// is a baseline written before quality carried the errors.
+		errs := b.MaxAbsErr > 0
+		if !errs {
+			same.MaxAbsErr, same.Theta = q.MaxAbsErr, q.Theta
+		}
 		if same == *q {
 			continue
 		}
 		id := fmt.Sprintf("%s w%d", r.Name, r.Workers)
 		status := "ok"
-		if q.CR < b.CR*(1-gateCRDropPct/100) || q.PSNR < b.PSNR-gatePSNRDropDB {
+		rise := 1 + gateErrRisePct/100
+		if q.CR < b.CR*(1-gateCRDropPct/100) || q.PSNR < b.PSNR-gatePSNRDropDB ||
+			errs && (q.MaxAbsErr > b.MaxAbsErr*rise || q.Theta > b.Theta*rise) {
 			status = "QUALITY LOSS"
 			lost = append(lost, id)
 		}
-		fmt.Fprintf(out, "quality: %s cr %.4f -> %.4f, psnr %.3f -> %.3f dB, bytes_out %d -> %d, k %d -> %d, standardized %v -> %v  %s\n",
-			id, b.CR, q.CR, b.PSNR, q.PSNR, b.BytesOut, q.BytesOut, b.K, q.K, b.Standardized, q.Standardized, status)
+		var errLine string
+		if errs {
+			errLine = fmt.Sprintf(" max_abs_err %.6g -> %.6g, theta %.6g -> %.6g,", b.MaxAbsErr, q.MaxAbsErr, b.Theta, q.Theta)
+		}
+		fmt.Fprintf(out, "quality: %s cr %.4f -> %.4f, psnr %.3f -> %.3f dB,%s bytes_out %d -> %d, k %d -> %d, standardized %v -> %v  %s\n",
+			id, b.CR, q.CR, b.PSNR, q.PSNR, errLine, b.BytesOut, q.BytesOut, b.K, q.K, b.Standardized, q.Standardized, status)
 	}
 	return lost
 }

@@ -273,6 +273,46 @@ func TestGateQualityBytes(t *testing.T) {
 	}
 }
 
+// TestGateHoldsErrors: max abs error and θ print on the quality line
+// and fail the gate when either rises more than 1% over a baseline that
+// carries them; a baseline without them gates neither.
+func TestGateHoldsErrors(t *testing.T) {
+	withErrs := func(maxAbs, theta float64) perfRecord {
+		r := qualityRecord("compress", 2.40, 60.0, 147, false)
+		r.Quality.MaxAbsErr, r.Quality.Theta = maxAbs, theta
+		return r
+	}
+	base := perfReport{Records: []perfRecord{withErrs(0.02, 1e-4)}}
+	for _, c := range []struct {
+		name string
+		cur  perfRecord
+		fail bool
+	}{
+		{"same", withErrs(0.02, 1e-4), false},
+		{"within", withErrs(0.0201, 1.005e-4), false},
+		{"max abs", withErrs(0.0203, 1e-4), true},
+		{"theta", withErrs(0.02, 1.02e-4), true},
+	} {
+		var out strings.Builder
+		err := compareBaseline(writeReport(t, t.TempDir(), base), perfReport{Records: []perfRecord{c.cur}}, 10, &out)
+		if (err != nil) != c.fail {
+			t.Fatalf("%s: err %v, want failure %v\n%s", c.name, err, c.fail, out.String())
+		}
+		if c.name != "same" && !strings.Contains(out.String(), "dB, max_abs_err 0.02 -> ") {
+			t.Fatalf("%s: quality line must name the errors:\n%s", c.name, out.String())
+		}
+	}
+
+	old := perfReport{Records: []perfRecord{qualityRecord("compress", 2.40, 60.0, 147, false)}}
+	var out strings.Builder
+	if err := compareBaseline(writeReport(t, t.TempDir(), old), perfReport{Records: []perfRecord{withErrs(5, 1)}}, 10, &out); err != nil {
+		t.Fatalf("a baseline without errors must not gate them: %v", err)
+	}
+	if strings.Contains(out.String(), "quality:") {
+		t.Fatalf("errors the baseline lacks are not a change:\n%s", out.String())
+	}
+}
+
 // TestGateHoldsArchiveQuality: the tiled and batch records carry
 // archive-wide quality, and the gate holds it like a stream's: a CR or
 // PSNR loss beyond the bounds fails, naming the record.

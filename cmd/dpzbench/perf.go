@@ -53,16 +53,19 @@ type perfRecord struct {
 }
 
 // quality is a compressed stream's or archive's outcome: its compression
-// ratio, the PSNR of its full decode against the input, its component
-// count, whether Stage 2 standardized the features and the TVE its
-// components reached on the full data (Stats.TVEAchieved), with the
-// bytes in (4 per value) and out. For an archive, CR and the bytes cover
-// the whole archive, PSNR all of its decoded values, K is summed over
-// its streams, Standardized is set when any stream is and TVE is the
-// lowest of its streams'.
+// ratio, the PSNR, max abs error and mean relative error θ (mean abs
+// error over the input's range) of its full decode against the input,
+// its component count, whether Stage 2 standardized the features and the
+// TVE its components reached on the full data (Stats.TVEAchieved), with
+// the bytes in (4 per value) and out. For an archive, CR and the bytes
+// cover the whole archive, the errors all of its decoded values, K is
+// summed over its streams, Standardized is set when any stream is and
+// TVE is the lowest of its streams'.
 type quality struct {
 	CR           float64 `json:"cr"`
 	PSNR         float64 `json:"psnr_db"`
+	MaxAbsErr    float64 `json:"max_abs_err"`
+	Theta        float64 `json:"theta"`
 	K            int     `json:"k"`
 	Standardized bool    `json:"standardized"`
 	TVE          float64 `json:"tve"`
@@ -79,6 +82,8 @@ func qualityOf(data []float64, res *dpz.Result) (*quality, error) {
 	return &quality{
 		CR:           res.Stats.CRTotal,
 		PSNR:         dpz.PSNR(data, out),
+		MaxAbsErr:    dpz.MaxAbsError(data, out),
+		Theta:        dpz.MeanRelativeError(data, out),
 		K:            res.Stats.K,
 		Standardized: res.Stats.Standardized,
 		TVE:          res.Stats.TVEAchieved,
@@ -91,11 +96,13 @@ func qualityOf(data []float64, res *dpz.Result) (*quality, error) {
 // have stats sts and whose full decode is out.
 func archiveQuality(data, out []float64, archiveBytes int, sts []dpz.Stats) *quality {
 	q := &quality{
-		CR:       float64(4*len(data)) / float64(archiveBytes),
-		PSNR:     dpz.PSNR(data, out),
-		BytesIn:  4 * len(data),
-		BytesOut: archiveBytes,
-		TVE:      1,
+		CR:        float64(4*len(data)) / float64(archiveBytes),
+		PSNR:      dpz.PSNR(data, out),
+		MaxAbsErr: dpz.MaxAbsError(data, out),
+		Theta:     dpz.MeanRelativeError(data, out),
+		BytesIn:   4 * len(data),
+		BytesOut:  archiveBytes,
+		TVE:       1,
 	}
 	for _, st := range sts {
 		q.K += st.K

@@ -150,7 +150,7 @@ type Options struct {
 	// call.
 	BasisCache *BasisCache
 	// NoIndex disables the trailing retrieval-index section, producing a
-	// format-v2 stream byte-identical to earlier releases. The default
+	// format-v2 stream, which v2-era releases also decode. The default
 	// (false) emits format v3 with per-tile summaries that power
 	// compressed-domain range/similarity queries and `dpzstat` index
 	// reporting; the index is a raw trailing section v2 readers skip.

@@ -170,8 +170,8 @@ func v2SectionName(h header, i int) string {
 // hold one raw (pre-zlib) section per stored component; scales is nil
 // when the stream is not standardized. A non-nil index payload makes the
 // stream format v3 with the index appended as one raw (uncompressed)
-// trailing section; a nil index yields a v2 stream byte-identical to
-// what earlier writers produced. Sections are zlib-encoded in parallel
+// trailing section; a nil index yields a v2 stream, laid out as earlier
+// writers laid it out. Sections are zlib-encoded in parallel
 // (large ones split further into shards — see shardSpans; each unit
 // deflated or stored — see packUnit) but are assembled in their fixed
 // order, so the stream is byte-identical for every worker count. It

@@ -213,10 +213,11 @@ func (p *Params) Validate() error {
 	return nil
 }
 
-// zlibLevel maps Params.ZLevel to the compress/zlib level constant.
+// zlibLevel maps Params.ZLevel to the zlib level deflateUnit takes: 0
+// is zlib's default, −1 (level 6), and 1–9 are themselves.
 func (p *Params) zlibLevel() int {
 	if p.ZLevel == 0 {
-		return -1 // zlib.DefaultCompression
+		return -1
 	}
 	return p.ZLevel
 }

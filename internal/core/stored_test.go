@@ -107,10 +107,13 @@ func TestStoredZlibRoundTrip(t *testing.T) {
 	for _, n := range []int{0, 1, maxStoredBlock, maxStoredBlock + 1, 200_000} {
 		raw := randomBytes(n, int64(n))
 		payload := checkStoredZlib(t, raw)
-		if n > 0 {
-			if d := deflate(raw, 9, 0); len(d) < len(payload) {
-				t.Errorf("len %d: flate wrote %d bytes, stored %d", n, len(d), len(payload))
-			}
+		// One byte takes 9 bytes in a fixed-Huffman block, 3 fewer than
+		// stored; longer random bytes deflate to the stored stream itself.
+		switch d := deflateUnit(raw, 9); {
+		case n == 1 && len(d) >= len(payload):
+			t.Errorf("len 1: deflate wrote %d bytes, stored %d", len(d), len(payload))
+		case n > 1 && !bytes.Equal(d, payload):
+			t.Errorf("len %d: deflate wrote %d bytes, not the %d-byte stored stream", n, len(d), len(payload))
 		}
 	}
 
@@ -201,15 +204,17 @@ func sectionClass(name string) string {
 // TestStoredSectionsNeverLoseToDeflate checks the stored-or-deflate
 // rule over a corpus × {DPZL, DPZS} × ZLevel {0, 1, 9} × RawProjection
 // {off, on}: every unit the encoder stored would not have deflated
-// smaller at the stream's level. It also pins that the flat 256×512
-// CLDHGH stream stores every projection section, and logs per level and
-// section class how many units were stored and the bytes storing won.
-// No unit may stay deflated when storing it would have been smaller:
-// the missed column must read zero in every row. The level reaches nothing before the
-// container, so each field compresses once per scheme and projection
-// mode, and the other levels re-encode its sections.
+// smaller at the stream's level, and no deflated unit is larger than
+// stored blocks. It also pins that the flat 256×512 CLDHGH stream stores
+// every projection section, and holds deflateUnit to compress/zlib:
+// per stream and section class, the sections may take no more bytes
+// than packUnit's rule writes with compress/zlib at that level. It logs,
+// per level and section class, how many units were stored and the bytes
+// of both writers. The level reaches nothing before the container, so
+// each field compresses once per scheme and projection mode, and the
+// other levels re-encode its sections.
 func TestStoredSectionsNeverLoseToDeflate(t *testing.T) {
-	type tally struct{ units, stored, won, missed int }
+	type tally struct{ units, stored, bytes, flate, missed int }
 	var mu sync.Mutex
 	tallies := map[string]*tally{}
 	var keys []string
@@ -217,7 +222,7 @@ func TestStoredSectionsNeverLoseToDeflate(t *testing.T) {
 		for _, f := range storedCorpus(t) {
 			t.Run(f.Name, func(t *testing.T) {
 				t.Parallel()
-				checkStoredRule(t, f, func(key string, stored bool, won, missed int) {
+				checkStoredRule(t, f, func(key string, u unitReport) {
 					mu.Lock()
 					defer mu.Unlock()
 					tl := tallies[key]
@@ -227,11 +232,12 @@ func TestStoredSectionsNeverLoseToDeflate(t *testing.T) {
 						keys = append(keys, key)
 					}
 					tl.units++
-					if stored {
+					if u.stored {
 						tl.stored++
 					}
-					tl.won += won
-					tl.missed += missed
+					tl.bytes += u.bytes
+					tl.flate += u.flate
+					tl.missed += u.missed
 				})
 			})
 		}
@@ -239,19 +245,29 @@ func TestStoredSectionsNeverLoseToDeflate(t *testing.T) {
 	sort.Strings(keys)
 	for _, key := range keys {
 		tl := tallies[key]
-		t.Logf("%s units %5d  stored %5d  bytes won %6d  missed %6d", key, tl.units, tl.stored, tl.won, tl.missed)
+		t.Logf("%s units %5d  stored %5d  bytes %8d  compress/zlib %8d (%+.2f%%)  missed %6d", key, tl.units, tl.stored,
+			tl.bytes, tl.flate, 100*float64(tl.bytes-tl.flate)/float64(max(1, tl.flate)), tl.missed)
 		if tl.missed != 0 {
 			t.Errorf("%s: deflated units are %d bytes larger than stored blocks", key, tl.missed)
 		}
 	}
 }
 
+// unitReport is one zlib unit as checkStoredRule saw it: whether it was
+// stored, its bytes, the bytes packUnit's rule writes for it with
+// compress/zlib, and the bytes storing would have saved on a deflated
+// unit.
+type unitReport struct {
+	stored               bool
+	bytes, flate, missed int
+}
+
 // checkStoredRule runs one corpus field through every scheme, level and
-// projection mode, failing on a stored unit deflate would have shrunk,
-// and reports each unit under its level, projection mode and section
-// class: whether it was stored, the bytes storing won and the bytes
-// storing would have won on a deflated unit.
-func checkStoredRule(t *testing.T, f *dataset.Field, report func(key string, stored bool, won, missed int)) {
+// projection mode, failing on a stored unit deflate would have shrunk
+// and on a stream whose sections of one class are larger than
+// compress/zlib writes them, and reports each unit under its level,
+// projection mode and section class.
+func checkStoredRule(t *testing.T, f *dataset.Field, report func(key string, u unitReport)) {
 	for _, scheme := range []struct {
 		name string
 		p    Params
@@ -269,32 +285,44 @@ func checkStoredRule(t *testing.T, f *dataset.Field, report func(key string, sto
 			for _, zl := range []int{0, 1, 9} {
 				id := fmt.Sprintf("%s %s zlevel %d raw-projection %v", f.Name, scheme.name, zl, rawProj)
 				walked, raw := walked0, raw0
+				p.ZLevel = zl
+				level := p.zlibLevel()
 				if zl != 0 {
-					p.ZLevel = zl
 					stream, _, err := encodeContainer(context.Background(), cont.h, cont.scores, cont.proj,
-						cont.means, cont.scales, cont.index, p.zlibLevel(), 0)
+						cont.means, cont.scales, cont.index, level, 0)
 					if err != nil {
 						t.Fatal(err)
 					}
 					walked, raw = inflatedSections(t, stream)
 				}
+				classBytes, classFlate := map[string]int{}, map[string]int{}
 				for i, s := range walked.secs[:walked.ndata()] {
 					name := walked.sectionName(i)
-					key := fmt.Sprintf("zlevel %d raw-projection %-5v %-10s", zl, rawProj, sectionClass(name))
+					class := sectionClass(name)
+					key := fmt.Sprintf("zlevel %d raw-projection %-5v %-10s", zl, rawProj, class)
 					for _, u := range sectionUnits(t, s.comp, raw[i]) {
+						r := unitReport{bytes: len(u.payload), flate: len(flatePackUnit(u.raw, level))}
+						classBytes[class] += r.bytes
+						classFlate[class] += r.flate
 						stored := storedZlib(u.raw)
 						if !bytes.Equal(u.payload, stored) {
-							if pinned && sectionClass(name) == "projection" {
+							if pinned && class == "projection" {
 								t.Fatalf("%s: %s was deflated", id, name)
 							}
-							report(key, false, 0, max(0, len(u.payload)-len(stored)))
+							r.missed = max(0, len(u.payload)-len(stored))
+							report(key, r)
 							continue
 						}
-						d := deflate(u.raw, p.zlibLevel(), 0)
-						if len(d) < len(stored) {
+						if d := deflateUnit(u.raw, level); len(d) < len(stored) {
 							t.Fatalf("%s: %s stored in %d bytes, deflate gives %d", id, name, len(stored), len(d))
 						}
-						report(key, true, len(d)-len(stored), 0)
+						r.stored = true
+						report(key, r)
+					}
+				}
+				for class, n := range classBytes {
+					if n > classFlate[class] {
+						t.Errorf("%s: %s sections take %d bytes, %d with compress/zlib", id, class, n, classFlate[class])
 					}
 				}
 			}

@@ -15,39 +15,27 @@ import (
 	"dpz/internal/scratch"
 )
 
-// This file is the zlib add-on stage's codec: pooled writers/readers so
-// the per-section deflate calls do not allocate a new flate state (over
-// 640 KiB of hash tables) each time, a stored-block writer for units an
-// entropy estimate says deflate cannot shrink, and a shard framing that
-// splits large sections into independently-compressed chunks so a single
-// big section can use every worker. Shard boundaries depend only on the
-// raw section length, never on the worker count, so streams are
-// byte-identical for any parallelism.
-
-// zwPools pools zlib writers per compression level; index is level+2 so
-// levels -2 (HuffmanOnly) through 9 all map into the array.
-var zwPools [12]sync.Pool
+// This file is the zlib add-on stage's codec: per unit, stored blocks
+// when an entropy estimate says deflate cannot shrink it and DPZ's own
+// deflate writer (deflate.go) otherwise, a pooled compress/zlib reader
+// for decoding, and a shard framing that splits large sections into
+// independently-compressed chunks so a single big section can use every
+// worker. Shard boundaries depend only on the raw section length, never
+// on the worker count, so streams are byte-identical for any parallelism.
 
 // zrPool pools zlib readers (all readers reset identically).
 var zrPool sync.Pool
 
 // packUnit zlib-encodes one deflate unit (a section or a shard): stored
 // blocks when an entropy estimate says deflate cannot shrink it (see
-// entropyBytes), deflate at level otherwise, and stored blocks again
-// when deflate's output is no smaller than they are. Any zlib reader
+// entropyBytes), deflateUnit at level otherwise, which itself falls back
+// to stored blocks when deflating saves too little. Any zlib reader
 // inflates either form.
 func packUnit(buf []byte, level int) []byte {
-	est := entropyBytes(buf)
-	if len(buf) > 0 && est >= float64(len(buf)) {
+	if len(buf) > 0 && entropyBytes(buf) >= float64(len(buf)) {
 		return storedZlib(buf)
 	}
-	// The estimate sizes the output buffer: deflate lands within a few
-	// percent of it on quantized scores, and a miss costs one regrowth.
-	out := deflate(buf, level, 64+int(est)+int(est)/16)
-	if len(out) >= storedZlibLen(len(buf)) {
-		return storedZlib(buf)
-	}
-	return out
+	return deflateUnit(buf, level)
 }
 
 // entropyBytes is the size an ideal order-0 code would give buf, plus a
@@ -55,8 +43,8 @@ func packUnit(buf []byte, level int) []byte {
 // Σ c_i·log2(n/c_i)/8 + d/4 over the byte counts c_i, with d values used.
 // When it reaches len(buf), deflate's Huffman stage has nothing to gain;
 // on the bit-packed quantizer codes of projection sections, the common
-// case, LZ77 finds no matches either, and flate would end in stored
-// blocks after paying for a failed Huffman build. Repetitive data (a
+// case, LZ77 finds no matches either, and deflateUnit would end in
+// stored blocks after building codes it cannot use. Repetitive data (a
 // constant field's columns) has few distinct bytes and stays on deflate.
 func entropyBytes(buf []byte) float64 {
 	if len(buf) == 0 {
@@ -101,9 +89,7 @@ const maxStoredBlock = 1<<16 - 1
 // storedZlib wraps buf in an RFC 1950 zlib stream of stored (BTYPE=00)
 // deflate blocks: header 0x78 0x01, blocks of at most maxStoredBlock
 // bytes (the last one final), and the big-endian Adler-32 of buf. It is
-// len(buf) + 6 + 5·max(1, ⌈len(buf)/65535⌉) bytes. Flate's own stored
-// output for a unit under 64 KiB is 5 bytes longer: it closes with an
-// extra empty final block.
+// len(buf) + 6 + 5·max(1, ⌈len(buf)/65535⌉) bytes.
 func storedZlib(buf []byte) []byte {
 	nblk := max(1, (len(buf)+maxStoredBlock-1)/maxStoredBlock)
 	out := make([]byte, 0, storedZlibLen(len(buf)))
@@ -124,37 +110,6 @@ func storedZlib(buf []byte) []byte {
 // storedZlibLen is the length of storedZlib's output for n bytes.
 func storedZlibLen(n int) int {
 	return n + 6 + 5*max(1, (n+maxStoredBlock-1)/maxStoredBlock)
-}
-
-// deflate zlib-compresses buf at the given level (zlib.DefaultCompression
-// through zlib.BestCompression) using a pooled writer. sizeHint is the
-// expected output size, used to pre-size the output buffer.
-func deflate(buf []byte, level, sizeHint int) []byte {
-	if level < -2 || level > 9 {
-		panic(fmt.Sprintf("core: invalid zlib level %d", level))
-	}
-	var out bytes.Buffer
-	out.Grow(sizeHint)
-	var w *zlib.Writer
-	if v := zwPools[level+2].Get(); v != nil {
-		w = v.(*zlib.Writer)
-		w.Reset(&out)
-	} else {
-		var err error
-		w, err = zlib.NewWriterLevel(&out, level)
-		if err != nil {
-			panic(fmt.Sprintf("core: zlib writer: %v", err))
-		}
-	}
-	if _, err := w.Write(buf); err != nil {
-		// bytes.Buffer writes cannot fail; keep the invariant visible.
-		panic(fmt.Sprintf("core: zlib write: %v", err))
-	}
-	if err := w.Close(); err != nil {
-		panic(fmt.Sprintf("core: zlib close: %v", err))
-	}
-	zwPools[level+2].Put(w)
-	return out.Bytes()
 }
 
 // inflateInto decompresses a zlib stream into dst, which must be exactly

@@ -58,7 +58,7 @@ type OptionSpec struct {
 	BasisReuse bool
 	// Index controls the trailing retrieval-index section: "on" (format
 	// v3 with per-tile summaries, the default) or "off" (format v2,
-	// byte-identical to earlier releases). Empty means on.
+	// which v2-era releases also decode). Empty means on.
 	Index string
 }
 
