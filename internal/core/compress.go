@@ -56,8 +56,11 @@ type Stats struct {
 	// (the basis-reuse candidate check; on accept it includes the
 	// stream's one projection), gram (the fit's covariance), eig (its
 	// eigensolve, k selection included) and project (the projection onto
-	// the k retained components, on cold and sampled paths only). A span
-	// that did not run is absent.
+	// the k retained components, on cold and sampled paths only). Under
+	// zlib, pack is the sections' encoding (the per-column score scales,
+	// the score streams, the projection columns, the header and the
+	// index) and deflate the container's zlib units. A span that did not
+	// run is absent.
 	Trace metrics.Trace
 
 	Sampling *sampling.Report
@@ -406,10 +409,13 @@ func CompressContext(ctx context.Context, data []float64, dims []int, p Params) 
 			RankEnergy: proj.ColEnergy,
 		}})
 	}
+	tr.Add("pack", "zlib", t0)
+	td := metrics.Now()
 	out, rawTotal, err := encodeContainer(ctx, h, scoreSecs, projSecs, float32Bytes(model.Means), scalesSec, indexSec, p.zlibLevel(), p.Workers)
 	if err != nil {
 		return nil, err
 	}
+	tr.Add("deflate", "zlib", td)
 	tr.Add("zlib", "", t0)
 
 	// CR accounting on the float32 basis. Stage 1&2 output: N·k scores +

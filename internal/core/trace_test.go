@@ -151,7 +151,7 @@ func TestStageTrace(t *testing.T) {
 
 	const (
 		stage1 = "decompose/ dct/ "
-		stage3 = " pca/ quant/ zlib/ total/"
+		stage3 = " pca/ quant/ pack/zlib deflate/zlib zlib/ total/"
 		eig    = "reduce/eig values/eig vectors/eig eig/pca"
 		fit    = "gram/pca vif/pca " + eig + " project/pca"
 		decomp = "inflate/ inflate/ dequant/ recompose/ total/"

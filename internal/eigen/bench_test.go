@@ -88,7 +88,7 @@ func BenchmarkSymEigTopK256(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := SymEigTopK(a, fixedCount(42), 1, nil); err != nil {
+		if _, err := SymEigTopK(a, fixedCount(42), 0, 1, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -97,15 +97,31 @@ func BenchmarkSymEigTopK256(b *testing.B) {
 // BenchmarkSymEigTopK256Flat is the eigensolve of the flat-spectrum
 // benchmark workload as the exact fit runs it: the CLDHGH-like
 // covariance with the k=254 of 256 vectors its default TVE selects,
-// past the crossover, so on the accumulation route; at one and two
-// workers.
+// past the crossover, so by divide and conquer; at one and two workers.
 func BenchmarkSymEigTopK256Flat(b *testing.B) {
 	a := dctBlockCovariance(b, "CLDHGH", 2001)
 	for _, workers := range []int{1, 2} {
 		b.Run(fmt.Sprintf("w%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := SymEigTopK(a, fixedCount(254), workers, nil); err != nil {
+				if _, err := SymEigTopK(a, fixedCount(254), 0, workers, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkSymEig900Flat is every eigenpair of the covariance dpzbench's
+// flat compress fits: a CLDHGH-like 900×1800 field's DCT blocks, at one
+// and two workers.
+func BenchmarkSymEig900Flat(b *testing.B) {
+	a := dctCovariance(b, "CLDHGH", 900, 1800, 2001)
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("w%d", workers), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := SymEigTopK(a, func(vals []float64) int { return len(vals) }, 0, workers, nil); err != nil {
 					b.Fatal(err)
 				}
 			}

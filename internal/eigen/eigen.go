@@ -1,25 +1,30 @@
 // Package eigen implements a dense symmetric eigensolver: Householder
-// reduction to tridiagonal form followed by the implicit-shift QL
-// iteration. This is the numerical core behind DPZ's PCA stage and the
-// VIF compressibility indicator.
+// reduction to tridiagonal form, the eigenvalues by the implicit-shift
+// QL iteration, and eigenvectors by inverse iteration (a few leading
+// ones) or divide and conquer (all of them), mapped back by the
+// Householder transform. This is the numerical core behind DPZ's PCA
+// stage and the VIF compressibility indicator.
 //
-// The algorithm follows the classic tred2/tqli formulation (Golub & Van
-// Loan; Numerical Recipes). For the covariance matrices DPZ produces
+// The reduction and the QL sweep follow the classic tred2/tqli
+// formulation (Golub & Van Loan; Numerical Recipes); inverse iteration
+// follows LAPACK's dstein and divide and conquer its dstedc, with Gu and
+// Eisenstat's eigenvectors. For the covariance matrices DPZ produces
 // (symmetric positive semi-definite, typically a few hundred to a few
-// thousand features) it converges in a handful of sweeps per eigenvalue.
+// thousand features) the QL sweep converges in a handful of iterations
+// per eigenvalue.
 //
 // Every O(n³) inner loop walks contiguous memory: the blocked reduction
 // (reduce.go) forms each column's mat-vec in one pass over rows of the
 // row-major workspace and updates the leading triangle once per panel,
-// the accumulation builds each column of Q as a contiguous row of a
-// packed stripe, and the QL rotations are replayed on contiguous rows of
-// the transposed accumulator, split into one private stripe per worker
-// (vectors.go). The order of every floating-point operation is fixed by
-// n alone, so results are bit-identical for every worker count and
-// across SymEig, SymEigValues, SymEigTopK's accumulation route and
-// TopK's dense side. They agree with the textbook tred2/tqli loops
-// (reference_test.go) to within round-off, not bit for bit: the blocked
-// reduction sums in another order.
+// divide and conquer (dc.go) spends its flops in row-major matrix
+// products, and the back-transform reflects contiguous rows (vectors.go).
+// The order of every floating-point operation is fixed by the input
+// alone, so results are bit-identical for every worker count and across
+// SymEig, SymEigTopK above its crossover and TopK's dense side, and the
+// eigenvalues across SymEig, SymEigValues and SymEigTopK. They agree with
+// the textbook tred2/tqli loops (reference_test.go) to within round-off,
+// not bit for bit: the blocked reduction sums in another order and
+// divide and conquer computes other vectors of the same accuracy.
 package eigen
 
 import (
@@ -47,50 +52,18 @@ type System struct {
 }
 
 // SymEig computes the full eigendecomposition of the symmetric matrix a.
-// Only the lower triangle is read; a is not modified. It runs the
-// accumulation route of SymEigTopK on one worker.
+// Only the lower triangle is read; a is not modified. It is SymEigTopK
+// asking for every vector, on one worker: the divide-and-conquer route.
 func SymEig(a *mat.Dense) (*System, error) {
-	r, c := a.Dims()
-	if r != c {
-		return nil, fmt.Errorf("eigen: non-square input %dx%d", r, c)
-	}
-	if r == 0 {
-		return &System{Values: nil, Vectors: mat.NewDense(0, 0)}, nil
-	}
-	n := r
-	// The workspace is pooled, apart from the accumulation buffer q,
-	// which ends as the returned eigenvectors: nothing pooled escapes to
-	// the caller.
-	z := scratch.Floats(n * n)
-	defer scratch.PutFloats(z)
-	copy(z, a.Data())
-	h := scratch.Floats(n) // reflector scalars
-	defer scratch.PutFloats(h)
-	d := scratch.Floats(n) // diagonal, then the eigenvalues
-	defer scratch.PutFloats(d)
-	e := scratch.Floats(n) // off-diagonal
-	defer scratch.PutFloats(e)
-	reduce(z, h, e)
-	tred2Diagonal(z, d)
-	q := make([]float64, n*n)
-	rows, err := accumulatedVectors(z, h, d, e, q, 1)
-	if err != nil {
-		return nil, err
-	}
-	idx := descendingOrder(d)
-	vals := make([]float64, n)
-	for newJ, oldJ := range idx {
-		vals[newJ] = d[oldJ]
-	}
-	return &System{Values: vals, Vectors: gatherVectors(q, z, rows, idx, n)}, nil
+	return SymEigTopK(a, func(vals []float64) int { return len(vals) }, 0, 1, nil)
 }
 
 // SymEigValues computes only the eigenvalues of the symmetric matrix a,
-// sorted descending. Skipping the eigenvector accumulation makes this
-// several times cheaper than SymEig — it is what DPZ's sampling strategy
-// uses to read a subset's TVE curve without paying for a basis it will
-// never project onto. It runs the same kernels as SymEig, minus the
-// accumulation, so the eigenvalues are the same.
+// sorted descending. Skipping the eigenvectors makes this several times
+// cheaper than SymEig — it is what DPZ's sampling strategy uses to read
+// a subset's TVE curve without paying for a basis it will never project
+// onto. It runs the same reduction and QL sweep as SymEig, so the
+// eigenvalues are the same.
 func SymEigValues(a *mat.Dense) ([]float64, error) {
 	r, c := a.Dims()
 	if r != c {
@@ -129,8 +102,9 @@ func tred2Diagonal(a, d []float64) {
 // sub-diagonal e) with implicit-shift QL. On return d holds the
 // eigenvalues. Unless rot is nil it is called with each plane rotation
 // (i, s, c) in order; applied to the rows of the transposed accumulator
-// zt, rotation (i, s, c) sets zt_i, zt_{i+1} to c·zt_i − s·zt_{i+1},
-// s·zt_i + c·zt_{i+1}, which leaves eigenvector j in row j.
+// zt (rotateRows), rotation (i, s, c) sets zt_i, zt_{i+1} to
+// c·zt_i − s·zt_{i+1}, s·zt_i + c·zt_{i+1}, which leaves eigenvector j in
+// row j.
 func tqli(d, e []float64, rot func(i int, s, c float64)) error {
 	n := len(d)
 	for i := 1; i < n; i++ {

@@ -39,7 +39,7 @@ const (
 // The upper triangle holds u/H by columns, and the diagonal of a is the
 // diagonal of the tridiagonal matrix (see tred2Diagonal). The orthogonal
 // transform is Q = P_{n-1}···P_1, with QᵀAQ tridiagonal;
-// accumulatedVectors and backTransform apply it.
+// backTransform applies it.
 //
 // Reflector i is generated as tred2 generates it: row i, scaled by the
 // sum of its magnitudes, gives u and H, so a zero row gives H = 0 and an

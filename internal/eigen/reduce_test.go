@@ -105,8 +105,8 @@ func TestReduceEdgeCasesNearReference(t *testing.T) {
 
 // TestReduceZeroRowsInPanels: a row whose left part is all zero when its
 // reflector is generated, in the middle of a panel or in the tail, gets
-// H = 0 and an exact-zero off-diagonal, so the accumulation skips it and
-// tqli splits there.
+// H = 0 and an exact-zero off-diagonal, so the back-transform skips it
+// and the tridiagonal splits there.
 func TestReduceZeroRowsInPanels(t *testing.T) {
 	a := panelBlockDiagonal(rand.New(rand.NewSource(2703)))
 	n, _ := a.Dims()
@@ -151,7 +151,7 @@ func TestReduceRepeatedEigenvalues(t *testing.T) {
 // TestReduceEdgeCasesWorkersBitIdentical: on every edge case the
 // spectrum-first solve, which reduces once and then splits its vector
 // phases across workers, returns the same bits at workers {1, 2, 8} on
-// both vector routes, and the accumulation route's bits are SymEig's.
+// both vector routes, and divide and conquer's bits are SymEig's.
 // The reduction itself is serial; this pins that nothing downstream of
 // it depends on the worker count either.
 func TestReduceEdgeCasesWorkersBitIdentical(t *testing.T) {
@@ -171,7 +171,7 @@ func TestReduceEdgeCasesWorkersBitIdentical(t *testing.T) {
 		for _, k := range []int{max(1, n/4), n} {
 			var first *System
 			for _, workers := range []int{1, 2, 8} {
-				got, _, err := symEigTopK(a, fixedCount(k), workers, n/2, topKGuardTol, nil)
+				got, _, err := symEigTopK(a, fixedCount(k), 0, workers, n/2, topKGuardTol, nil)
 				if err != nil {
 					t.Fatalf("%s k=%d workers=%d: %v", name, k, workers, err)
 				}

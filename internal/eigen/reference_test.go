@@ -138,8 +138,8 @@ func oracleTol(a *mat.Dense) (tol, orthTol float64) {
 // sequence can negate a vector however well separated its eigenvalue:
 // on random-256 five of the six smallest pairs, 0.4–1.5 apart, come out
 // negated. The reference's sign is a property of its summation order,
-// not of the eigenvector. Within this solver the sign is pinned:
-// inverse iteration adopts the accumulation route's sign
+// not of the eigenvector. Within this solver the sign is pinned: both
+// vector routes adopt the QL sweep's sign
 // (TestSymEigTopKVectorsMatchSymEig), and the routes and worker counts
 // agree bit for bit.
 func nearReference(t *testing.T, name string, a *mat.Dense, want, got *System, k int) {
@@ -224,13 +224,13 @@ func TestSymEigValuesBitIdenticalToReference(t *testing.T) {
 	}
 }
 
-// TestTqliBitIdenticalToReference drives the striped rotation replay
-// directly on tridiagonals with subnormal entries, where a rotation's
+// TestTqliBitIdenticalToReference drives the QL iteration the way the
+// divide-and-conquer leaves run it, its rotations applied to the rows of
+// an identity, on tridiagonals with subnormal entries, where a rotation's
 // hypotenuse underflows to exactly zero (the r == 0 split branch, which
-// breaks a sweep midway and which no dense input above reaches). Started
-// from the identity at every worker count, the stripes must end as the
-// reference's accumulator, and the values-only run must match
-// refTqliValues.
+// breaks a sweep midway and which no dense input above reaches). The
+// rows must end as the transpose of the reference's accumulator, and the
+// values-only run must match refTqliValues.
 func TestTqliBitIdenticalToReference(t *testing.T) {
 	for _, tc := range []struct{ d, e []float64 }{
 		{[]float64{1e-310, 0, -1e-310, 1e-300}, []float64{1e-300, 1e-300, 1e-310, -1}},
@@ -246,22 +246,19 @@ func TestTqliBitIdenticalToReference(t *testing.T) {
 		if err := refTqli(wd, we, wz); err != nil {
 			t.Fatal(err)
 		}
-		for _, workers := range []int{1, 2, 8} {
-			rows := rowStripes(n, min(workers, n))
-			z := make([]float64, n*n)
-			gd, ge := slices.Clone(tc.d), slices.Clone(tc.e)
-			if err := replayRotations(gd, ge, z, id, rows); err != nil {
-				t.Fatal(err)
-			}
-			if sameBits(gd, wd) != -1 || sameBits(ge, we) != -1 || sameBits(z, stripesOf(wz.T().Data(), rows)) != -1 {
-				t.Errorf("d=%v e=%v workers=%d: replayed tqli differs from the reference", tc.d, tc.e, workers)
-			}
+		zt := slices.Clone(id)
+		gd, ge := slices.Clone(tc.d), slices.Clone(tc.e)
+		if err := tqli(gd, ge, func(i int, s, c float64) { rotateRows(zt, n, i, s, c) }); err != nil {
+			t.Fatal(err)
+		}
+		if sameBits(gd, wd) != -1 || sameBits(ge, we) != -1 || sameBits(zt, wz.T().Data()) != -1 {
+			t.Errorf("d=%v e=%v: tqli with rotateRows differs from the reference", tc.d, tc.e)
 		}
 		vd, ve := slices.Clone(tc.d), slices.Clone(tc.e)
 		if err := refTqliValues(vd, ve); err != nil {
 			t.Fatal(err)
 		}
-		gd, ge := slices.Clone(tc.d), slices.Clone(tc.e)
+		gd, ge = slices.Clone(tc.d), slices.Clone(tc.e)
 		if err := tqli(gd, ge, nil); err != nil {
 			t.Fatal(err)
 		}
@@ -271,27 +268,13 @@ func TestTqliBitIdenticalToReference(t *testing.T) {
 	}
 }
 
-// stripesOf lays the n×n row-major zt out in the row stripes
-// accumulatedVectors replays on: stripe w holds columns
-// rows[w]..rows[w+1]−1 of zt as a packed n×(rows[w+1]−rows[w]) block.
-func stripesOf(zt []float64, rows []int) []float64 {
-	n := rows[len(rows)-1]
-	out := make([]float64, 0, n*n)
-	for w := 0; w+1 < len(rows); w++ {
-		for i := 0; i < n; i++ {
-			out = append(out, zt[i*n+rows[w]:i*n+rows[w+1]]...)
-		}
-	}
-	return out
-}
-
-// TestSymEigTopKWorkersBitIdenticalToReference: the accumulation route
+// TestSymEigTopKWorkersBitIdenticalToReference: divide and conquer
 // (forced for every count by a zero crossover) returns SymEig's
 // eigenvalues and leading eigenvectors bit for bit at every worker
 // count, and those are within round-off of the frozen solver's. The
-// oracle cases include n ∈ {1, 2, 3}, where eight workers become n and
-// some column stripes are empty, and the block-diagonal matrix, whose
-// zero reflectors the accumulation skips.
+// oracle cases include n ∈ {1, 2, 3}, below the leaf size, and the
+// block-diagonal matrix, whose zero reflectors the back-transform skips
+// and whose tridiagonal splits.
 func TestSymEigTopKWorkersBitIdenticalToReference(t *testing.T) {
 	for name, a := range oracleCases(t) {
 		ref, err := refSymEig(a)
@@ -306,7 +289,7 @@ func TestSymEigTopKWorkersBitIdenticalToReference(t *testing.T) {
 		nearReference(t, name, a, ref, want, n)
 		for _, workers := range []int{1, 2, 8} {
 			for _, k := range []int{1, n/2 + 1, n} {
-				got, inverse, err := symEigTopK(a, fixedCount(k), workers, 0, topKGuardTol, nil)
+				got, inverse, err := symEigTopK(a, fixedCount(k), 0, workers, 0, topKGuardTol, nil)
 				if err != nil {
 					t.Fatalf("%s workers=%d k=%d: %v", name, workers, k, err)
 				}
@@ -318,7 +301,7 @@ func TestSymEigTopKWorkersBitIdenticalToReference(t *testing.T) {
 				}
 				assertLeadingColumnsBitIdentical(t, fmt.Sprintf("%s workers=%d", name, workers), want, got, k)
 			}
-			got, err := SymEigTopK(a, fixedCount(n), workers, nil)
+			got, err := SymEigTopK(a, fixedCount(n), 0, workers, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -330,7 +313,7 @@ func TestSymEigTopKWorkersBitIdenticalToReference(t *testing.T) {
 }
 
 // TestTopKDenseAboveHalfIsReference: TopK's dense side at k > n/2 takes
-// SymEigTopK's accumulation route, so its k pairs are SymEig's leading
+// SymEigTopK's divide and conquer, so its k pairs are SymEig's leading
 // pairs bit for bit at every worker count, and within round-off of the
 // frozen solver's.
 func TestTopKDenseAboveHalfIsReference(t *testing.T) {
@@ -375,8 +358,8 @@ func TestSymEigDoesNotModifyInput(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 2} {
-		for _, k := range []int{3, 31} { // inverse iteration, accumulation
-			if _, _, err := symEigTopK(a, fixedCount(k), workers, 15, topKGuardTol, nil); err != nil {
+		for _, k := range []int{3, 31} { // inverse iteration, divide and conquer
+			if _, _, err := symEigTopK(a, fixedCount(k), 0, workers, 15, topKGuardTol, nil); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -67,9 +67,9 @@ func checkTopK(a *mat.Dense, k int) (int, error) {
 
 // leading is the dense route: SymEigTopK at the fixed count k, keeping
 // the k leading eigenvalues with their vectors. Above SymEigTopK's
-// crossover (k > n/2) the pairs are SymEig's bit for bit.
+// crossover (k > n/3) the pairs are SymEig's bit for bit.
 func leading(a *mat.Dense, k, workers int, tr *metrics.Trace) (*System, error) {
-	sys, err := SymEigTopK(a, func([]float64) int { return k }, workers, tr)
+	sys, err := SymEigTopK(a, func([]float64) int { return k }, 0, workers, tr)
 	if err != nil {
 		return nil, err
 	}
@@ -140,7 +140,7 @@ func rayleighRitz(a, q *mat.Dense, workers int) (*System, error) {
 			small.Set(j, i, v)
 		}
 	}
-	// All p pairs: the accumulation route, SymEig's bits.
+	// All p pairs: divide and conquer, SymEig's bits.
 	ssys, err := leading(small, p, workers, nil)
 	if err != nil {
 		return nil, err

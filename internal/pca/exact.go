@@ -140,9 +140,10 @@ const StageSpan = "pca"
 //
 // Without a fixed K the fit is spectrum first: all M eigenvalues come
 // first, k is selected from them, and only the leading min(k+Extra, M)
-// eigenvectors are computed (eigen.SymEigTopK). The spectrum, TotalVar
+// eigenvectors are computed (eigen.SymEigTopK, which routes by k, so the
+// leading k are the same bits whatever Extra is). The spectrum, TotalVar
 // and k are then bit-identical to Fit's; the vectors match Fit's leading
-// columns up to sign and round-off, or bit for bit when k+Extra is past
+// columns up to sign and round-off, or bit for bit when k is past
 // SymEigTopK's crossover.
 //
 // With K set the min(K+Extra, M) leading eigenpairs come from
@@ -216,8 +217,8 @@ func FitExact(x *mat.Dense, sel Selection, opts Options, tr *metrics.Trace) (*Mo
 				rep.K = kForTVE(curve, sel.TVE)
 			}
 			rep.K = min(max(rep.K, 1), c)
-			return min(rep.K+max(sel.Extra, 0), c)
-		}, opts.Workers, tr)
+			return rep.K
+		}, max(sel.Extra, 0), opts.Workers, tr)
 	}
 	tr.Add(eigen.StageSpan, StageSpan, t0)
 	if err != nil {
